@@ -12,15 +12,15 @@ Subpackages by concern:
   differentiation, condensate comparisons.
 * `fockdiag`: exact diagonalization of diagonal models on truncated Fock
   spaces, Gibbs expectations, variational pressure bounds.
-* `cli`: the `bose-limits` command.
+* `cli`: the `bose-limits` command; not imported here, so that
+  `python -m bose_limits.cli` runs it as a fresh module.
 """
 
-from . import cli, equivalence, fockdiag, lattice_ideal, nonlinear_model, source_model
+from . import equivalence, fockdiag, lattice_ideal, nonlinear_model, source_model
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError, StepSizeError)
 
 __all__ = [
-    "cli",
     "equivalence",
     "fockdiag",
     "lattice_ideal",

@@ -28,7 +28,7 @@ from .equivalence import delta_pressure_closed_form, verify_equivalence
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
-from .lattice_ideal import ThermoPoint, build_lattice
+from .lattice_ideal import ThermoPoint, _require_stable, build_lattice
 from .nonlinear_model import (ExponentFunction, laplace_sup, pressure_sqrt_source,
                               zero_mode_log_partition)
 from .source_model import pressure_source
@@ -93,8 +93,7 @@ class RunConfig:
         if not self.mu:
             raise DomainError("mu is required")
         for m in self.mu:
-            if m >= 0.0:
-                raise DomainError("outside stability domain (mu must be < 0)")
+            _require_stable(m)
         for b in self.beta:
             if b <= 0.0:
                 raise DomainError("beta must be positive")

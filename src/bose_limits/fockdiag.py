@@ -132,8 +132,8 @@ def truncate_lattice(lattice: ModeLattice, cutoffs: Sequence[int]) -> FockTrunca
     m = len(cutoffs)
     require(1 <= m <= lattice.n_modes, "more cutoffs than lattice modes")
     require(lattice.includes_zero, "lattice must contain the zero mode")
-    return FockTruncation(modes=lattice.modes[:m].copy(),
-                          energies=lattice.energies[:m].copy(),
+    modes, energies = lattice.leading_modes(m)
+    return FockTruncation(modes=modes, energies=energies,
                           cutoffs=tuple(int(c) for c in cutoffs))
 
 

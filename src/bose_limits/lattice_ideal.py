@@ -6,6 +6,14 @@ single-particle dispersion |p|^2/2.  This module builds that lattice up to
 a momentum cutoff and evaluates the ideal-gas pressure and critical
 (thermal) density, both at finite volume and in the infinite-volume limit.
 
+A mode enters every ideal-gas quantity only through k = |n|^2, so the
+lattice is stored as its distinct shells k and their exact integer
+multiplicities r_d(k).  The p != 0 mode sums evaluate their summand once
+per shell and form the exactly rounded value of sum_k r_d(k) * f(k) with
+`summation.weighted_sum`; that is the same double as the exactly rounded
+sum over every mode, because all modes of a shell share one energy
+0.5*step^2*k and hence one term.
+
 Finite mode sums carry a certified truncation bound: the discarded modes
 beyond the cutoff are compared against a d-dimensional Gaussian-tail
 integral over the region |p| > p_max - pi*sqrt(d)/l.  The inward shift by
@@ -23,7 +31,7 @@ import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from .errors import DomainError, NonConvergenceError, ResourceGuardError, require
-from .summation import stable_sum
+from .summation import stable_sum, weighted_sum
 
 __all__ = [
     "ModeLattice",
@@ -45,36 +53,75 @@ DEFAULT_MAX_MODES = 20_000_000
 
 @dataclass(frozen=True, eq=False)
 class ModeLattice:
-    """The finite dual lattice of a periodic box.
+    """The finite dual lattice of a periodic box, grouped by |n|^2 shell.
 
-    Modes are stored in canonical order, sorted by (|p|^2, lexicographic
-    integer components), so the zero mode (when present) sits at index 0
-    and all mode sums have a reproducible evaluation order.
+    `shells` holds the distinct k = |n|^2 of the retained modes in
+    ascending order (k = 0 first when the zero mode is present) and
+    `multiplicities` the exact number r_d(k) of integer vectors on each.
+    Explicit mode vectors are enumerated only on request, in canonical
+    order sorted by (|p|^2, lexicographic integer components), so the zero
+    mode sits at index 0; the build's mode-count guard bounds that
+    enumeration.
     """
 
     d: int
     l: float
     p_max: float
-    modes: np.ndarray = field(repr=False)       # shape (n_modes, d)
-    energies: np.ndarray = field(repr=False)    # |p|^2 / 2 per mode
-    includes_zero: bool
+    shells: np.ndarray = field(repr=False)          # distinct |n|^2, ascending
+    multiplicities: np.ndarray = field(repr=False)  # r_d(k) per shell
 
     def __post_init__(self):
-        self.modes.setflags(write=False)
-        self.energies.setflags(write=False)
+        self.shells.setflags(write=False)
+        self.multiplicities.setflags(write=False)
 
     @property
     def volume(self) -> float:
         return self.l ** self.d
 
     @property
+    def includes_zero(self) -> bool:
+        return bool(self.shells.size > 0 and self.shells[0] == 0)
+
+    @property
     def n_modes(self) -> int:
-        return self.modes.shape[0]
+        return int(self.multiplicities.sum())
 
     @property
     def nonzero_energies(self) -> np.ndarray:
-        """Energies of all p != 0 modes."""
-        return self.energies[1:] if self.includes_zero else self.energies
+        """Energy |p|^2 / 2 of each p != 0 shell."""
+        step = 2.0 * math.pi / self.l
+        return 0.5 * step * step * self.shells[self._nonzero].astype(float)
+
+    @property
+    def nonzero_multiplicities(self) -> np.ndarray:
+        """Mode count of each p != 0 shell, aligned with `nonzero_energies`."""
+        return self.multiplicities[self._nonzero]
+
+    @property
+    def _nonzero(self) -> slice:
+        return slice(1, None) if self.includes_zero else slice(None)
+
+    def leading_modes(self, count: int):
+        """Momenta (count, d) and energies of the first `count` modes.
+
+        Only the shells up to the one holding mode `count` are enumerated.
+        """
+        require(0 <= count <= self.n_modes, "count must lie in [0, n_modes]")
+        last = int(np.searchsorted(np.cumsum(self.multiplicities), count))
+        n = _mode_vectors(self.d, int(self.shells[last]))[:count]
+        step = 2.0 * math.pi / self.l
+        nsq = (n * n).sum(axis=1)
+        return step * n.astype(float), 0.5 * step * step * nsq.astype(float)
+
+    @property
+    def modes(self) -> np.ndarray:
+        """Momenta of all modes, shape (n_modes, d), canonical order."""
+        return self.leading_modes(self.n_modes)[0]
+
+    @property
+    def energies(self) -> np.ndarray:
+        """|p|^2 / 2 of all modes, canonical order."""
+        return self.leading_modes(self.n_modes)[1]
 
 
 @dataclass(frozen=True)
@@ -94,6 +141,8 @@ class ThermoPoint:
 
     @property
     def volume(self) -> float:
+        if self.lattice is None:
+            raise DomainError("the point has no lattice, so no volume")
         return self.lattice.volume
 
 
@@ -125,9 +174,63 @@ def _require_stable(mu: float) -> None:
         raise DomainError("outside stability domain (mu must be < 0)")
 
 
+def _shell_counts(d: int, kmax: int):
+    """Distinct k = |n|^2 <= kmax over n in Z^d and their counts r_d(k).
+
+    r_1 is the indicator of the squares (1 at k = 0, 2 at each j^2 > 0);
+    every further axis convolves the running table with it.  While the
+    table is sparse (as r_1 is) each nonzero entry k is spread over the
+    squares up to kmax - k, one add per such pair; once it is dense, one
+    slice-add per square costs O(sqrt(kmax) * kmax).  Either way no axis
+    costs more than O(modes) time, and the table O(kmax) memory.
+    """
+    squares = np.arange(math.isqrt(kmax) + 1, dtype=np.int64) ** 2
+    weights = np.full(squares.size, 2, dtype=np.int64)
+    weights[0] = 1
+    keys, counts, table = squares, weights, None
+    for _ in range(d - 1):
+        prev, table = table, np.zeros(kmax + 1, dtype=np.int64)
+        if keys.size <= squares.size:
+            for k, c in zip(keys.tolist(), counts.tolist()):
+                m = math.isqrt(kmax - k) + 1
+                table[k + squares[:m]] += c * weights[:m]
+        else:
+            for s, w in zip(squares.tolist(), weights.tolist()):
+                table[s:] += w * prev[:kmax + 1 - s]
+        keys = np.flatnonzero(table)
+        counts = table[keys]
+    return keys, counts
+
+
+def _mode_vectors(d: int, kcut: int) -> np.ndarray:
+    """All n in Z^d with |n|^2 <= kcut, in canonical (|n|^2, lexicographic) order."""
+    r = math.isqrt(kcut)
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    if d == 1:
+        n_all = axis[:, None]
+    else:
+        # Slice along the first axis to keep peak memory bounded.
+        rest = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
+        rest = np.stack([g.ravel() for g in rest], axis=1)
+        rest_sq = (rest * rest).sum(axis=1)
+        chunks = []
+        for n1 in axis.tolist():
+            keep = rest_sq <= kcut - n1 * n1
+            block = np.empty((int(keep.sum()), d), dtype=np.int64)
+            block[:, 0] = n1
+            block[:, 1:] = rest[keep]
+            chunks.append(block)
+        n_all = np.concatenate(chunks, axis=0)
+    nsq = (n_all * n_all).sum(axis=1)
+    # Integer sort keys make the canonical order exact: |n|^2 first, then
+    # lexicographic components.
+    order = np.lexsort(tuple(n_all[:, k] for k in range(d - 1, -1, -1)) + (nsq,))
+    return n_all[order]
+
+
 def build_lattice(d: int, l: float, p_max: float,
                   max_modes: int = DEFAULT_MAX_MODES) -> ModeLattice:
-    """Enumerate all dual-lattice modes with |p| <= p_max.
+    """All dual-lattice modes with |p| <= p_max, grouped by |n|^2 shell.
 
     Parameters
     ----------
@@ -138,13 +241,13 @@ def build_lattice(d: int, l: float, p_max: float,
     p_max : float
         Euclidean momentum cutoff, > 0.
     max_modes : int
-        Resource guard; enumeration is refused if the mode count can
+        Resource guard; the lattice is refused if the mode count can
         exceed this.
 
     Returns
     -------
     ModeLattice
-        Modes in canonical (|p|^2, lexicographic) order, zero mode first.
+        Shells k = |n|^2 <= (p_max*l/(2*pi))^2 with their multiplicities.
     """
     require(d >= 1 and int(d) == d, "d must be an integer >= 1")
     require(l > 0.0, "l must be positive")
@@ -152,50 +255,19 @@ def build_lattice(d: int, l: float, p_max: float,
     d = int(d)
 
     radius = p_max * l / (2.0 * math.pi)
-    r_int = int(math.floor(radius + 1e-12))
-    # Ball-volume estimate of the mode count, checked before enumeration.
+    # Ball-volume estimate of the mode count, checked before counting.
     est = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * (radius + 1.0) ** d
     if est > 4.0 * max_modes:
         raise ResourceGuardError(
             f"estimated mode count {est:.3g} exceeds the limit {max_modes}")
 
-    axis = np.arange(-r_int, r_int + 1, dtype=np.int64)
-    r2 = radius * radius * (1.0 + 1e-14)
-    chunks = []
-    if d == 1:
-        n = axis[axis.astype(float) ** 2 <= r2, None]
-        chunks.append(n)
-    else:
-        # Slice along the first axis to keep peak memory bounded.
-        rest = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
-        rest = np.stack([g.ravel() for g in rest], axis=1)
-        rest_sq = (rest.astype(float) ** 2).sum(axis=1)
-        for n1 in axis:
-            keep = rest_sq <= r2 - float(n1) ** 2
-            if not keep.any():
-                continue
-            block = np.empty((int(keep.sum()), d), dtype=np.int64)
-            block[:, 0] = n1
-            block[:, 1:] = rest[keep]
-            chunks.append(block)
-    n_all = np.concatenate(chunks, axis=0)
-    if n_all.shape[0] > max_modes:
+    shells, mult = _shell_counts(d, math.floor(radius * radius * (1.0 + 1e-14)))
+    n_modes = int(mult.sum())
+    if n_modes > max_modes:
         raise ResourceGuardError(
-            f"mode count {n_all.shape[0]} exceeds the limit {max_modes}")
-
-    nsq = (n_all * n_all).sum(axis=1)
-    # Integer sort keys make the canonical order exact: |n|^2 first, then
-    # lexicographic components.
-    order = np.lexsort(tuple(n_all[:, k] for k in range(d - 1, -1, -1)) + (nsq,))
-    n_all = n_all[order]
-    nsq = nsq[order]
-
-    step = 2.0 * math.pi / l
-    modes = step * n_all.astype(float)
-    energies = 0.5 * step * step * nsq.astype(float)
-    includes_zero = bool(nsq.size > 0 and nsq[0] == 0)
-    return ModeLattice(d=d, l=float(l), p_max=float(p_max), modes=modes,
-                       energies=energies, includes_zero=includes_zero)
+            f"mode count {n_modes} exceeds the limit {max_modes}")
+    return ModeLattice(d=d, l=float(l), p_max=float(p_max), shells=shells,
+                       multiplicities=mult)
 
 
 def dispersion(p) -> float:
@@ -273,7 +345,7 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     lam = lat.nonzero_energies
     v = lat.volume
     terms = -np.log1p(-np.exp(beta * (mu - lam))) / (beta * v)
-    primed = stable_sum(terms)
+    primed = weighted_sum(terms, lat.nonzero_multiplicities)
     # -log(1-x) <= x/(1-x) <= x/(1 - e^(beta*mu)) for x = e^(beta*(mu-lam)).
     factor = 1.0 / (beta * (1.0 - math.exp(beta * mu)))
     bound = factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
@@ -299,7 +371,7 @@ def critical_density_finite(point: ThermoPoint, rel_tol: float = None) -> float:
     _require_stable(mu)
     lam = lat.nonzero_energies
     terms = 1.0 / np.expm1(beta * (lam - mu))
-    value = stable_sum(terms) / lat.volume
+    value = weighted_sum(terms, lat.nonzero_multiplicities) / lat.volume
     if rel_tol is not None:
         bound = critical_density_tail_bound(point)
         if bound > rel_tol * max(abs(value), 1e-300):

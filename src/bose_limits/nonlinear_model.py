@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, pressure_ideal_limit,
-                            pressure_ideal_primed)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable,
+                            pressure_ideal_limit, pressure_ideal_primed)
 from .summation import stable_sum
 
 __all__ = [
@@ -151,8 +151,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     Raises NonConvergenceError if `max_terms` would be exceeded.
     """
     require(beta > 0.0, "beta must be positive")
-    if mu >= 0.0:
-        raise DomainError("outside stability domain (mu must be < 0)")
+    _require_stable(mu)
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
 
     if nu == 0.0:
@@ -198,8 +197,7 @@ def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,
     occupations 0..n_max, which is what cross-checks use it for.
     """
     require(beta > 0.0, "beta must be positive")
-    if mu >= 0.0:
-        raise DomainError("outside stability domain (mu must be < 0)")
+    _require_stable(mu)
     require(n_max >= 0, "n_max must be >= 0")
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
     expo = _series_exponents(beta, f, n_max)
@@ -237,8 +235,7 @@ def pressure_sqrt_source_limit(beta: float, mu: float, nu: float, d: int = 3,
     equals the full ideal-gas limit pressure.
     """
     require(beta > 0.0, "beta must be positive")
-    if mu >= 0.0:
-        raise DomainError("outside stability domain (mu must be < 0)")
+    _require_stable(mu)
     require(nu >= 0.0, "nu must be nonnegative")
     constant = -(coefficient * nu) ** 2 / (4.0 * mu)
     return constant + pressure_ideal_limit(beta, mu, d)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import DomainError, require
-from .lattice_ideal import PressureBreakdown, ThermoPoint, pressure_ideal_primed
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable,
+                            pressure_ideal_primed)
 
 __all__ = [
     "ShiftParameters",
@@ -56,11 +57,6 @@ class QuasiAverage:
     @property
     def magnitude_sq(self) -> float:
         return abs(self.eta) ** 2
-
-
-def _require_stable(mu: float) -> None:
-    if mu >= 0.0:
-        raise DomainError("outside stability domain (mu must be < 0)")
 
 
 def shift_parameters(mu: float, nu: float, phi: float, volume: float) -> ShiftParameters:

@@ -1,7 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bose_limits
 
 from bose_limits.cli import RunConfig, emit_csv, emit_json, main, parse_config, run
 from bose_limits.errors import DomainError
@@ -181,3 +187,21 @@ class TestDeterminism:
             assert code == 0
             outputs.append(strip_duration(out.read_text()))
         assert outputs[0] == outputs[1]
+
+
+class TestModuleEntryPoint:
+    def test_package_does_not_import_cli(self):
+        assert "cli" not in bose_limits.__all__
+        from bose_limits import cli
+        assert cli.main is main
+
+    def test_python_m_runs_without_warnings(self):
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bose_limits.cli", "--command",
+             "pressure", "--mu=-0.5", "--nu", "0.1", "--side", "6", "--pmax", "6"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("command,")

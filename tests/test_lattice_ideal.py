@@ -13,6 +13,7 @@ from bose_limits.lattice_ideal import (ModeLattice, PressureBreakdown, ThermoPoi
                                        critical_density_tail_bound, dispersion,
                                        occupation, polylog, pressure_ideal_limit,
                                        pressure_ideal_primed)
+from bose_limits.summation import stable_sum
 
 from conftest import (brute_force_density, brute_force_mode_vectors,
                       brute_force_primed_pressure)
@@ -76,6 +77,67 @@ class TestBuildLattice:
             build_lattice(0, 1.0, 1.0)
         with pytest.raises(DomainError):
             build_lattice(1, -1.0, 1.0)
+
+    @pytest.mark.parametrize("d,l,p_max", [(1, 7.0, 4.0), (2, 5.0, 3.0),
+                                           (3, 4.0 * math.pi, 1.0), (4, 3.0, 5.0)])
+    def test_shell_multiplicities_match_enumeration(self, d, l, p_max):
+        lat = build_lattice(d, l, p_max)
+        step = TWO_PI / l
+        nsq = [round(sum(x * x for x in p) / step ** 2)
+               for p in brute_force_mode_vectors(d, l, p_max)]
+        shells, counts = np.unique(nsq, return_counts=True)
+        assert lat.shells.tolist() == shells.tolist()
+        assert lat.multiplicities.tolist() == counts.tolist()
+
+    @pytest.mark.parametrize("d,l,n_modes", [(1, 1e6, 3_183_099), (2, 1000.0, 7_957_729)])
+    def test_large_low_dimensional_counts(self, d, l, n_modes):
+        lat = build_lattice(d, l, 10.0)
+        assert lat.n_modes == n_modes
+
+    def test_leading_modes_are_a_prefix(self):
+        lat = build_lattice(3, 8.0, 4.0)
+        modes, energies = lat.modes, lat.energies
+        for count in (0, 1, 7, 8, 19, lat.n_modes):
+            head, head_energies = lat.leading_modes(count)
+            np.testing.assert_array_equal(head, modes[:count])
+            np.testing.assert_array_equal(head_energies, energies[:count])
+        with pytest.raises(DomainError):
+            lat.leading_modes(lat.n_modes + 1)
+
+
+class TestThermoPoint:
+    def test_volume_without_lattice(self):
+        with pytest.raises(DomainError, match="no lattice"):
+            ThermoPoint(beta=1.0, mu=-0.5).volume
+
+
+# (d, l, p_max, beta, mu) -> (primed pressure, critical density), both
+# computed by exactly rounded summation over every explicit mode.
+PINNED_MODE_SUMS = {
+    (3, 16.0, 10.0, 1.0, -0.5): ("0x1.665ce247e6ca0p-5", "0x1.a27c473ad6b3dp-5"),
+    (3, 64.0, 10.0, 1.3, -0.7): ("0x1.d72e40a698316p-7", "0x1.4ebe70b4912cap-6"),
+    (2, 7.0, 4.0, 0.8, -0.3): ("0x1.c55290cf26aa4p-3", "0x1.e2f3774f7e950p-3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MODE_SUMS))
+def test_shell_sums_match_pinned_mode_sums(case):
+    d, l, p_max, beta, mu = case
+    point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, p_max))
+    primed, rho_c = PINNED_MODE_SUMS[case]
+    assert pressure_ideal_primed(point).primed == float.fromhex(primed)
+    assert critical_density_finite(point) == float.fromhex(rho_c)
+
+
+@pytest.mark.parametrize("d,l,p_max", [(1, 7.0, 4.0), (2, 7.0, 4.0), (3, 8.0, 6.0)])
+def test_shell_sums_equal_per_mode_sums(d, l, p_max):
+    lat = build_lattice(d, l, p_max)
+    point = ThermoPoint(beta=0.7, mu=-0.4, lattice=lat)
+    lam = lat.energies[1:]
+    terms = -np.log1p(-np.exp(0.7 * (-0.4 - lam))) / (0.7 * lat.volume)
+    assert pressure_ideal_primed(point).primed == stable_sum(terms)
+    density = stable_sum(1.0 / np.expm1(0.7 * (lam + 0.4))) / lat.volume
+    assert critical_density_finite(point) == density
 
 
 class TestDispersion:
