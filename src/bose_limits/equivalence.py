@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, StepSizeError, require
-from .lattice_ideal import (ThermoPoint, build_lattice, critical_density_finite,
-                            critical_density_limit)
+from .lattice_ideal import (ThermoPoint, _log1m_exp, build_lattice,
+                            critical_density_finite, critical_density_limit)
 from .nonlinear_model import (pressure_sqrt_source, pressure_sqrt_source_limit,
                               zero_mode_pressure_series)
 from .source_model import pressure_source
@@ -109,7 +109,7 @@ def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10) -> fl
     """The same difference assembled from zero-mode and constant terms only."""
     beta, mu, nu = point.beta, point.mu, point.nu
     v = point.volume
-    zero_lin = -math.log1p(-math.exp(beta * mu)) / (beta * v)
+    zero_lin = -_log1m_exp(beta * mu) / (beta * v)
     series = zero_mode_pressure_series(point, rel_tol=rel_tol)
     return (zero_lin - nu * nu / mu) - series.numeric_log_sum
 

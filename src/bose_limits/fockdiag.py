@@ -25,13 +25,19 @@ and Hb the diagonal one the sandwich becomes a chain of nonnegative
 quantities; `verify_sandwich` evaluates it together with its Jensen
 relaxation.
 
-All matrices are real symmetric by construction; traces go through a full
-eigendecomposition (never a stochastic estimator), and the configuration
-count is capped by a ceiling that the BOSE_LIMITS_MAX_DIM environment
-variable overrides.
+All matrices are real symmetric by construction.  The mixed-radix layout
+puts n0 first, so configuration j*stride + b (n0 = j) couples only to
+j*stride + b +- stride: a zero-mode-coupled operator is the direct sum of
+`stride` tridiagonal blocks of order c0+1 (c0 the zero-mode cutoff) and is
+never formed densely.  Traces, expectations, the shell weight and the
+variational bounds go through one batched eigendecomposition of that
+(stride, c0+1, c0+1) stack (never a stochastic estimator), in O(D*c0^2)
+time and O(D*c0) memory for D configurations.  The configuration count is
+capped by a ceiling that the BOSE_LIMITS_MAX_DIM environment variable
+overrides, and the bytes of the block eigensolve, about 3*D*(c0+1)*8 for
+the stack, its eigenvectors and workspace, by MAX_BLOCK_BYTES.
 """
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -45,6 +51,7 @@ from .summation import log_sum_exp, stable_sum
 
 __all__ = [
     "DEFAULT_MAX_DIMENSION",
+    "MAX_BLOCK_BYTES",
     "FockTruncation",
     "Configurations",
     "DiagonalModel",
@@ -68,6 +75,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DIMENSION = 20_000
+# Ceiling on the block eigensolve's bytes, 3*D*(c0+1)*8; not overridable.
+MAX_BLOCK_BYTES = 2 ** 29
 
 
 def _max_dimension() -> int:
@@ -88,7 +97,7 @@ class FockTruncation:
 
     The zero mode must be present and sit first.  `dimension` is the full
     configuration count prod(cutoff+1) and is bounded by the configured
-    ceiling at construction time.
+    ceiling at construction time, as are the bytes of the block eigensolve.
     """
 
     modes: np.ndarray = field(repr=False)     # shape (m, d)
@@ -110,6 +119,12 @@ class FockTruncation:
             raise ResourceGuardError(
                 f"Fock dimension {self.dimension} exceeds the ceiling {ceiling} "
                 "(override with BOSE_LIMITS_MAX_DIM)")
+        block_bytes = 3 * self.dimension * (self.cutoffs[0] + 1) * 8
+        if block_bytes > MAX_BLOCK_BYTES:
+            raise ResourceGuardError(
+                f"block eigensolve needs ~{block_bytes} bytes for Fock dimension "
+                f"{self.dimension} and zero-mode cutoff {self.cutoffs[0]}, above "
+                f"the ceiling {MAX_BLOCK_BYTES}")
         require(self.dimension >= 2, "dimension must be >= 2")
 
     @property
@@ -159,6 +174,11 @@ def enumerate_configs(trunc: FockTruncation) -> Configurations:
     total = occ.sum(axis=1)
     return Configurations(occupations=occ, total=total,
                           total_primed=total - occ[:, 0])
+
+
+def _zero_mode_occupation(trunc: FockTruncation) -> np.ndarray:
+    """n0 of every configuration: its most significant mixed-radix digit."""
+    return np.arange(trunc.dimension) // trunc.zero_mode_stride
 
 
 @dataclass(frozen=True)
@@ -212,7 +232,8 @@ class OperatorMatrix:
     configurations that differ by one boson in the zero mode
     (`sparsity` is "diagonal" or "zero-mode-coupled").  `coupling[i]`
     is the matrix element between configuration i and i + stride, stored
-    only where the zero-mode occupation of i is below its cutoff.
+    only where the zero-mode occupation of i is below its cutoff.  Gibbs
+    quantities use the zero-mode blocks; `to_dense` is a test oracle.
     """
 
     truncation: FockTruncation
@@ -254,8 +275,7 @@ def add_linear_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
     diag = diagonal_energies(model, trunc, volume)
     if nu == 0.0:
         return OperatorMatrix(truncation=trunc, diagonal=diag)
-    cfg = enumerate_configs(trunc)
-    n0 = cfg.occupations[:, 0]
+    n0 = _zero_mode_occupation(trunc)
     coupling = np.zeros(trunc.dimension)
     open_up = n0 < trunc.cutoffs[0]
     coupling[open_up] = -nu * math.sqrt(volume) * np.sqrt(n0[open_up] + 1.0)
@@ -267,33 +287,67 @@ def add_sqrt_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
     """Diagonal model plus -coefficient*nu*sqrt(V)*sqrt(n0 + 1), still diagonal."""
     require(nu >= 0.0, "nu must be nonnegative")
     diag = diagonal_energies(model, trunc, volume)
-    cfg = enumerate_configs(trunc)
-    n0 = cfg.occupations[:, 0].astype(float)
+    n0 = _zero_mode_occupation(trunc).astype(float)
     diag = diag - coefficient * nu * math.sqrt(volume) * np.sqrt(n0 + 1.0)
     return OperatorMatrix(truncation=trunc, diagonal=diag)
 
 
-# Operators are immutable, so decompositions can be memoized; keyed by
-# object identity (OperatorMatrix hashes as an object).
-@functools.lru_cache(maxsize=8)
-def _eigendecomposition(op: OperatorMatrix):
+def _block_eigh(op: OperatorMatrix):
+    """Eigenpairs of the zero-mode blocks of a coupled operator.
+
+    Row j of block b is configuration j*stride + b (n0 = j), so the
+    diagonal and coupling arrays reshape to (c0+1, stride) and transpose
+    into the block stack.  Returns eigenvalues (stride, c0+1) and
+    eigenvectors (stride, c0+1, c0+1), vectors in columns.
+    """
+    k = op.truncation.cutoffs[0] + 1
+    diag = op.diagonal.reshape(k, -1).T
+    off = op.coupling.reshape(k, -1).T[:, :-1]
+    j = np.arange(k)
+    stack = np.zeros(diag.shape + (k,))
+    stack[:, j, j] = diag
+    stack[:, j[:-1], j[1:]] = off
+    stack[:, j[1:], j[:-1]] = off
     try:
-        return np.linalg.eigh(op.to_dense())
+        return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _spectrum(op: OperatorMatrix) -> np.ndarray:
+def _block_state(op: OperatorMatrix, beta: float):
+    """Block eigenvectors Q, Gibbs weights w = e^(-beta*(E - E_min)), z = sum w."""
+    evals, vecs = _block_eigh(op)
+    logw = -beta * evals
+    w = np.exp(logw - logw.max())
+    return vecs, w, stable_sum(w)
+
+
+def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
+             coupling: Optional[np.ndarray] = None) -> float:
+    """<diag(diagonal) + C> in the Gibbs state of `op`.
+
+    C couples configurations i and i + stride with the symmetric element
+    coupling[i].  A diagonal state sees only the diagonal part, which keeps
+    symmetry selection rules exact.
+    """
     if op.coupling is None:
-        return op.diagonal
-    return _eigendecomposition(op)[0]
+        return stable_sum(diagonal * gibbs_probabilities(op, beta))
+    q, w, z = _block_state(op, beta)
+    # z*<i|rho|i> = sum_k Q_jk^2 w_k for i = j*stride + b, in configuration order.
+    terms = [diagonal * np.einsum("bjk,bk->jb", q * q, w).ravel()]
+    if coupling is not None:
+        # z*<i|rho|i+stride> = sum_k Q_jk Q_(j+1)k w_k for the n0 < c0 rows.
+        hop = np.einsum("bjk,bjk,bk->jb", q[:, :-1], q[:, 1:], w).ravel()
+        terms.append(2.0 * coupling[:hop.size] * hop)
+    return stable_sum(np.concatenate(terms)) / z
 
 
 def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:
     """Pressure (1/(beta*V)) * log Tr e^(-beta*H)."""
     require(beta > 0.0, "beta must be positive")
     require(volume > 0.0, "volume must be positive")
-    return log_sum_exp(-beta * _spectrum(op)) / (beta * volume)
+    spectrum = op.diagonal if op.coupling is None else _block_eigh(op)[0]
+    return log_sum_exp(-beta * spectrum) / (beta * volume)
 
 
 def gibbs_probabilities(op: OperatorMatrix, beta: float) -> np.ndarray:
@@ -310,26 +364,23 @@ def gibbs_expectation(observable, op: OperatorMatrix, beta: float) -> float:
     """Thermal average Tr(X e^(-beta*H)) / Tr e^(-beta*H).
 
     `observable` is either a per-configuration array (an operator diagonal
-    in the occupation basis) or a dense matrix.  For a diagonal state and
-    a matrix observable only the observable's diagonal contributes, which
-    keeps symmetry selection rules exact.
+    in the occupation basis) or a dense matrix.  The Gibbs state is block
+    diagonal, so only the observable's zero-mode blocks contribute; for a
+    diagonal state only its diagonal does, which keeps symmetry selection
+    rules exact.
     """
     require(beta > 0.0, "beta must be positive")
     x = np.asarray(observable, dtype=float)
-    if op.coupling is None:
-        probs = gibbs_probabilities(op, beta)
-        diag = x if x.ndim == 1 else np.diagonal(x)
-        return stable_sum(diag * probs)
-    evals, vecs = _eigendecomposition(op)
-    logw = -beta * evals
-    w = np.exp(logw - logw.max())
-    z = stable_sum(w)
     if x.ndim == 1:
-        # <diag(x)> = sum_j x_j * sum_k |Q_jk|^2 w_k
-        return stable_sum(x * ((vecs * vecs) @ w)) / z
+        return _average(op, beta, x)
     require(x.shape == (op.dimension, op.dimension), "observable shape mismatch")
-    rotated = vecs.T @ x @ vecs
-    return stable_sum(np.diagonal(rotated) * w) / z
+    if op.coupling is None:
+        return _average(op, beta, np.diagonal(x))
+    q, w, z = _block_state(op, beta)
+    nb, k = w.shape
+    blocks = np.einsum("jbib->bji", x.reshape(k, nb, k, nb))
+    rotated = np.einsum("bjk,bjk->bk", q, blocks @ q)
+    return stable_sum(rotated * w) / z
 
 
 @dataclass(frozen=True)
@@ -366,9 +417,12 @@ def bogoliubov_bounds(op_a: OperatorMatrix, op_b: OperatorMatrix, beta: float,
     """
     require(op_a.dimension == op_b.dimension,
             "operators must share a configuration basis")
-    diff = op_a.to_dense() - op_b.to_dense()
-    lower = gibbs_expectation(diff, op_a, beta) / volume
-    upper = gibbs_expectation(diff, op_b, beta) / volume
+    zero = np.zeros(op_a.dimension)
+    diagonal = op_a.diagonal - op_b.diagonal
+    coupling = ((zero if op_a.coupling is None else op_a.coupling)
+                - (zero if op_b.coupling is None else op_b.coupling))
+    lower = _average(op_a, beta, diagonal, coupling) / volume
+    upper = _average(op_b, beta, diagonal, coupling) / volume
     delta_p = gibbs_trace(op_b, beta, volume) - gibbs_trace(op_a, beta, volume)
     return InequalityReport(lower=lower, upper=upper, delta_p=delta_p, tolerance=tol)
 
@@ -392,8 +446,7 @@ def zero_mode_annihilator(trunc: FockTruncation) -> np.ndarray:
     Purely off-diagonal, so its average in any diagonal Gibbs state
     vanishes identically.
     """
-    cfg = enumerate_configs(trunc)
-    n0 = cfg.occupations[:, 0]
+    n0 = _zero_mode_occupation(trunc)
     stride = trunc.zero_mode_stride
     out = np.zeros((trunc.dimension, trunc.dimension))
     src = np.nonzero(n0 >= 1)[0]
@@ -421,10 +474,10 @@ def quasiaverage_fd(op: OperatorMatrix, beta: float, volume: float) -> ZeroModeA
     diagnostic.  For the phase-free sources used here both are real and,
     for nu > 0, nonnegative.
     """
-    a0 = zero_mode_annihilator(op.truncation)
-    cfg = enumerate_configs(op.truncation)
-    n0 = cfg.occupations[:, 0].astype(float)
-    a0_avg = gibbs_expectation(a0, op, beta) / math.sqrt(volume)
+    n0 = _zero_mode_occupation(op.truncation).astype(float)
+    # The state is real symmetric, so <a0> = <a0 + a0^dag> / 2.
+    a0_avg = _average(op, beta, np.zeros(op.dimension),
+                      0.5 * np.sqrt(n0 + 1.0)) / math.sqrt(volume)
     n0_avg = gibbs_expectation(n0, op, beta)
     return ZeroModeAverages(a0_scaled=a0_avg,
                             sqrt_density=math.sqrt(max(n0_avg, 0.0) / volume))
@@ -439,14 +492,7 @@ def boundary_shell_weight(op: OperatorMatrix, beta: float) -> float:
     trunc = op.truncation
     cfg = enumerate_configs(trunc)
     at_edge = np.any(cfg.occupations == np.asarray(trunc.cutoffs)[None, :], axis=1)
-    if op.coupling is None:
-        probs = gibbs_probabilities(op, beta)
-        return stable_sum(probs[at_edge])
-    evals, vecs = _eigendecomposition(op)
-    logw = -beta * evals
-    w = np.exp(logw - logw.max())
-    occupancy = (vecs * vecs)[at_edge].sum(axis=0)
-    return stable_sum(occupancy * w) / stable_sum(w)
+    return _average(op, beta, at_edge.astype(float))
 
 
 @dataclass(frozen=True)
@@ -504,8 +550,7 @@ def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
         op_lin = add_linear_source(model, trunc, nu, volume)
         op_sqrt = add_sqrt_source(model, trunc, nu, volume, coefficient=coefficient)
         ineq = bogoliubov_bounds(op_lin, op_sqrt, beta, volume, tol=tol)
-        cfg = enumerate_configs(trunc)
-        n0 = cfg.occupations[:, 0].astype(float)
+        n0 = _zero_mode_occupation(trunc).astype(float)
         sqrt_shifted = np.sqrt(n0 / volume + 1.0 / volume)
         chain_upper = coefficient * nu * gibbs_expectation(sqrt_shifted, op_sqrt, beta)
         rho0_sqrt = gibbs_expectation(n0, op_sqrt, beta) / volume

@@ -174,6 +174,17 @@ def _require_stable(mu: float) -> None:
         raise DomainError("outside stability domain (mu must be < 0)")
 
 
+def _log1m_exp(x: float) -> float:
+    """log(1 - e^x) for x < 0, accurate also where e^x rounds to 1.
+
+    Maechler's switch (2012): log(-expm1(x)) above -log 2, where e^x is
+    close to 1, and log1p(-exp(x)) below it.
+    """
+    if x > -math.log(2.0):
+        return math.log(-math.expm1(x))
+    return math.log1p(-math.exp(x))
+
+
 def _shell_counts(d: int, kmax: int):
     """Distinct k = |n|^2 <= kmax over n in Z^d and their counts r_d(k).
 
@@ -347,7 +358,7 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     terms = -np.log1p(-np.exp(beta * (mu - lam))) / (beta * v)
     primed = weighted_sum(terms, lat.nonzero_multiplicities)
     # -log(1-x) <= x/(1-x) <= x/(1 - e^(beta*mu)) for x = e^(beta*(mu-lam)).
-    factor = 1.0 / (beta * (1.0 - math.exp(beta * mu)))
+    factor = 1.0 / (beta * -math.expm1(beta * mu))
     bound = factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
     if rel_tol is not None and bound > rel_tol * max(abs(primed), 1e-300):
         raise NonConvergenceError(
@@ -384,7 +395,7 @@ def critical_density_tail_bound(point: ThermoPoint) -> float:
     """Certified bound on the cutoff error of `critical_density_finite`."""
     beta, mu, lat = point.beta, point.mu, point.lattice
     _require_stable(mu)
-    factor = 1.0 / (1.0 - math.exp(beta * mu))
+    factor = 1.0 / -math.expm1(beta * mu)
     return factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
 
 

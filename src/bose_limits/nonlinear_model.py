@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable,
-                            pressure_ideal_limit, pressure_ideal_primed)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
+                            _require_stable, pressure_ideal_limit,
+                            pressure_ideal_primed)
 from .summation import stable_sum
 
 __all__ = [
@@ -155,10 +156,10 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
 
     if nu == 0.0:
-        value = -math.log1p(-math.exp(beta * mu)) / (beta * volume)
+        value = -_log1m_exp(beta * mu) / (beta * volume)
         # Terms a direct summation would need to certify rel_tol.
-        z = math.exp(beta * mu)
-        terms = max(1, int(math.ceil(math.log(rel_tol * (1.0 - z)) / (beta * mu))))
+        terms = max(1, int(math.ceil(math.log(rel_tol * -math.expm1(beta * mu))
+                                     / (beta * mu))))
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
                              gap=abs(value), terms_used=terms, tail_bound=0.0)
 
@@ -174,7 +175,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         # dropped tail is geometric with ratio e^(beta*mu/2).
         const = beta * (0.5 * coefficient * nu) * math.sqrt(volume / (n_stop + 1.0))
         log_tail_head = const + 0.5 * beta * mu * (n_stop + 1.0) - peak
-        tail = math.exp(log_tail_head) / (1.0 - math.exp(0.5 * beta * mu)) \
+        tail = math.exp(log_tail_head) / -math.expm1(0.5 * beta * mu) \
             if log_tail_head > -700.0 else 0.0
         if tail <= rel_tol * scaled:
             break

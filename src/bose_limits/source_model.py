@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import DomainError, require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable,
-                            pressure_ideal_primed)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
+                            _require_stable, pressure_ideal_primed)
 
 __all__ = [
     "ShiftParameters",
@@ -79,7 +79,7 @@ def pressure_source(point: ThermoPoint, rel_tol: float = None) -> PressureBreakd
     _require_stable(mu)
     primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     v = point.volume
-    zero_mode = -math.log1p(-math.exp(beta * mu)) / (beta * v)
+    zero_mode = -_log1m_exp(beta * mu) / (beta * v)
     constant = -nu * nu / mu
     return PressureBreakdown(zero_mode=zero_mode, primed=primed.primed,
                              constant=constant,

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -144,6 +145,19 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceGuardError"
 
+    def test_block_byte_guard_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 20,000 configurations pass the count ceiling; the single
+        # zero-mode block of order 20,000 does not pass the byte ceiling.
+        monkeypatch.delenv("BOSE_LIMITS_MAX_DIM", raising=False)
+        out = tmp_path / "x.csv"
+        code = main(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1",
+                     "--fock-cutoff", "19999", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ResourceGuardError"
+        assert "block eigensolve" in err["message"]
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 
@@ -205,3 +219,21 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("command,")
+
+    def test_fugacity_rounding_to_one_exits_cleanly(self):
+        # exp(beta*mu) rounds to 1 at mu = -1e-300; the closed forms use
+        # expm1, so the run ends with a row or a JSON error, never a traceback.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "pressure",
+             "--mu=-1e-300", "--side", "4", "--pmax", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            row = proc.stdout.splitlines()[1].split(",")
+            assert all(math.isfinite(float(v)) for v in row[9:13])
+        else:
+            assert json.loads(proc.stderr)["error"]

@@ -415,3 +415,155 @@ class TestVerifySandwich:
             rep = verify_sandwich(model, [trunc], 1.0, 0.1, volume=lat.volume)[0]
             deltas.append(rep.delta_p)
         assert deltas[0] > deltas[1] > deltas[2] > 0.0
+
+
+def dense_state(op, beta):
+    """Oracle: log Z and the normalized density matrix from a dense eigh."""
+    evals, vecs = np.linalg.eigh(op.to_dense())
+    logw = -beta * evals
+    w = np.exp(logw - logw.max())
+    return logw.max() + math.log(w.sum()), (vecs * (w / w.sum())) @ vecs.T
+
+
+def assert_close(actual, oracle):
+    # 1e-12 relative; the floor is the dense oracle's own roundoff on
+    # normalized traces.
+    assert actual == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+
+def kernel_gauss(dp):
+    return math.exp(-float(dp @ dp))
+
+
+# (name, cutoffs, lattice (d, side, p_max), model, beta, nu); D <= ~1000.
+ORACLE_CASES = [
+    ("single-mode", (200,), (1, 1.0, 5.0), DiagonalModel(a=0.3, mu=-0.5), 1.0, 0.1),
+    ("c0=1", (1, 4, 4), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.4), 0.8, 0.2),
+    ("14,6", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 1.0, 0.1),
+    ("16,6,6", (16, 6, 6), (3, 2.0, 7.0), DiagonalModel(a=1.2, mu=-0.6), 1.1, 0.12),
+    ("nu=0", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 1.0, 0.0),
+    ("pair-kernel", (10, 4, 4), (3, 2.0, 7.0),
+     DiagonalModel(a=0.5, mu=-0.5, kernel=kernel_gauss), 0.9, 0.15),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+class TestBlockEigensolveAgainstDenseOracle:
+    """The per-n0-block eigensolve against np.linalg.eigh of the dense matrix."""
+
+    def setup_ops(self, case):
+        _, cutoffs, (d, side, p_max), model, beta, nu = case
+        lat = build_lattice(d, side, p_max)
+        trunc = truncate_lattice(lat, cutoffs)
+        vol = lat.volume
+        op_lin = add_linear_source(model, trunc, nu, vol)
+        op_sqrt = add_sqrt_source(model, trunc, nu, vol)
+        return trunc, model, beta, nu, vol, op_lin, op_sqrt
+
+    def test_trace_and_expectations(self, case):
+        trunc, _, beta, _, vol, op_lin, op_sqrt = self.setup_ops(case)
+        cfg = enumerate_configs(trunc)
+        n0 = cfg.occupations[:, 0].astype(float)
+        observables = [n0, cfg.total.astype(float), np.sqrt(n0 + 1.0)]
+        a0 = zero_mode_annihilator(trunc)
+        for op in (op_lin, op_sqrt):
+            log_z, rho = dense_state(op, beta)
+            assert_close(gibbs_trace(op, beta, vol), log_z / (beta * vol))
+            for x in observables:
+                assert_close(gibbs_expectation(x, op, beta), x @ np.diagonal(rho))
+            assert_close(gibbs_expectation(a0, op, beta), np.sum(a0 * rho))
+
+    def test_shell_weight_and_quasiaverage(self, case):
+        trunc, _, beta, _, vol, op_lin, _ = self.setup_ops(case)
+        cfg = enumerate_configs(trunc)
+        at_edge = np.any(cfg.occupations == np.asarray(trunc.cutoffs), axis=1)
+        _, rho = dense_state(op_lin, beta)
+        assert_close(boundary_shell_weight(op_lin, beta),
+                     at_edge.astype(float) @ np.diagonal(rho))
+        n0 = cfg.occupations[:, 0].astype(float)
+        res = quasiaverage_fd(op_lin, beta, vol)
+        assert_close(res.a0_scaled,
+                     np.sum(zero_mode_annihilator(trunc) * rho) / math.sqrt(vol))
+        assert_close(res.sqrt_density, math.sqrt(n0 @ np.diagonal(rho) / vol))
+
+    def test_bogoliubov_bounds(self, case):
+        _, _, beta, _, vol, op_lin, op_sqrt = self.setup_ops(case)
+        diff = op_lin.to_dense() - op_sqrt.to_dense()
+        log_z_lin, rho_lin = dense_state(op_lin, beta)
+        log_z_sqrt, rho_sqrt = dense_state(op_sqrt, beta)
+        rep = bogoliubov_bounds(op_lin, op_sqrt, beta, vol)
+        assert_close(rep.lower, np.sum(diff * rho_lin) / vol)
+        assert_close(rep.upper, np.sum(diff * rho_sqrt) / vol)
+        assert_close(rep.delta_p, (log_z_sqrt - log_z_lin) / (beta * vol))
+        assert rep.passed
+
+    def test_verify_sandwich(self, case):
+        trunc, model, beta, nu, vol, op_lin, op_sqrt = self.setup_ops(case)
+        (rep,) = verify_sandwich(model, [trunc], beta, nu, volume=vol)
+        cfg = enumerate_configs(trunc)
+        n0 = cfg.occupations[:, 0].astype(float)
+        at_edge = np.any(cfg.occupations == np.asarray(trunc.cutoffs), axis=1)
+        shifted = np.sqrt((n0 + 1.0) / vol)
+        log_z_lin, rho_lin = dense_state(op_lin, beta)
+        log_z_sqrt, rho_sqrt = dense_state(op_sqrt, beta)
+        pop_lin, pop_sqrt = np.diagonal(rho_lin), np.diagonal(rho_sqrt)
+        diff = op_lin.to_dense() - op_sqrt.to_dense()
+        a0_scaled = np.sum(zero_mode_annihilator(trunc) * rho_lin) / math.sqrt(vol)
+        oracle = {
+            "pressure_linear": log_z_lin / (beta * vol),
+            "pressure_sqrt": log_z_sqrt / (beta * vol),
+            "delta_p": (log_z_sqrt - log_z_lin) / (beta * vol),
+            "lower": np.sum(diff * rho_lin) / vol,
+            "upper": np.sum(diff * rho_sqrt) / vol,
+            "chain_lower": 2.0 * nu * (shifted @ pop_lin - a0_scaled),
+            "chain_upper": 2.0 * nu * (shifted @ pop_sqrt),
+            "jensen_upper": 2.0 * nu * math.sqrt((n0 @ pop_sqrt + 1.0) / vol),
+            "a0_scaled": a0_scaled,
+            "sqrt_density": math.sqrt(n0 @ pop_lin / vol),
+            "shell_weight": at_edge.astype(float) @ pop_lin,
+        }
+        actual = {
+            "pressure_linear": rep.pressure_linear, "pressure_sqrt": rep.pressure_sqrt,
+            "delta_p": rep.delta_p, "lower": rep.inequality.lower,
+            "upper": rep.inequality.upper, "chain_lower": rep.chain_lower,
+            "chain_upper": rep.chain_upper, "jensen_upper": rep.jensen_upper,
+            "a0_scaled": rep.linear_averages.a0_scaled,
+            "sqrt_density": rep.linear_averages.sqrt_density,
+            "shell_weight": rep.shell_weight,
+        }
+        for key, value in oracle.items():
+            assert actual[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+        assert rep.chain_passed
+
+
+class TestBlockEigensolve:
+    def test_sandwich_never_builds_dense_matrices(self, monkeypatch):
+        from bose_limits import fockdiag
+
+        def refuse(self):
+            raise AssertionError("dense operator built")
+
+        orders = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            orders.append(np.shape(a)[-2:])
+            return eigh(a)
+
+        monkeypatch.setattr(fockdiag.OperatorMatrix, "to_dense", refuse)
+        monkeypatch.setattr(fockdiag.np.linalg, "eigh", recording_eigh)
+        lat = build_lattice(3, 2.0, 7.0)
+        trunc = truncate_lattice(lat, (16, 4, 4, 4))
+        assert trunc.dimension == 2125
+        (rep,) = verify_sandwich(DiagonalModel(a=1.2, mu=-0.6), [trunc], 1.1, 0.12,
+                                 volume=lat.volume)
+        assert rep.chain_passed
+        assert rep.shell_weight < 1e-4
+        assert orders and set(orders) == {(17, 17)}
+
+    def test_block_byte_guard(self):
+        # 20,000 configurations pass the count ceiling, but the single
+        # zero-mode block would need ~9.6 GB.
+        lat = build_lattice(1, 1.0, 5.0)
+        with pytest.raises(ResourceGuardError, match="block eigensolve"):
+            truncate_lattice(lat, (19999,))
