@@ -25,10 +25,11 @@ critical density); no ideal-gas quantity is evaluated outside that domain.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .errors import DomainError, NonConvergenceError, ResourceGuardError, require
 from .summation import stable_sum, weighted_sum
@@ -316,15 +317,31 @@ def occupation(beta: float, mu: float, lam: float) -> float:
 # a = max(0, p_max - h).  The plateau piece r in (a, h) integrates to
 # (h^d - a^d)/d; beyond it the substitution u = r - h and a binomial
 # expansion of (u + h)^(d-1) reduce everything to upper incomplete gamma
-# functions.  The bound is loose for p_max below a couple of cell
-# diagonals but remains valid there.
+# functions Gamma((k+1)/2, x).  The bound is loose for p_max below a couple
+# of cell diagonals but remains valid there.
 # ---------------------------------------------------------------------------
+
+def _upper_gamma_half(k: int, x: float) -> float:
+    """Gamma((k+1)/2, x) for x >= 0 by the upward recurrence.
+
+    Gamma(a+1, x) = a*Gamma(a, x) + x^a e^-x, started from
+    Gamma(1/2, x) = sqrt(pi)*erfc(sqrt(x)) or Gamma(1, x) = e^-x; every
+    step adds nonnegative terms, so nothing cancels.
+    """
+    if k % 2 == 0:
+        a, value = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        a, value = 1.0, math.exp(-x)
+    while a < 0.5 * (k + 1):
+        value = a * value + x ** a * math.exp(-x)
+        a += 1.0
+    return value
+
 
 def _gaussian_moment_tail(beta: float, k: int, u0: float) -> float:
     """int_{u0}^inf u^k exp(-beta u^2/2) du, exact in closed form."""
     s = 0.5 * (k + 1)
-    x = 0.5 * beta * u0 * u0
-    return 0.5 * (2.0 / beta) ** s * gammaincc(s, x) * gamma_fn(s)
+    return 0.5 * (2.0 / beta) ** s * _upper_gamma_half(k, 0.5 * beta * u0 * u0)
 
 
 def _mode_tail_bound(beta: float, mu: float, d: int, l: float, p_max: float) -> float:
@@ -336,7 +353,7 @@ def _mode_tail_bound(beta: float, mu: float, d: int, l: float, p_max: float) -> 
     decaying = sum(math.comb(d - 1, k) * h ** (d - 1 - k)
                    * _gaussian_moment_tail(beta, k, u0)
                    for k in range(d))
-    surface = 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     return ((2.0 * math.pi) ** (-d) * math.exp(beta * mu) * surface
             * (plateau + decaying))
 
@@ -357,8 +374,9 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     v = lat.volume
     terms = -np.log1p(-np.exp(beta * (mu - lam))) / (beta * v)
     primed = weighted_sum(terms, lat.nonzero_multiplicities)
-    # -log(1-x) <= x/(1-x) <= x/(1 - e^(beta*mu)) for x = e^(beta*(mu-lam)).
-    factor = 1.0 / (beta * -math.expm1(beta * mu))
+    # -log(1-x) <= x/(1-x) <= x/(1 - e^(beta*(mu - p_max^2/2))) for
+    # x = e^(beta*(mu-lam)): every dropped mode has |p| > p_max.
+    factor = 1.0 / (beta * -math.expm1(beta * (mu - 0.5 * lat.p_max ** 2)))
     bound = factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
     if rel_tol is not None and bound > rel_tol * max(abs(primed), 1e-300):
         raise NonConvergenceError(
@@ -395,7 +413,8 @@ def critical_density_tail_bound(point: ThermoPoint) -> float:
     """Certified bound on the cutoff error of `critical_density_finite`."""
     beta, mu, lat = point.beta, point.mu, point.lattice
     _require_stable(mu)
-    factor = 1.0 / -math.expm1(beta * mu)
+    # x/(1-x) <= x/(1 - e^(beta*(mu - p_max^2/2))): every dropped mode has |p| > p_max.
+    factor = 1.0 / -math.expm1(beta * (mu - 0.5 * lat.p_max ** 2))
     return factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
 
 
@@ -413,44 +432,162 @@ def critical_density_limit(beta: float, mu: float, d: int = 3,
     return polylog(d / 2.0, z, tol=tol) * (2.0 * math.pi * beta) ** (-d / 2.0)
 
 
-def polylog(s: float, z: float, tol: float = 1e-12,
-            max_terms: int = 50_000_000) -> float:
-    """Bose function sum_{k>=1} z^k / k^s with a certified truncation error.
+# ---------------------------------------------------------------------------
+# Bose functions near z = 1.
+#
+# The defining series needs about 1/|log z| terms, which is where
+# condensation lives.  For t = log z in (-_ROBINSON_SWITCH, 0) polylog uses
+# Robinson's expansion (Phys. Rev. 83, 678 (1951); Wood, Kent TR 15-92),
+#
+#   Li_s(e^t) = Gamma(1-s) (-t)^(s-1) + sum_k zeta(s-k) t^k / k!,
+#
+# convergent for |t| < 2*pi, and at integer s = m its limit form, where the
+# k = m-1 term and the Gamma pole combine into
+# t^(m-1)/(m-1)! * (H_(m-1) - log(-t)).  For sigma = s - k < 0 the functional
+# equation gives zeta(sigma) = sin(pi*sigma/2) * 2 Gamma(u) (2 pi)^-u zeta(u),
+# u = 1 - sigma > 1, and the bounds 2 Gamma(u) (2 pi)^-u u/(u-1) |t|^k/k! on
+# the terms shrink by a factor of at most |t|/(2 pi) per step in k; that
+# geometric series bounds the truncated tail.  zeta(u) comes from
+# Euler-Maclaurin with exact Bernoulli numbers and the first omitted term as
+# remainder bound (Edwards, Riemann's Zeta Function, 6.4).
+# ---------------------------------------------------------------------------
 
-    For z < 1 the series is summed until the geometric tail bound
-    z^(K+1) / ((K+1)^s (1-z)) drops below `tol` (relative to the partial
-    sum when it exceeds 1).  At z = 1 (admissible for s > 1) the partial
-    sum is completed with the midpoint of the integral sandwich
-    (K+1)^(1-s)/(s-1) <= tail <= K^(1-s)/(s-1), whose half-width is kept
-    below `tol`.
+# Beyond |t| = 0.5 the defining series needs about 2*log(1/tol) positive
+# terms, while Robinson's converge more slowly and round more as |t| grows.
+_ROBINSON_SWITCH = 0.5
+_ROBINSON_MAX_ORDER = 150   # k! and Gamma(k + 1 - s) stay below the float range
+_EPS = sys.float_info.epsilon
+_EM_CUT = 12         # Euler-Maclaurin sums n < N exactly and expands the rest
+_EM_ORDER = 30       # Bernoulli corrections B_2 .. B_60, B_62 for the remainder
 
-    Raises
-    ------
-    DomainError
-        If z is outside [0, 1] or s <= 0.
-    NonConvergenceError
-        If z = 1 with s <= 1 (divergent), or `max_terms` is hit first.
+
+def _bernoulli_even_coefficients(count: int) -> tuple:
+    """B_2j / (2j)! for j = 1..count, each the double nearest the exact rational.
+
+    c_n = B_n / n! obeys sum_{j<=m} c_j / (m+1-j)! = 0, and B_j = 0 for odd j > 1.
     """
-    require(s > 0.0, "s must be positive")
-    require(0.0 <= z <= 1.0, "z must lie in [0, 1]")
-    if z == 0.0:
-        return 0.0
+    c = {0: Fraction(1), 1: Fraction(-1, 2)}
+    for m in range(2, 2 * count + 1, 2):
+        c[m] = -sum(c[j] / math.factorial(m + 1 - j) for j in c)
+    return tuple(float(c[2 * j]) for j in range(1, count + 1))
 
-    if z == 1.0:
-        if s <= 1.0:
-            raise NonConvergenceError(f"polylog series diverges at z=1 for s={s} <= 1")
-        # Half-width of the integral sandwich decays like (s/2) K^(-s).
-        k_needed = int(math.ceil((2.0 * tol / s) ** (-1.0 / s))) + 10
-        if k_needed > max_terms:
-            raise NonConvergenceError(
-                f"polylog(z=1) needs {k_needed} terms for tol={tol:.1e}")
-        k = np.arange(1, k_needed + 1, dtype=float)
-        partial = stable_sum(k ** (-s))
-        hi = k_needed ** (1.0 - s) / (s - 1.0)
-        lo = (k_needed + 1.0) ** (1.0 - s) / (s - 1.0)
-        return partial + 0.5 * (hi + lo)
 
+_EM_COEFFICIENTS = _bernoulli_even_coefficients(_EM_ORDER + 1)
+
+
+def _euler_maclaurin_zeta(sigma: float) -> tuple:
+    """(zeta(sigma), error bound) for real sigma > 0, sigma != 1.
+
+    sum_{n<N} n^-sigma + N^(1-sigma)/(sigma-1) + N^-sigma/2
+    + sum_j B_2j/(2j)! (sigma)_(2j-1) N^(1-sigma-2j) at N = _EM_CUT, where
+    (sigma)_m is the rising factorial.  For real sigma > 0 the remainder is
+    at most the first omitted correction.  The bound adds eps times the
+    summed magnitudes of the parts as their rounding error, which is what
+    exposes the cancellation near the pole at sigma = 1.
+    """
+    n = _EM_CUT
+    parts = [k ** -sigma for k in range(1, n)]
+    parts += [n ** (1.0 - sigma) / (sigma - 1.0), 0.5 * n ** -sigma]
+    magnitude = math.fsum(abs(v) for v in parts)
+    rising, power = sigma, n ** (-sigma - 1.0)
+    for j, coefficient in enumerate(_EM_COEFFICIENTS, 1):
+        term = coefficient * rising * power
+        if j == len(_EM_COEFFICIENTS) or abs(term) <= 1e-20 * magnitude:
+            remainder = abs(term)
+            break
+        parts.append(term)
+        magnitude += abs(term)
+        rising *= (sigma + 2 * j - 1) * (sigma + 2 * j)
+        power /= n * n
+    return math.fsum(parts), remainder + _EPS * magnitude
+
+
+def _sin_half_pi(x: float) -> float:
+    """sin(pi*x/2), reduced exactly, so it is exactly 0 or +-1 at integer x."""
+    sign = -1.0 if x < 0.0 else 1.0
+    y = math.fmod(abs(x), 4.0)
+    if y >= 2.0:
+        sign, y = -sign, y - 2.0
+    if y > 1.0:
+        y = 2.0 - y
+    return sign * math.sin(0.5 * math.pi * y)
+
+
+def _zeta(sigma: float) -> tuple:
+    """(zeta(sigma), error bound) for real sigma != 1, -170 < sigma.
+
+    Euler-Maclaurin for sigma > 0, zeta(0) = -1/2, and the functional
+    equation for sigma < 0.
+    """
+    if sigma > 0.0:
+        return _euler_maclaurin_zeta(sigma)
+    if sigma == 0.0:
+        return -0.5, 0.0
+    # zeta(sigma) = sin(pi*sigma/2) * 2 Gamma(u) (2 pi)^-u zeta(u); the
+    # rounding estimate counts Gamma's few ulps and pi's rounding raised to
+    # the power u.
+    u = 1.0 - sigma
+    zeta, error = _euler_maclaurin_zeta(u)
+    scale = _sin_half_pi(sigma) * 2.0 * math.gamma(u) * (2.0 * math.pi) ** -u
+    return scale * zeta, abs(scale) * (error + (5.0 + u) * _EPS * zeta)
+
+
+def _robinson(s: float, t: float, tol: float) -> tuple:
+    """(Li_s(e^t), error bound) for -2*pi < t < 0 from Robinson's expansion.
+
+    The error bound adds the geometric tail bound, the zeta errors carried
+    through their coefficients, and a rounding estimate: eps times each
+    term's magnitude, weighted by the roundings that formed it (t itself
+    carries one from log z, amplified by the power it is raised to).  The
+    rounding part is large where Gamma(1-s) and zeta(s-k) nearly cancel,
+    at s close to but not equal to an integer.  The bound is infinite if
+    the tail has not converged by order _ROBINSON_MAX_ORDER.
+    """
+    if float(s).is_integer():
+        m = int(s)
+        harmonic = math.fsum(1.0 / j for j in range(1, m))
+        terms = [t ** (m - 1) / math.factorial(m - 1) * (harmonic - math.log(-t))]
+        roundings = [2.0 + 1.5 * (m - 1)]
+    else:
+        # (-t)^s / (-t), not (-t)^(s-1): s - 1 may round, and the rounding
+        # is amplified by |log(-t)|.
+        terms = [math.gamma(1.0 - s) * (-t) ** s / -t]
+        roundings = [6.5 + s]   # gamma to 4 eps, t's rounding to the power s
+    ratio = -t / (2.0 * math.pi)
+    error, tail = 0.0, math.inf
+    for k in range(_ROBINSON_MAX_ORDER + 1):
+        sigma = s - k
+        if sigma == 1.0:
+            continue    # the harmonic term above
+        coefficient = t ** k / math.factorial(k)
+        zeta, zeta_error = _zeta(sigma)
+        terms.append(zeta * coefficient)
+        roundings.append(1.5 + k if k else 0.0)
+        error += zeta_error * abs(coefficient)
+        if sigma < 0.0:
+            # |zeta(sigma)| <= 2 Gamma(u) (2 pi)^-u zeta(u) with u = 1 - sigma,
+            # and zeta(u) < u/(u-1); times |t|^k/k!, that bound shrinks by at
+            # most |t|/(2 pi) per step in k.
+            u = 1.0 - sigma
+            bound = 2.0 * math.gamma(u) * (2.0 * math.pi) ** -u * u / (u - 1.0)
+            tail = bound * abs(coefficient) * ratio / (1.0 - ratio)
+            if tail <= 0.25 * tol * max(1.0, abs(math.fsum(terms))):
+                break
+    value = math.fsum(terms)
+    rounding = math.fsum(c * abs(v) for c, v in zip(roundings, terms)) + 0.5 * abs(value)
+    return value, tail + error + _EPS * rounding
+
+
+def _direct_series(s: float, z: float, tol: float, max_terms: int) -> float:
+    """sum_{k>=1} z^k / k^s for 0 < z < 1 until the geometric tail bound
+    z^(K+1) / ((K+1)^s (1-z)) is below tol * max(1, partial sum)."""
     log_z = math.log(z)
+    # Li_s(z) <= z/(1-z); if the bound at max_terms cannot meet tol even
+    # against that, refuse before summing anything.
+    log_tail_at_cap = (max_terms + 1) * log_z - s * math.log(max_terms + 1.0) \
+        - math.log1p(-z)
+    if log_tail_at_cap > math.log(tol * max(1.0, z / (1.0 - z))):
+        raise NonConvergenceError(f"polylog did not converge within {max_terms} terms")
     total = 0.0
     k_start = 1
     block = 4096
@@ -469,3 +606,46 @@ def polylog(s: float, z: float, tol: float = 1e-12,
         k_start = k_end + 1
         block = min(2 * block, 1_000_000)
     return stable_sum(np.concatenate(collected))
+
+
+def polylog(s: float, z: float, tol: float = 1e-12,
+            max_terms: int = 50_000_000) -> float:
+    """Bose function sum_{k>=1} z^k / k^s with a certified truncation error.
+
+    The returned value is within tol * max(1, |value|) of Li_s(z).
+    * z = 1 (admissible for s > 1): zeta(s) by Euler-Maclaurin.
+    * 1 > z > e^-0.5: Robinson's expansion in t = log z (see above), O(1)
+      terms however close z is to 1.  Where its error bound misses `tol`
+      (s close to an integer, where two poles cancel), the direct series
+      below is tried instead.
+    * otherwise the defining series, summed until the geometric tail bound
+      z^(K+1) / ((K+1)^s (1-z)) drops below `tol`.
+
+    Raises
+    ------
+    DomainError
+        If z is outside [0, 1] or s <= 0.
+    NonConvergenceError
+        If z = 1 with s <= 1 (divergent), or no evaluation meets `tol`
+        (the direct series would need more than `max_terms` terms).
+    """
+    require(s > 0.0, "s must be positive")
+    require(0.0 <= z <= 1.0, "z must lie in [0, 1]")
+    if z == 0.0:
+        return 0.0
+
+    if z == 1.0:
+        if s <= 1.0:
+            raise NonConvergenceError(f"polylog series diverges at z=1 for s={s} <= 1")
+        value, error = _euler_maclaurin_zeta(s)
+        if error > tol * max(1.0, abs(value)):
+            raise NonConvergenceError(
+                f"zeta({s}) error bound {error:.1e} exceeds tol={tol:.1e}")
+        return value
+
+    t = math.log(z)
+    if t > -_ROBINSON_SWITCH:
+        value, error = _robinson(s, t, tol)
+        if error <= tol * max(1.0, abs(value)):
+            return value
+    return _direct_series(s, z, tol, max_terms)

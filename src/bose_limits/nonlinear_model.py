@@ -11,20 +11,29 @@ a Darboux sum whose infinite-volume value is sup g by the Laplace
 principle.  This module evaluates the exponent family, its maximizer and
 supremum, and the series itself with a certified geometric tail bound.
 
-Series truncation: beyond n0 = V*max(4*x_star, (2*c*nu/mu)^2) the term
-exponents are dominated by beta*mu*n0/2 plus a constant, so the dropped
-tail is bounded by an explicit geometric sum.  The partition sum is
-accumulated relative to its largest term; beta*V*g can exceed the
-floating-point exponent range long before the physics gets large.
+Series window: the term exponent e(n) = beta*V*g(n/V) is concave in n and
+peaks at n* = round(V*x_star) with width sigma = 1/sqrt(|e''(n*)|), so
+almost all of the mass lies within O(sqrt(V)) occupations of n*.  The
+series is summed over [max(0, n* - W), n* + W] only.  By concavity, each
+dropped side is bounded by a geometric series whose first term is the
+first dropped term and whose ratio is e^Delta, Delta the exponent step
+across that window edge.  W starts at 8*sigma and doubles until those two
+bounds are below rel_tol times the window sum; the reported window is then
+the smallest half-width within the last doubling that still meets that
+(with half the tolerance, so a running sum may decide it).  Exponents are
+formed relative to e(n*) without cancellation, and the sum is accumulated
+relative to its peak term; beta*V*g exceeds the floating-point exponent
+range long before the physics gets large.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
+from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _log1m_exp,
                             _require_stable, pressure_ideal_limit,
                             pressure_ideal_primed)
 from .summation import stable_sum
@@ -88,8 +97,9 @@ def exponent_maximizer(f: ExponentFunction) -> float:
     """
     if f.mu >= f.lambda0:
         raise DomainError("maximizer requires mu < lambda0")
-    interior = (f.coefficient * f.nu / (2.0 * (f.lambda0 - f.mu))) ** 2 - 1.0 / f.volume
-    return max(0.0, interior)
+    # r * r, not r ** 2: it overflows to inf rather than raising.
+    r = f.coefficient * f.nu / (2.0 * (f.lambda0 - f.mu))
+    return max(0.0, r * r - 1.0 / f.volume)
 
 
 def laplace_sup(f: ExponentFunction) -> float:
@@ -102,7 +112,11 @@ def laplace_sup(f: ExponentFunction) -> float:
     """
     if f.mu >= f.lambda0:
         raise DomainError("decay hypothesis fails for mu >= lambda0")
-    return exponent_eval(f, exponent_maximizer(f))
+    x_star = exponent_maximizer(f)
+    if x_star == 0.0:
+        return exponent_eval(f, 0.0)
+    gap = f.lambda0 - f.mu
+    return (0.5 * f.coefficient * f.nu) ** 2 / gap + gap / f.volume
 
 
 @dataclass(frozen=True)
@@ -127,16 +141,47 @@ class LaplaceResult:
         require(self.gap >= 0.0, "gap must be >= 0")
 
 
-def _series_cutoff(f: ExponentFunction) -> int:
-    x_star = exponent_maximizer(f)
-    dominated = (2.0 * f.coefficient * f.nu / f.mu) ** 2
-    return int(math.ceil(f.volume * max(4.0 * x_star, dominated))) + 64
-
-
 def _series_exponents(beta: float, f: ExponentFunction, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1, dtype=float)
     return beta * ((f.mu - f.lambda0) * n
                    + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
+
+
+def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
+                      lo: int, hi: int) -> np.ndarray:
+    """e(n) - e(n*) for n = lo..hi, without cancellation.
+
+    sqrt(n+1) - sqrt(n*+1) = (n - n*) / (sqrt(n+1) + sqrt(n*+1)).
+    """
+    n = np.arange(lo, hi + 1, dtype=float)
+    root_sum = np.sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
+    return beta * (n - n_star) * ((f.mu - f.lambda0)
+                                  + f.coefficient * f.nu * math.sqrt(f.volume) / root_sum)
+
+
+def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int) -> tuple:
+    """Bounds on the terms left and right of [max(0, n* - half), n* + half].
+
+    Both are relative to e^(e(n*)).  Concavity makes the exponent step
+    across an edge an upper bound on every later step, so a dropped side is
+    at most first / (1 - e^step); the left side has only n* - half terms,
+    so it is also at most that many times its first term.
+    """
+    def exponent(n):
+        return float(_window_exponents(beta, f, n_star, n, n)[0])
+
+    first = exponent(n_star + half + 1)
+    step = first - exponent(n_star + half)
+    right = math.exp(first) / -math.expm1(step) if step < 0.0 else math.inf
+    count = n_star - half
+    if count <= 0:
+        return 0.0, right
+    first = exponent(count - 1)
+    step = first - exponent(count)
+    left = count * math.exp(first)
+    if step < 0.0:
+        left = min(left, math.exp(first) / -math.expm1(step))
+    return left, right
 
 
 def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
@@ -145,49 +190,85 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     """Zero-mode pressure (1/(beta*V)) log sum_n e^(beta*V*g(n/V)) with tail bound.
 
     For nu = 0 the series is geometric and is returned in closed form
-    (tail bound zero).  Otherwise the sum runs to the certified cutoff and
-    is extended by doubling until the geometric tail bound is below
-    rel_tol times the partial sum.
+    (tail bound zero).  Otherwise it is summed over a window around the
+    Laplace peak whose two dropped sides are bounded by geometric series
+    (see the module docstring); `tail_bound` maps their sum, plus the
+    rounding of the window sum, to pressure units, and `terms_used` is the
+    window length.
 
-    Raises NonConvergenceError if `max_terms` would be exceeded.
+    Raises NonConvergenceError if the window would exceed `max_terms`
+    terms, or the peak lies beyond exactly representable occupations.
     """
     require(beta > 0.0, "beta must be positive")
+    require(max_terms >= 1, "max_terms must be >= 1")
     _require_stable(mu)
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
 
     if nu == 0.0:
-        value = -_log1m_exp(beta * mu) / (beta * volume)
+        log_norm = _log1m_exp(beta * mu)
+        value = -log_norm / (beta * volume)
         # Terms a direct summation would need to certify rel_tol.
-        terms = max(1, int(math.ceil(math.log(rel_tol * -math.expm1(beta * mu))
-                                     / (beta * mu))))
+        needed = (math.log(rel_tol) + log_norm) / (beta * mu)
+        if math.isinf(needed):
+            # Subnormal beta*mu: the count exceeds the float range, not int's.
+            needed = Fraction(math.log(rel_tol) + log_norm) / Fraction(beta * mu)
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
-                             gap=abs(value), terms_used=terms, tail_bound=0.0)
+                             gap=abs(value), terms_used=max(1, math.ceil(needed)),
+                             tail_bound=0.0)
 
-    n_stop = _series_cutoff(f)
+    x_star = exponent_maximizer(f)
+    peak = volume * x_star
+    if not peak < 2.0 ** 52:
+        raise NonConvergenceError(
+            f"zero-mode series peaks at n = {peak:.3g}, beyond exact occupations")
+    n_star = int(round(peak))
+    # |e''(n*)|, whose inverse square root is the Laplace width sigma.
+    curvature = beta * coefficient * nu * math.sqrt(volume) / (4.0 * (n_star + 1.0) ** 1.5)
+    max_half = (max_terms - 1) // 2
+    half = int(min(max_half, 8.0 / math.sqrt(curvature) + 1.0)) if curvature > 0.0 \
+        else max_half
     while True:
-        if n_stop > max_terms:
+        lo = max(0, n_star - half)
+        terms = np.exp(_window_exponents(beta, f, n_star, lo, n_star + half))
+        center = n_star - lo
+        # partial[w]: the window sum at half-width w, ring by ring.
+        partial = terms[center:].copy()
+        partial[1:center + 1] += terms[:center][::-1]
+        np.cumsum(partial, out=partial)
+        if sum(_side_bounds(beta, f, n_star, half)) <= 0.5 * rel_tol * partial[-1]:
+            break
+        if half >= max_half:
             raise NonConvergenceError(
                 f"zero-mode series needs more than {max_terms} terms")
-        expo = _series_exponents(beta, f, n_stop)
-        peak = float(expo.max())
-        scaled = stable_sum(np.exp(expo - peak))
-        # Beyond n_stop the exponents obey e_n <= beta*mu*n/2 + const, so the
-        # dropped tail is geometric with ratio e^(beta*mu/2).
-        const = beta * (0.5 * coefficient * nu) * math.sqrt(volume / (n_stop + 1.0))
-        log_tail_head = const + 0.5 * beta * mu * (n_stop + 1.0) - peak
-        tail = math.exp(log_tail_head) / -math.expm1(0.5 * beta * mu) \
-            if log_tail_head > -700.0 else 0.0
-        if tail <= rel_tol * scaled:
-            break
-        n_stop *= 2
+        half = min(2 * half, max_half)
 
-    value = (peak + math.log(scaled)) / (beta * volume)
+    # The smallest half-width that still meets the tolerance; the bound
+    # shrinks and the sum grows with w.  Half the tolerance lets the
+    # running sum decide for the exactly rounded one.
+    fails, holds = -1, half
+    while holds - fails > 1:
+        w = (fails + holds) // 2
+        if sum(_side_bounds(beta, f, n_star, w)) <= 0.5 * rel_tol * partial[w]:
+            holds = w
+        else:
+            fails = w
+    first, last = max(0, center - holds), center + holds
+    scaled = stable_sum(terms[first:last + 1])
+    tail = sum(_side_bounds(beta, f, n_star, holds))
+    linear = beta * (mu - f.lambda0) * n_star
+    root = beta * coefficient * nu * math.sqrt(volume * (n_star + 1.0))
+    log_sum = linear + root + math.log(scaled)
+    value = log_sum / (beta * volume)
     sup = laplace_sup(f)
-    # Error in the log from the dropped tail, mapped to pressure units.
-    bound = math.log1p(tail / scaled) / (beta * volume)
-    return LaplaceResult(maximizer=exponent_maximizer(f), sup_value=sup,
-                         numeric_log_sum=value, gap=abs(value - sup),
-                         terms_used=n_stop + 1, tail_bound=bound)
+    # Error in the log from the dropped sides, mapped to pressure units.
+    # Those bounds are nearly tight, so the bound also carries the rounding
+    # of the peak exponent, the window sum and its log.
+    rounding = _EPS * ((abs(linear) + root + abs(log_sum) + 4.0) / (beta * volume)
+                       + abs(value))
+    bound = math.log1p(tail / scaled) / (beta * volume) + rounding
+    return LaplaceResult(maximizer=x_star, sup_value=sup, numeric_log_sum=value,
+                         gap=abs(value - sup), terms_used=last - first + 1,
+                         tail_bound=bound)
 
 
 def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,

@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import DomainError, require
 from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
                             _require_stable, pressure_ideal_primed)
@@ -146,7 +144,18 @@ def solve_mu_exact(beta: float, volume: float, rho0: float, nu: float) -> float:
         lo *= 2.0
         if lo < -1e12:
             raise DomainError("failed to bracket the chemical potential")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    if f(hi) <= 0.0:
+        raise DomainError("failed to bracket the chemical potential")
+    # Bisection keeps f(lo) <= 0 < f(hi) until the bracket is within
+    # 2*(1e-15 + 8.9e-16*|mu|); adjacent doubles always are, so it ends.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * (1e-15 + 8.9e-16 * abs(mid)):
+            return mid
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 def mu_star(rho0: float, nu: float) -> float:

@@ -109,6 +109,14 @@ class TestRun:
         assert [r["side"] for r in rows] == [100, 1000]
         assert all(r["gap"] <= r["gap_bound"] + r["tail_bound"] for r in rows)
 
+    def test_laplace_out_to_volume_1e12(self):
+        # The windowed series sums O(sqrt(V)) terms, so V = 1e8 and 1e12 certify.
+        code, rows = run(parse_config(["--command", "laplace", "--mu", "-0.5",
+                                       "--nu", "0.1", "--dim", "1",
+                                       "--ladder", "100000000,1000000000000"]))
+        assert code == 0
+        assert [r["passed"] for r in rows] == [True, True]
+
     def test_sweep_sorted_rows(self):
         cfg = parse_config(["--command", "sweep", "--mu", "-1.0,-0.5",
                             "--beta", "1.0,0.5", "--nu", "0.1", "--side", "6",
@@ -237,3 +245,35 @@ class TestModuleEntryPoint:
             assert all(math.isfinite(float(v)) for v in row[9:13])
         else:
             assert json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize("args", [["--mu=-1e-310"], ["--mu=-1e-300", "--nu", "0.1"]])
+    def test_tiny_mu_exits_with_finite_row_or_json_error(self, args):
+        # Subnormal mu (the nu = 0 term count) and mu = -1e-300 with nu > 0
+        # (a peak occupation beyond float range) used to end in tracebacks.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "pressure",
+             *args, "--side", "4", "--pmax", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            header, row = (line.split(",") for line in proc.stdout.splitlines())
+            values = dict(zip(header, row))
+            assert all(math.isfinite(float(values[key])) for key in header
+                       if key.startswith(("p_", "delta_p", "identity")))
+        else:
+            assert json.loads(proc.stderr)["error"] == "NonConvergenceError"
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bose_limits; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

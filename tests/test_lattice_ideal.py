@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from bose_limits.lattice_ideal import (ModeLattice, PressureBreakdown, ThermoPoi
                                        critical_density_limit,
                                        critical_density_tail_bound, dispersion,
                                        occupation, polylog, pressure_ideal_limit,
-                                       pressure_ideal_primed)
+                                       pressure_ideal_primed, _upper_gamma_half, _zeta)
 from bose_limits.summation import stable_sum
 
 from conftest import (brute_force_density, brute_force_mode_vectors,
@@ -203,6 +204,22 @@ class TestPressureIdealPrimed:
             b = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=-0.5, lattice=large))
             assert abs(b.primed - a.primed) < a.truncation_bound
 
+    @pytest.mark.parametrize("p_max,side", [(1.0, 16.0), (2.0, 4.0), (3.0, 8.0)])
+    def test_cutoff_bound_finite_and_sound_near_mu_zero(self, p_max, side):
+        # Dropped modes have |p| > p_max, so the Bose factor of the bound is
+        # taken there and stays finite where exp(beta*mu) rounds to 1.
+        mu = -1e-300
+        small = build_lattice(3, side, p_max)
+        large = build_lattice(3, side, 4.0 * p_max + 8.0)
+        a = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=mu, lattice=small))
+        b = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=mu, lattice=large))
+        assert math.isfinite(a.truncation_bound)
+        assert b.primed - a.primed < a.truncation_bound
+        point = ThermoPoint(beta=1.0, mu=mu, lattice=small)
+        dropped = critical_density_finite(ThermoPoint(beta=1.0, mu=mu, lattice=large)) \
+            - critical_density_finite(point)
+        assert 0.0 < dropped < critical_density_tail_bound(point) < math.inf
+
     def test_breakdown_structure(self):
         lat = build_lattice(1, TWO_PI, 10.0)
         res = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=-1.0, lattice=lat))
@@ -343,3 +360,83 @@ class TestPolylog:
         val = polylog(s, z, tol=1e-13)
         assert val >= z - 1e-15
         assert polylog(s, min(z + 0.02, 0.97), tol=1e-13) >= val
+
+
+class TestUpperGammaHalf:
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 1.0, 7.5, 40.0, 300.0])
+    def test_mpmath_oracle(self, k, x):
+        with mp.workdps(40):
+            oracle = mp.gammainc(mp.mpf(k + 1) / 2, mp.mpf(x))
+        assert _upper_gamma_half(k, x) == pytest.approx(float(oracle), rel=1e-14)
+
+
+class TestZeta:
+    @pytest.mark.parametrize("sigma", [2.5, 1.5, 0.5, -0.5, -7.5])
+    def test_mpmath_oracle_within_bound(self, sigma):
+        value, error = _zeta(sigma)
+        with mp.workdps(40):
+            oracle = mp.zeta(sigma)
+        assert abs(value - oracle) <= error
+        assert error <= 1e-14 * max(1.0, abs(value))
+
+    def test_trivial_zeros_are_exact(self):
+        assert _zeta(-2.0) == (0.0, 0.0)
+        assert _zeta(-10.0)[0] == 0.0
+
+    def test_error_bound_exposes_the_pole(self):
+        value, error = _zeta(1.0 + 1e-9)
+        assert value == pytest.approx(1e9, rel=1e-6)
+        assert error > 1e-8
+
+
+class TestPolylogNearOne:
+    """Robinson's expansion in t = log z against mpmath, down to t = -1e-12."""
+
+    TS = (-2.0 * math.pi, -3.0, -1.0, -0.5, -0.1, -1e-2, -1e-4, -1e-6, -1e-8,
+          -1e-10, -1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("t", TS)
+    def test_mpmath_oracle(self, s, t):
+        z, tol = math.exp(t), 1e-14
+        with mp.workdps(40):
+            oracle = mp.polylog(s, mp.mpf(z))
+        assert abs(polylog(s, z, tol=tol) - oracle) <= tol * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0])
+    def test_zeta_at_one(self, s):
+        with mp.workdps(40):
+            oracle = mp.zeta(s)
+        assert abs(polylog(s, 1.0, tol=1e-14) - oracle) <= 1e-14 * oracle
+
+    def test_tight_tolerance_at_one(self):
+        # The direct sum would need ~8e7 terms for this tolerance.
+        assert polylog(1.5, 1.0, tol=1e-12) == pytest.approx(ZETA_3_HALVES, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [2.0 + 1e-9, 2.0 - 1e-9])
+    @pytest.mark.parametrize("t", [-1.0, -1e-3, -1e-7, -1e-12])
+    def test_near_integer_order_certified_or_refused(self, s, t):
+        # Gamma(1-s) and zeta(s-1) have cancelling poles here: the result
+        # meets tol, or the call refuses; it never returns an unchecked value.
+        z, tol = math.exp(t), 1e-12
+        try:
+            value = polylog(s, z, tol=tol)
+        except NonConvergenceError:
+            return
+        with mp.workdps(40):
+            oracle = mp.polylog(s, mp.mpf(z))
+        assert abs(value - oracle) <= tol * max(1.0, abs(oracle))
+
+    def test_direct_series_refuses_before_summing(self):
+        # z = 0.3 lies outside the expansion's range; no K <= 3 can meet
+        # tol, which is known before any term is formed.
+        with pytest.raises(NonConvergenceError):
+            polylog(1.5, 0.3, tol=1e-15, max_terms=3)
+
+    def test_critical_density_close_to_condensation(self):
+        beta, mu = 1.0, -1e-7
+        with mp.workdps(40):
+            oracle = mp.polylog(1.5, mp.mpf(math.exp(beta * mu))) / (2 * mp.pi * beta) ** 1.5
+        assert critical_density_limit(beta, mu, 3) == pytest.approx(float(oracle),
+                                                                    rel=1e-9)

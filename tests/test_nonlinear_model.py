@@ -16,7 +16,8 @@ from bose_limits.nonlinear_model import (ExponentFunction, exponent_eval,
                                          pressure_sqrt_source_limit,
                                          zero_mode_log_partition,
                                          zero_mode_partial_logsum,
-                                         zero_mode_pressure_series)
+                                         zero_mode_pressure_series, _side_bounds)
+from bose_limits.summation import log_sum_exp
 
 
 class TestExponentFunction:
@@ -147,6 +148,62 @@ class TestZeroModeSeries:
         signed = res.numeric_log_sum - res.sup_value
         assert signed >= -1e-13
         assert signed <= math.log(res.terms_used) / (beta * vol) + res.tail_bound
+
+
+def _half_width(res, volume):
+    """Half-width W of the window [max(0, n* - W), n* + W] behind `res`."""
+    n_star = round(volume * res.maximizer)
+    span = res.terms_used - 1
+    return span // 2 if span % 2 == 0 and span // 2 <= n_star else span - n_star
+
+
+class TestZeroModeWindow:
+    @pytest.mark.parametrize("volume", [8.0 ** 3, 16.0 ** 3, 32.0 ** 3, 64.0 ** 3,
+                                        1e4, 1e5, 1e6])
+    def test_matches_full_range_sum_within_bound(self, volume):
+        beta, mu, nu = 1.0, -0.5, 0.1
+        res = zero_mode_log_partition(beta, mu, nu, volume)
+        # Past n = V*(2*c*nu/mu)^2 the terms fall below e^-(0.1*V) of the peak.
+        n_max = int(math.ceil(volume * (4.0 * nu / mu) ** 2)) + 64
+        full = zero_mode_partial_logsum(beta, mu, nu, volume, n_max)
+        assert abs(full - res.numeric_log_sum) <= res.tail_bound
+
+    @pytest.mark.parametrize("half", [0, 1, 3, 10, 30, 60, 150])
+    def test_each_dropped_side_bounded(self, half):
+        # Each side's bound must cover the brute-force sum of its terms.
+        beta, mu, nu, vol = 1.0, -0.5, 0.1, 4096.0
+        f = ExponentFunction(mu=mu, nu=nu, volume=vol)
+        n_star = round(vol * exponent_maximizer(f))
+        n = np.arange(0, 4 * n_star, dtype=float)
+        terms = np.exp(beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
+                               * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0))))
+        left, right = _side_bounds(beta, f, n_star, half)
+        assert terms[n < n_star - half].sum() <= left
+        assert terms[n > n_star + half].sum() <= right
+
+    def test_window_stays_sublinear_in_volume(self):
+        res = zero_mode_log_partition(1.0, -0.5, 0.1, 1e8)
+        assert res.terms_used < 500_000
+        assert res.gap <= math.log(res.terms_used) / 1e8 + res.tail_bound
+
+    def test_peak_beyond_float_occupations_refused(self):
+        # (nu/mu)^2 overflows: the peak occupation is not representable.
+        with pytest.raises(NonConvergenceError):
+            zero_mode_log_partition(1.0, -1e-300, 0.1, 64.0)
+        assert exponent_maximizer(ExponentFunction(mu=-1e-300, nu=0.1,
+                                                   volume=64.0)) == math.inf
+
+    @given(mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
+           vol=st.floats(200.0, 1e6), beta=st.floats(0.5, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_doubling_the_window_moves_less_than_bound(self, mu, nu, vol, beta):
+        res = zero_mode_log_partition(beta, mu, nu, vol)
+        n_star = round(vol * res.maximizer)
+        half = _half_width(res, vol)
+        n = np.arange(max(0, n_star - 2 * half), n_star + 2 * half + 1, dtype=float)
+        exponents = beta * (mu * n + 2.0 * nu * np.sqrt(vol * (n + 1.0)))
+        doubled = log_sum_exp(exponents) / (beta * vol)
+        assert abs(doubled - res.numeric_log_sum) <= res.tail_bound
 
 
 class TestPressureSqrtSource:
