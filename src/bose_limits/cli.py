@@ -29,8 +29,8 @@ from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
 from .lattice_ideal import ThermoPoint, _require_stable, build_lattice
-from .nonlinear_model import (ExponentFunction, laplace_sup, pressure_sqrt_source,
-                              zero_mode_log_partition)
+from .nonlinear_model import (ExponentFunction, exponent_eval, laplace_sup,
+                              pressure_sqrt_source, zero_mode_log_partition)
 from .source_model import pressure_source
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
@@ -340,10 +340,16 @@ def _run_laplace(cfg: RunConfig) -> tuple:
         volume = float(side) ** cfg.dim
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=cfg.rel_tol,
                                       coefficient=cfg.coefficient)
+        f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)
+        sup = laplace_sup(f)
+        # The sum is at least its largest term and at most terms_used times
+        # e^(beta*V*sup); by concavity the largest term sits next to V*x*.
+        peak = volume * res.maximizer
+        term_max = max(exponent_eval(f, n / volume)
+                       for n in {math.floor(peak), math.ceil(peak)})
         gap_bound = math.log(res.terms_used) / (beta * volume)
-        ok = res.gap <= gap_bound + res.tail_bound
-        sup = laplace_sup(ExponentFunction(mu=mu, nu=nu, volume=volume,
-                                           coefficient=cfg.coefficient))
+        ok = (term_max - res.tail_bound <= res.numeric_log_sum
+              <= sup + gap_bound + res.tail_bound)
         all_ok = all_ok and ok
         rows.append({
             "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,

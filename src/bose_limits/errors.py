@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: invalid input (DomainError and
 subclasses) exits 2, convergence and resource failures exit 3.
 """
 
+# Bytes one Fock rung or zero-mode series window may allocate; fixed.
+MAX_ALLOC_BYTES = 2 ** 29
+
 
 class BoseLimitsError(Exception):
     """Base class for all package errors."""

@@ -32,26 +32,24 @@ j*stride + b +- stride: a zero-mode-coupled operator is the direct sum of
 never formed densely.  Traces, expectations, the shell weight and the
 variational bounds go through one batched eigendecomposition of that
 (stride, c0+1, c0+1) stack (never a stochastic estimator), in O(D*c0^2)
-time and O(D*c0) memory for D configurations.  The configuration count is
-capped by a ceiling that the BOSE_LIMITS_MAX_DIM environment variable
-overrides, and the bytes of the block eigensolve, about 3*D*(c0+1)*8 for
-the stack, its eigenvectors and workspace, by MAX_BLOCK_BYTES.
+time and O(D*c0) memory for D configurations, once per operator since
+the eigenpairs do not depend on beta (`OperatorMatrix.blocks`).
+MAX_ALLOC_BYTES bounds what a truncation allocates (see FockTruncation).
 """
 
 import math
-import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ResourceGuardError, require
+from .errors import (MAX_ALLOC_BYTES, DomainError, NonConvergenceError,
+                     ResourceGuardError, require)
 from .lattice_ideal import ModeLattice
 from .summation import log_sum_exp, stable_sum
 
 __all__ = [
-    "DEFAULT_MAX_DIMENSION",
-    "MAX_BLOCK_BYTES",
     "FockTruncation",
     "Configurations",
     "DiagonalModel",
@@ -74,30 +72,16 @@ __all__ = [
     "verify_sandwich",
 ]
 
-DEFAULT_MAX_DIMENSION = 20_000
-# Ceiling on the block eigensolve's bytes, 3*D*(c0+1)*8; not overridable.
-MAX_BLOCK_BYTES = 2 ** 29
-
-
-def _max_dimension() -> int:
-    raw = os.environ.get("BOSE_LIMITS_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIMENSION
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"BOSE_LIMITS_MAX_DIM must be an integer, got {raw!r}") from exc
-    require(value >= 2, "BOSE_LIMITS_MAX_DIM must be >= 2")
-    return value
-
 
 @dataclass(frozen=True, eq=False)
 class FockTruncation:
     """A finite window of Fock space: retained modes and occupation cutoffs.
 
     The zero mode must be present and sit first.  `dimension` is the full
-    configuration count prod(cutoff+1) and is bounded by the configured
-    ceiling at construction time, as are the bytes of the block eigensolve.
+    configuration count D = prod(cutoff+1).  Construction refuses a
+    truncation whose rung would allocate more than MAX_ALLOC_BYTES: the
+    configuration table and its float copy, ~3*D*m*8 bytes for m modes,
+    plus the block eigensolve, ~3*D*(c0+1)*8 bytes.
     """
 
     modes: np.ndarray = field(repr=False)     # shape (m, d)
@@ -114,17 +98,14 @@ class FockTruncation:
                 "cutoffs must be integers >= 1")
         if not np.all(self.modes[0] == 0.0):
             raise DomainError("the zero mode must be retained and listed first")
-        ceiling = _max_dimension()
-        if self.dimension > ceiling:
-            raise ResourceGuardError(
-                f"Fock dimension {self.dimension} exceeds the ceiling {ceiling} "
-                "(override with BOSE_LIMITS_MAX_DIM)")
+        table_bytes = 3 * self.dimension * m * 8
         block_bytes = 3 * self.dimension * (self.cutoffs[0] + 1) * 8
-        if block_bytes > MAX_BLOCK_BYTES:
+        if table_bytes + block_bytes > MAX_ALLOC_BYTES:
             raise ResourceGuardError(
-                f"block eigensolve needs ~{block_bytes} bytes for Fock dimension "
-                f"{self.dimension} and zero-mode cutoff {self.cutoffs[0]}, above "
-                f"the ceiling {MAX_BLOCK_BYTES}")
+                f"Fock dimension {self.dimension} needs ~{table_bytes} bytes of "
+                f"configuration table for {m} modes and ~{block_bytes} bytes of "
+                f"block eigensolve for zero-mode cutoff {self.cutoffs[0]}, above "
+                f"the ceiling {MAX_ALLOC_BYTES}")
         require(self.dimension >= 2, "dimension must be >= 2")
 
     @property
@@ -233,7 +214,8 @@ class OperatorMatrix:
     (`sparsity` is "diagonal" or "zero-mode-coupled").  `coupling[i]`
     is the matrix element between configuration i and i + stride, stored
     only where the zero-mode occupation of i is below its cutoff.  Gibbs
-    quantities use the zero-mode blocks; `to_dense` is a test oracle.
+    quantities of a coupled operator use `blocks`, computed on first use;
+    `to_dense` is a test oracle.
     """
 
     truncation: FockTruncation
@@ -252,6 +234,31 @@ class OperatorMatrix:
     @property
     def sparsity(self) -> str:
         return "diagonal" if self.coupling is None else "zero-mode-coupled"
+
+    @cached_property
+    def blocks(self):
+        """Eigenpairs of the zero-mode blocks of a coupled operator.
+
+        Row j of block b is configuration j*stride + b (n0 = j), so the
+        diagonal and coupling arrays reshape to (c0+1, stride) and transpose
+        into the block stack.  Eigenvalues (stride, c0+1) and eigenvectors
+        (stride, c0+1, c0+1), vectors in columns; both read-only.
+        """
+        k = self.truncation.cutoffs[0] + 1
+        diag = self.diagonal.reshape(k, -1).T
+        off = self.coupling.reshape(k, -1).T[:, :-1]
+        j = np.arange(k)
+        stack = np.zeros(diag.shape + (k,))
+        stack[:, j, j] = diag
+        stack[:, j[:-1], j[1:]] = off
+        stack[:, j[1:], j[:-1]] = off
+        try:
+            pairs = np.linalg.eigh(stack)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
 
     def to_dense(self) -> np.ndarray:
         out = np.diag(self.diagonal)
@@ -292,31 +299,9 @@ def add_sqrt_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
     return OperatorMatrix(truncation=trunc, diagonal=diag)
 
 
-def _block_eigh(op: OperatorMatrix):
-    """Eigenpairs of the zero-mode blocks of a coupled operator.
-
-    Row j of block b is configuration j*stride + b (n0 = j), so the
-    diagonal and coupling arrays reshape to (c0+1, stride) and transpose
-    into the block stack.  Returns eigenvalues (stride, c0+1) and
-    eigenvectors (stride, c0+1, c0+1), vectors in columns.
-    """
-    k = op.truncation.cutoffs[0] + 1
-    diag = op.diagonal.reshape(k, -1).T
-    off = op.coupling.reshape(k, -1).T[:, :-1]
-    j = np.arange(k)
-    stack = np.zeros(diag.shape + (k,))
-    stack[:, j, j] = diag
-    stack[:, j[:-1], j[1:]] = off
-    stack[:, j[1:], j[:-1]] = off
-    try:
-        return np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"eigendecomposition failed: {exc}") from exc
-
-
 def _block_state(op: OperatorMatrix, beta: float):
     """Block eigenvectors Q, Gibbs weights w = e^(-beta*(E - E_min)), z = sum w."""
-    evals, vecs = _block_eigh(op)
+    evals, vecs = op.blocks
     logw = -beta * evals
     w = np.exp(logw - logw.max())
     return vecs, w, stable_sum(w)
@@ -346,7 +331,7 @@ def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:
     """Pressure (1/(beta*V)) * log Tr e^(-beta*H)."""
     require(beta > 0.0, "beta must be positive")
     require(volume > 0.0, "volume must be positive")
-    spectrum = op.diagonal if op.coupling is None else _block_eigh(op)[0]
+    spectrum = op.diagonal if op.coupling is None else op.blocks[0]
     return log_sum_exp(-beta * spectrum) / (beta * volume)
 
 

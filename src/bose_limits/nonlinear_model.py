@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, require
+from .errors import MAX_ALLOC_BYTES, DomainError, NonConvergenceError, require
 from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _log1m_exp,
                             _require_stable, pressure_ideal_limit,
                             pressure_ideal_primed)
@@ -52,7 +52,11 @@ __all__ = [
     "pressure_sqrt_source_limit",
 ]
 
-DEFAULT_MAX_SERIES_TERMS = 50_000_000
+# Peak bytes per term of the largest window: four float arrays in
+# `_window_exponents` (32 B) plus the previous, half as long window's terms
+# and running sums (6 B); tracemalloc measures 38.0 B when the window doubles.
+SERIES_BYTES_PER_TERM = 38
+DEFAULT_MAX_SERIES_TERMS = MAX_ALLOC_BYTES // SERIES_BYTES_PER_TERM
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
 
     Raises NonConvergenceError if the window would exceed `max_terms`
     terms, or the peak lies beyond exactly representable occupations.
+    Every window the doubling allocates has at most `max_terms` terms.
     """
     require(beta > 0.0, "beta must be positive")
     require(max_terms >= 1, "max_terms must be >= 1")

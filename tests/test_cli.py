@@ -117,6 +117,25 @@ class TestRun:
         assert code == 0
         assert [r["passed"] for r in rows] == [True, True]
 
+    @pytest.mark.parametrize("beta,mu,nu,dim,side", [
+        (1.0, -50.0, 19.687, 1, 10),
+        (1.0, -100.0, 50.0, 1, 10),
+        (1.0, -100.0, 30.0, 3, 3),
+        (1.0, -300.0, 50.0, 2, 10),
+        (1.0, -300.0, 80.0, 3, 3),
+        (1.0, -300.0, 100.0, 1, 10),
+    ])
+    def test_laplace_narrow_peak_passes(self, beta, mu, nu, dim, side):
+        # A peak narrower than one occupation sits below sup g by more than
+        # log(terms_used)/(beta*V); its lower bound is the largest term.
+        code, rows = run(parse_config(["--command", "laplace", f"--beta={beta}",
+                                       f"--mu={mu}", f"--nu={nu}", "--dim", str(dim),
+                                       "--ladder", str(side)]))
+        assert code == 0
+        (row,) = rows
+        assert row["passed"] is True
+        assert row["sup_value"] - row["numeric_log_sum"] > row["gap_bound"] + row["tail_bound"]
+
     def test_sweep_sorted_rows(self):
         cfg = parse_config(["--command", "sweep", "--mu", "-1.0,-0.5",
                             "--beta", "1.0,0.5", "--nu", "0.1", "--side", "6",
@@ -142,21 +161,21 @@ class TestMainExitCodes:
         assert err["error"] == "DomainError"
         assert "stability domain" in err["message"]
 
-    def test_resource_guard_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BOSE_LIMITS_MAX_DIM", "100")
+    def test_resource_guard_exits_3(self, tmp_path, capsys):
+        # 23 two-level modes, D = 2^23: the configuration table (~4.6 GB)
+        # exceeds the byte ceiling, the blocks (~0.4 GB) alone would not.
         out = tmp_path / "x.csv"
         code = main(["--command", "fulldiag", "--mu", "-0.5", "--nu", "0.1",
-                     "--side", "2", "--pmax", "7", "--fock-cutoff", "20,10",
+                     "--side", "2", "--pmax", "7", "--fock-cutoff", ",".join(["1"] * 23),
                      "--out", str(out)])
         assert code == 3
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceGuardError"
+        assert "configuration table" in err["message"]
 
-    def test_block_byte_guard_exits_3(self, tmp_path, capsys, monkeypatch):
-        # 20,000 configurations pass the count ceiling; the single
-        # zero-mode block of order 20,000 does not pass the byte ceiling.
-        monkeypatch.delenv("BOSE_LIMITS_MAX_DIM", raising=False)
+    def test_block_byte_guard_exits_3(self, tmp_path, capsys):
+        # The single zero-mode block of order 20,000 needs ~9.6 GB.
         out = tmp_path / "x.csv"
         code = main(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1",
                      "--fock-cutoff", "19999", "--out", str(out)])

@@ -320,13 +320,11 @@ class TestTruncationBehavior:
         with pytest.raises(ResourceGuardError):
             truncate_lattice(lat, (100000,))
 
-    def test_env_override(self, monkeypatch):
+    def test_guard_counts_bytes_not_configurations(self):
+        # 26,901 configurations, but only ~41 MB of configuration table and
+        # block eigensolve: accepted.
         lat = build_lattice(3, 2.0, 7.0)
-        monkeypatch.setenv("BOSE_LIMITS_MAX_DIM", "50")
-        with pytest.raises(ResourceGuardError):
-            truncate_lattice(lat, (10, 10))
-        monkeypatch.setenv("BOSE_LIMITS_MAX_DIM", "200")
-        assert truncate_lattice(lat, (10, 10)).dimension == 121
+        assert truncate_lattice(lat, (60, 20, 20)).dimension == 26_901
 
     def test_zero_mode_required(self):
         lat = build_lattice(1, 1.0, 5.0)
@@ -559,11 +557,30 @@ class TestBlockEigensolve:
                                  volume=lat.volume)
         assert rep.chain_passed
         assert rep.shell_weight < 1e-4
-        assert orders and set(orders) == {(17, 17)}
+        # One eigendecomposition of the linear-source blocks serves the whole rung.
+        assert orders == [(17, 17)]
+
+    def test_blocks_are_cached_and_read_only(self):
+        op = add_linear_source(DiagonalModel(a=1.0, mu=-0.5), two_mode_truncation(),
+                               0.1, 8.0)
+        assert op.blocks is op.blocks
+        assert not any(a.flags.writeable for a in op.blocks)
 
     def test_block_byte_guard(self):
-        # 20,000 configurations pass the count ceiling, but the single
-        # zero-mode block would need ~9.6 GB.
+        # 20,000 configurations, but the single zero-mode block would need ~9.6 GB.
         lat = build_lattice(1, 1.0, 5.0)
         with pytest.raises(ResourceGuardError, match="block eigensolve"):
             truncate_lattice(lat, (19999,))
+
+    def test_configuration_table_byte_guard(self, monkeypatch):
+        # 2^23 configurations of 23 two-level modes: the blocks need ~0.4 GB,
+        # the configuration table ~4.6 GB.  Refused before any enumeration.
+        from bose_limits import fockdiag
+
+        def refuse(trunc):
+            raise AssertionError("configurations enumerated")
+
+        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
+        lat = build_lattice(3, 2.0, 7.0)
+        with pytest.raises(ResourceGuardError, match="configuration table"):
+            truncate_lattice(lat, (1,) * 23)
