@@ -8,8 +8,8 @@ Subpackages by concern:
   zero-mode displacement.
 * `nonlinear_model`: square-root source on the zero mode, its concave
   exponent family and Laplace-principle series pressure.
-* `equivalence`: pressure-gap ladders, rate fits, densities by numerical
-  differentiation, condensate comparisons.
+* `equivalence`: pressure-gap ladders, rate fits, analytic condensate
+  densities, condensate comparisons.
 * `fockdiag`: exact diagonalization of diagonal models on truncated Fock
   spaces, Gibbs expectations, variational pressure bounds.
 * `cli`: the `bose-limits` command; not imported here, so that

@@ -82,7 +82,6 @@ class RunConfig:
     coefficient: float = 2.0
     mf_a: float = 1.0
     rel_tol: float = 1e-10
-    fd_step: float = 1e-5
     workers: int = 1
     out: str = "-"
     format: str = "csv"
@@ -102,28 +101,14 @@ class RunConfig:
                 raise DomainError("nu must be nonnegative")
         if self.command != "sweep" and (len(self.beta), len(self.mu), len(self.nu)) != (1, 1, 1):
             raise DomainError(f"command {self.command} takes single beta/mu/nu values")
-        if self.rel_tol <= 0.0 or self.fd_step <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if self.rel_tol <= 0.0:
+            raise DomainError("rel_tol must be positive")
         if not self.ladder:
             raise DomainError("ladder must not be empty")
         if self.format not in ("csv", "json"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
-
-
-def _parse_floats(text: str, key: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise DomainError(f"could not parse {key}={text!r} as numbers") from exc
-
-
-def _parse_ints(text: str, key: str) -> tuple:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise DomainError(f"could not parse {key}={text!r} as integers") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -141,16 +126,20 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_STRING_KEYS = {"command", "out", "format"}
-_LIST_FLOAT_KEYS = {"beta", "mu", "nu"}
-_LIST_INT_KEYS = {"ladder", "fock_cutoff"}
-_FLOAT_KEYS = {"phi", "side", "pmax", "coefficient", "mf_a", "rel_tol", "fd_step"}
-_INT_KEYS = {"dim", "workers"}
+def _list_of(convert):
+    return lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip())
 
-_ALL_FLAGS = {"--command", "--config", "--beta", "--mu", "--nu", "--phi",
-              "--side", "--pmax", "--coefficient", "--mf-a", "--rel-tol",
-              "--fd-step", "--dim", "--workers", "--ladder", "--fock-cutoff",
-              "--out", "--format"}
+
+# Converter of each configuration key, applied to the string a flag or a
+# config-file line gives; the keys are RunConfig's fields.
+_CONVERTERS = {
+    "command": str, "beta": _list_of(float), "mu": _list_of(float),
+    "nu": _list_of(float), "phi": float, "dim": int, "side": float,
+    "ladder": _list_of(int), "pmax": float, "fock_cutoff": _list_of(int),
+    "coefficient": float, "mf_a": float, "rel_tol": float, "workers": int,
+    "out": str, "format": str,
+}
+_FLAGS = ("--config",) + tuple("--" + key.replace("_", "-") for key in _CONVERTERS)
 
 
 def _attach_values(argv):
@@ -160,10 +149,9 @@ def _attach_values(argv):
     from mistaking negative numbers or comma lists for option names.
     """
     out, i = [], 0
-    argv = list(argv)
     while i < len(argv):
         tok = argv[i]
-        if tok in _ALL_FLAGS and i + 1 < len(argv):
+        if tok in _FLAGS and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -175,55 +163,35 @@ def _attach_values(argv):
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Build a RunConfig from flags, with optional --config file underlay.
 
-    Flags take precedence over config-file entries; validation failures
-    raise DomainError naming the offending key.
+    Flags take precedence over config-file entries; validation failures,
+    unknown flags and unparsable values raise DomainError naming the
+    offending key.
     """
-    parser = argparse.ArgumentParser(prog="bose-limits", add_help=True)
-    parser.add_argument("--command", choices=COMMANDS, default=None)
-    parser.add_argument("--config", default=None)
-    for key in ("--beta", "--mu", "--nu"):
-        parser.add_argument(key, default=None)
-    for key in ("--phi", "--side", "--pmax", "--coefficient", "--mf-a",
-                "--rel-tol", "--fd-step"):
-        parser.add_argument(key, type=float, default=None)
-    parser.add_argument("--dim", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--ladder", default=None)
-    parser.add_argument("--fock-cutoff", default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    ns = parser.parse_args(_attach_values(argv))
+    parser = argparse.ArgumentParser(prog="bose-limits", exit_on_error=False)
+    for flag in _FLAGS:
+        parser.add_argument(flag)
+    try:
+        ns, extra = parser.parse_known_args(_attach_values(argv))
+    except argparse.ArgumentError as exc:
+        raise DomainError(str(exc)) from exc
+    if extra:
+        raise DomainError(f"unrecognized arguments: {' '.join(extra)}")
 
-    merged = {}
-    if ns.config is not None:
-        merged.update(_read_config_file(ns.config))
-    for key, value in vars(ns).items():
-        if key != "config" and value is not None:
-            merged[key] = value
+    merged = _read_config_file(ns.config) if ns.config is not None else {}
+    merged.update((key, value) for key, value in vars(ns).items()
+                  if key != "config" and value is not None)
 
     if "command" not in merged:
         raise DomainError("--command is required")
 
     kwargs = {}
     for key, value in merged.items():
-        if key in _STRING_KEYS:
-            kwargs[key] = str(value)
-        elif key in _LIST_FLOAT_KEYS:
-            kwargs[key] = _parse_floats(str(value), key)
-        elif key in _LIST_INT_KEYS:
-            kwargs[key] = _parse_ints(str(value), key)
-        elif key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError as exc:
-                raise DomainError(f"could not parse {key}={value!r}") from exc
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"could not parse {key}={value!r}") from exc
-        else:
+        if key not in _CONVERTERS:
             raise DomainError(f"unknown configuration key {key!r}")
+        try:
+            kwargs[key] = _CONVERTERS[key](value)
+        except ValueError as exc:
+            raise DomainError(f"could not parse {key}={value!r}") from exc
     return RunConfig(**kwargs)
 
 
@@ -305,8 +273,7 @@ def _run_equivalence(cfg: RunConfig) -> tuple:
     start = time.perf_counter()
     beta, mu, nu = cfg.beta[0], cfg.mu[0], cfg.nu[0]
     result = verify_equivalence(beta, mu, nu, cfg.dim, cfg.ladder,
-                                p_max=cfg.pmax, rel_tol=cfg.rel_tol,
-                                fd_step=cfg.fd_step)
+                                p_max=cfg.pmax, rel_tol=cfg.rel_tol)
     rows = []
     for i, side in enumerate(result.ladder.sides):
         rows.append({

@@ -5,7 +5,8 @@ and the same temperature-independent condensate density nu^2/mu^2.  At
 finite volume their pressure difference reduces exactly to zero-mode and
 constant terms (the p != 0 parts cancel identically on a shared lattice),
 which makes the convergence claim testable as a rate fit on a ladder of
-box sides, and makes densities recoverable by differentiating pressures
+box sides, and gives the condensate densities rho - rho' from the zero
+mode alone.  Limit densities are recovered by differentiating pressures
 in mu (convex in mu, so the derivative of the limit is the limit of the
 derivatives wherever it exists).
 """
@@ -21,7 +22,8 @@ from .lattice_ideal import (ThermoPoint, _log1m_exp, build_lattice,
                             critical_density_finite, critical_density_limit)
 from .nonlinear_model import (pressure_sqrt_source, pressure_sqrt_source_limit,
                               zero_mode_pressure_series)
-from .source_model import pressure_source
+from .source_model import (condensate_density_source, pressure_source,
+                           zero_mode_depletion)
 
 __all__ = [
     "ConvergenceLadder",
@@ -233,16 +235,18 @@ class EquivalenceResult:
 
 def verify_equivalence(beta: float, mu: float, nu: float, d: int,
                        sides: Sequence[int], p_max: float = 10.0,
-                       rel_tol: float = 1e-10, fd_step: float = 1e-5,
-                       rate_threshold: float = 0.9,
+                       rel_tol: float = 1e-10, rate_threshold: float = 0.9,
                        condensate_tol: float = 1e-4) -> EquivalenceResult:
     """Pressure-gap ladder plus condensate comparison for both models.
 
     The ladder holds delta_pressure on each side; the fitted decay rate in
-    V must reach `rate_threshold` and the finite-difference condensate
-    densities of the two models at the largest side must agree within
-    `condensate_tol` for the result to pass.  For nu = 0 the gap vanishes
-    identically and the rate fit is skipped.
+    V must reach `rate_threshold` for the result to pass.  The condensate
+    densities rho - rho' at the largest side are analytic, as the p != 0
+    parts cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu) - 1)) for the linear
+    source, <n0>/V from the zero-mode series weights for the square-root
+    source.  Their difference plus the occupation bound over V must stay
+    within `condensate_tol`.  For nu = 0 the gap vanishes identically and
+    the rate fit is skipped.
 
     Raises NonConvergenceError if the gap ladder is not strictly
     decreasing in magnitude (nu > 0).
@@ -250,11 +254,9 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     require(len(sides) >= 1, "at least one side required")
     values = []
     identity_errors = []
-    lattices = {}
     for side in sides:
-        lat = build_lattice(d, float(side), p_max)
-        lattices[side] = lat
-        point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat)
+        point = ThermoPoint(beta=beta, mu=mu, nu=nu,
+                            lattice=build_lattice(d, float(side), p_max))
         dp = delta_pressure(point, rel_tol=rel_tol)
         closed = delta_pressure_closed_form(point, rel_tol=rel_tol)
         scale = max(abs(closed), 1e-300)
@@ -271,24 +273,17 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
             fit = fit_rate(ladder)
             ladder = replace(ladder, fitted_rate=fit.rate, fit_residual=fit.residual)
 
-    largest = lattices[sides[-1]]
-    point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=largest)
+    # `point` sits on the largest side.
+    volume = point.volume
+    rho_c = critical_density_finite(point)
+    rho0_lin = condensate_density_source(mu, nu) + zero_mode_depletion(beta, mu, volume)
+    series = zero_mode_pressure_series(point, rel_tol=rel_tol)
+    rho0_sqrt = series.mean_occupation / volume
+    dens_lin = DensityReport(rho_total=rho0_lin + rho_c, rho_c=rho_c, method="analytic")
+    dens_sqrt = DensityReport(rho_total=rho0_sqrt + rho_c, rho_c=rho_c, method="analytic")
 
-    def rho_c_fn(m):
-        return critical_density_finite(
-            ThermoPoint(beta=beta, mu=m, nu=nu, lattice=largest))
-
-    dens_lin = density_from_pressure(
-        lambda m: pressure_source(
-            ThermoPoint(beta=beta, mu=m, nu=nu, lattice=largest)).total,
-        point, h=fd_step, rho_c_of_mu=rho_c_fn)
-    dens_sqrt = density_from_pressure(
-        lambda m: pressure_sqrt_source(
-            ThermoPoint(beta=beta, mu=m, nu=nu, lattice=largest),
-            rel_tol=rel_tol).total,
-        point, h=fd_step, rho_c_of_mu=rho_c_fn)
-
-    condensates_agree = abs(dens_lin.rho_0 - dens_sqrt.rho_0) <= condensate_tol
+    condensates_agree = (abs(rho0_lin - rho0_sqrt) + series.occupation_bound / volume
+                         <= condensate_tol)
     if nu == 0.0:
         passed = all(v == 0.0 for v in values) and condensates_agree
     else:

@@ -53,9 +53,10 @@ __all__ = [
 ]
 
 # Peak bytes per term of the largest window: four float arrays in
-# `_window_exponents` (32 B) plus the previous, half as long window's terms
-# and running sums (6 B); tracemalloc measures 38.0 B when the window doubles.
-SERIES_BYTES_PER_TERM = 38
+# `_window_exponents`.  The previous window is released first, and the
+# terms, running sums and occupation offsets of the mean take 24 B;
+# tracemalloc measures 32.0 B, whether or not the window doubled.
+SERIES_BYTES_PER_TERM = 32
 DEFAULT_MAX_SERIES_TERMS = MAX_ALLOC_BYTES // SERIES_BYTES_PER_TERM
 
 
@@ -130,6 +131,8 @@ class LaplaceResult:
     gap = |numeric_log_sum - sup_value|; for the generic series path the
     signed difference lies in [0, log(terms_used)/(beta*V)] up to the
     reported tail bound, because every term is at most e^(beta*V*sup).
+    mean_occupation is <n0> under the series weights, the mu-derivative of
+    V*numeric_log_sum; occupation_bound bounds its absolute error.
     """
 
     maximizer: float
@@ -138,6 +141,8 @@ class LaplaceResult:
     gap: float
     terms_used: int
     tail_bound: float
+    mean_occupation: float
+    occupation_bound: float
 
     def __post_init__(self):
         require(self.maximizer >= 0.0, "maximizer must be >= 0")
@@ -163,29 +168,36 @@ def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
                                   + f.coefficient * f.nu * math.sqrt(f.volume) / root_sum)
 
 
-def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int) -> tuple:
+def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
+                 weighted: bool = False) -> tuple:
     """Bounds on the terms left and right of [max(0, n* - half), n* + half].
 
     Both are relative to e^(e(n*)).  Concavity makes the exponent step
     across an edge an upper bound on every later step, so a dropped side is
     at most first / (1 - e^step); the left side has only n* - half terms,
-    so it is also at most that many times its first term.
+    so it is also at most that many times its first term.  `weighted` adds
+    two bounds on the sums of |n - n*| times the terms: on the left n* times
+    the left bound, as |n - n*| <= n*; on the right the arithmetico-geometric
+    series first * ((half+1)/(1-r) + r/(1-r)^2), r = e^step.
     """
     def exponent(n):
         return float(_window_exponents(beta, f, n_star, n, n)[0])
 
     first = exponent(n_star + half + 1)
     step = first - exponent(n_star + half)
-    right = math.exp(first) / -math.expm1(step) if step < 0.0 else math.inf
-    count = n_star - half
-    if count <= 0:
-        return 0.0, right
-    first = exponent(count - 1)
-    step = first - exponent(count)
-    left = count * math.exp(first)
+    right = right_weighted = math.inf
     if step < 0.0:
-        left = min(left, math.exp(first) / -math.expm1(step))
-    return left, right
+        right = math.exp(first) / -math.expm1(step)
+        right_weighted = right * (half + 1 + math.exp(step) / -math.expm1(step))
+    count = n_star - half
+    left = 0.0
+    if count > 0:
+        first = exponent(count - 1)
+        step = first - exponent(count)
+        left = count * math.exp(first)
+        if step < 0.0:
+            left = min(left, math.exp(first) / -math.expm1(step))
+    return (left, right, n_star * left, right_weighted) if weighted else (left, right)
 
 
 def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
@@ -198,7 +210,9 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     Laplace peak whose two dropped sides are bounded by geometric series
     (see the module docstring); `tail_bound` maps their sum, plus the
     rounding of the window sum, to pressure units, and `terms_used` is the
-    window length.
+    window length.  `mean_occupation` <n0> comes from the same window
+    weights; its bound weights the two dropped sides by |n - n*|.  For
+    nu = 0 it is 1/(e^(-beta*mu) - 1), exactly.
 
     Raises NonConvergenceError if the window would exceed `max_terms`
     terms, or the peak lies beyond exactly representable occupations.
@@ -219,7 +233,9 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
             needed = Fraction(math.log(rel_tol) + log_norm) / Fraction(beta * mu)
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
                              gap=abs(value), terms_used=max(1, math.ceil(needed)),
-                             tail_bound=0.0)
+                             tail_bound=0.0,
+                             mean_occupation=1.0 / math.expm1(-beta * mu),
+                             occupation_bound=0.0)
 
     x_star = exponent_maximizer(f)
     peak = volume * x_star
@@ -245,6 +261,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         if half >= max_half:
             raise NonConvergenceError(
                 f"zero-mode series needs more than {max_terms} terms")
+        del terms, partial  # before the next, twice as long window is formed
         half = min(2 * half, max_half)
 
     # The smallest half-width that still meets the tolerance; the bound
@@ -258,8 +275,14 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         else:
             fails = w
     first, last = max(0, center - holds), center + holds
-    scaled = stable_sum(terms[first:last + 1])
-    tail = sum(_side_bounds(beta, f, n_star, holds))
+    window = terms[first:last + 1]
+    # sum (n - n*) t_n, for <n0>; formed before `stable_sum`, whose
+    # temporaries then reuse its pages instead of faulting in new ones.
+    moment = float(np.dot(np.arange(first - center, last - center + 1, dtype=float),
+                          window))
+    scaled = stable_sum(window)
+    left, right, left_w, right_w = _side_bounds(beta, f, n_star, holds, weighted=True)
+    tail = left + right
     linear = beta * (mu - f.lambda0) * n_star
     root = beta * coefficient * nu * math.sqrt(volume * (n_star + 1.0))
     log_sum = linear + root + math.log(scaled)
@@ -271,9 +294,21 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     rounding = _EPS * ((abs(linear) + root + abs(log_sum) + 4.0) / (beta * volume)
                        + abs(value))
     bound = math.log1p(tail / scaled) / (beta * volume) + rounding
+    # Dropping the sides moves <n0> by at most (weighted tails + |offset| *
+    # tail) / scaled.  Inside, |n - n*| <= holds: the dot product rounds by
+    # gamma_count, and each t_n by its exponent's error, a few ulps of
+    # beta*|n - n*|*slope, once through the moment and once through the sum.
+    count = last - first + 1
+    offset = moment / scaled
+    slope = abs(mu - f.lambda0) + coefficient * nu * math.sqrt(volume / (n_star + 1.0))
+    relative = (count * _EPS / (1.0 - count * _EPS)
+                + _EPS * (16.0 * beta * holds * slope + 8.0))
+    occupation_bound = ((left_w + right_w + abs(offset) * tail) / scaled
+                        + holds * relative + _EPS * (n_star + 2.0 * abs(offset)))
     return LaplaceResult(maximizer=x_star, sup_value=sup, numeric_log_sum=value,
-                         gap=abs(value - sup), terms_used=last - first + 1,
-                         tail_bound=bound)
+                         gap=abs(value - sup), terms_used=count,
+                         tail_bound=bound, mean_occupation=n_star + offset,
+                         occupation_bound=occupation_bound)
 
 
 def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,

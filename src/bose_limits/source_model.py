@@ -106,7 +106,8 @@ def zero_mode_depletion(beta: float, mu: float, volume: float) -> float:
     require(beta > 0.0, "beta must be positive")
     require(volume > 0.0, "volume must be positive")
     _require_stable(mu)
-    return 1.0 / (volume * math.expm1(-beta * mu))
+    # Occupation first, then per volume, as the nu = 0 series mean divides.
+    return 1.0 / math.expm1(-beta * mu) / volume
 
 
 def solve_mu_finite(beta: float, volume: float, rho0: float, nu: float) -> float:

@@ -207,6 +207,46 @@ class TestMainExitCodes:
         assert row["command"] == "pressure"
 
 
+class TestFlagErrors:
+    def test_key_table_is_run_config(self):
+        import dataclasses
+
+        from bose_limits import cli
+
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        assert set(cli._CONVERTERS) == fields
+        assert set(cli._FLAGS) == {"--config"} | {
+            "--" + name.replace("_", "-") for name in fields}
+
+    @pytest.mark.parametrize("args", [
+        ["--command", "bogus", "--mu=-0.5"],
+        ["--command", "pressure", "--mu=-0.5", "--format", "xml"],
+        ["--command", "pressure", "--mu=-0.5", "--dim", "x"],
+        ["--command", "pressure", "--mu=-0.5", "--bogus-flag", "1"],
+        ["--command", "equivalence", "--mu=-0.5", "--fd-step", "1e-4"],
+        ["--command", "pressure", "--mu"],
+    ])
+    def test_bad_flags_exit_2_with_one_json_record(self, args, capsys):
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DomainError"
+
+    def test_equivalence_near_zero_mu_has_no_step_error(self, capsys):
+        # The finite-difference step used to disagree by 0.36 here.
+        code = main(["--command", "equivalence", "--mu=-3e-5", "--nu", "1e-7",
+                     "--ladder", "8,16,32"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1)
+        assert err == ""
+        summary = dict(zip(out.splitlines()[0].split(","), out.splitlines()[-1].split(",")))
+        assert summary["row"] == "summary"
+        assert math.isfinite(float(summary["rho0_linear"]))
+        assert math.isfinite(float(summary["rho0_sqrt"]))
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ["--command", "equivalence", "--mu", "-0.5", "--nu", "0.1",

@@ -189,6 +189,64 @@ class TestVerifyEquivalence:
         assert diff <= bound
 
 
+class TestAnalyticCondensates:
+    @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (1.1, -0.55, 0.11),
+                                              (0.8, -0.3, 0.06)])
+    def test_match_finite_differences_on_largest_side(self, beta, mu, nu):
+        from bose_limits.nonlinear_model import pressure_sqrt_source
+
+        sides = (8, 16, 32, 64)
+        result = verify_equivalence(beta, mu, nu, 3, sides, p_max=10.0)
+        lat = build_lattice(3, float(sides[-1]), 10.0)
+
+        def at(m):
+            return ThermoPoint(beta=beta, mu=m, nu=nu, lattice=lat)
+
+        def rho_c(m):
+            return critical_density_finite(at(m))
+
+        fd_lin = density_from_pressure(lambda m: pressure_source(at(m)).total,
+                                       at(mu), h=1e-5, rho_c_of_mu=rho_c)
+        fd_sqrt = density_from_pressure(lambda m: pressure_sqrt_source(at(m)).total,
+                                        at(mu), h=1e-5, rho_c_of_mu=rho_c)
+        assert result.density_linear.method == "analytic"
+        assert result.density_sqrt.method == "analytic"
+        assert result.density_linear.rho_c == result.density_sqrt.rho_c == rho_c(mu)
+        assert result.density_linear.rho_0 == pytest.approx(fd_lin.rho_0, abs=1e-9)
+        assert result.density_sqrt.rho_0 == pytest.approx(fd_sqrt.rho_0, abs=1e-9)
+
+    def test_no_finite_difference_call(self, monkeypatch):
+        import bose_limits.equivalence as equivalence
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_from_pressure called")
+
+        monkeypatch.setattr(equivalence, "density_from_pressure", refuse)
+        result = equivalence.verify_equivalence(1.0, -0.5, 0.1, 3, (8, 16), p_max=8.0)
+        assert result.density_linear.method == "analytic"
+
+    def test_nu_zero_condensates_equal(self):
+        result = verify_equivalence(1.3, -0.6, 0.0, 3, (4, 8, 12), p_max=8.0)
+        assert result.density_linear.rho_0 == result.density_sqrt.rho_0
+        assert result.density_linear.rho_0 > 0.0
+        assert result.passed
+
+    def test_occupation_bound_gates_passed(self):
+        from bose_limits.nonlinear_model import zero_mode_log_partition
+
+        beta, mu, nu, sides = 1.0, -0.5, 0.1, (8, 16)
+        base = verify_equivalence(beta, mu, nu, 3, sides, p_max=8.0)
+        diff = abs(base.density_linear.rho_0 - base.density_sqrt.rho_0)
+        volume = 16.0 ** 3
+        slack = zero_mode_log_partition(beta, mu, nu, volume).occupation_bound / volume
+        assert slack > 0.0
+        for factor, expected in ((0.5, False), (2.0, True)):
+            tol = diff + factor * slack
+            result = verify_equivalence(beta, mu, nu, 3, sides, p_max=8.0,
+                                        condensate_tol=tol)
+            assert result.passed is expected
+
+
 class TestConvexityInvariant:
     @pytest.mark.parametrize("model", ["linear", "sqrt"])
     def test_pressure_convex_in_mu(self, model):

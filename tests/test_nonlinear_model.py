@@ -206,6 +206,99 @@ class TestZeroModeWindow:
         assert abs(doubled - res.numeric_log_sum) <= res.tail_bound
 
 
+def _brute_mean_occupation(beta, mu, nu, volume):
+    """Full-range weighted mean of n under the series terms, by fsum."""
+    n_max = int(math.ceil(volume * (4.0 * nu / mu) ** 2)) + 64
+    n = np.arange(n_max + 1, dtype=float)
+    exponents = beta * (mu * n + 2.0 * nu * np.sqrt(volume * (n + 1.0)))
+    terms = np.exp(exponents - exponents.max())
+    return math.fsum(n * terms) / math.fsum(terms)
+
+
+class TestMeanOccupation:
+    @pytest.mark.parametrize("volume", [8.0 ** 3, 16.0 ** 3, 32.0 ** 3, 64.0 ** 3,
+                                        1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (0.8, -0.3, 0.06),
+                                              (1.0, -50.0, 19.687)])
+    def test_matches_full_range_mean_within_bound(self, beta, mu, nu, volume):
+        res = zero_mode_log_partition(beta, mu, nu, volume)
+        brute = _brute_mean_occupation(beta, mu, nu, volume)
+        assert abs(res.mean_occupation - brute) <= res.occupation_bound
+        assert res.occupation_bound <= 1e-8 * res.mean_occupation
+
+    @pytest.mark.parametrize("volume", [32.0 ** 3, 64.0 ** 3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
+    def test_bound_covers_both_dropped_sides(self, volume, rel_tol):
+        # No cancellation between the two sides is assumed: the bound covers
+        # the |n - n*|-weighted mass of both, relative to the window sum.
+        # At rel_tol = 1e-6 the left side's mass exceeds the bound's slack.
+        beta, mu, nu = 1.0, -0.5, 0.1
+        res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        n_star = round(volume * res.maximizer)
+        half = _half_width(res, volume)
+        assert n_star - half > 0
+        n = np.arange(int(math.ceil(volume * (4.0 * nu / mu) ** 2)) + 64, dtype=float)
+        exponents = beta * (mu * n + 2.0 * nu * np.sqrt(volume * (n + 1.0)))
+        terms = np.exp(exponents - exponents.max())
+        inside = np.abs(n - n_star) <= half
+        weighted = math.fsum(np.abs(n - n_star)[~inside] * terms[~inside])
+        assert weighted / math.fsum(terms[inside]) <= res.occupation_bound
+
+    def test_is_the_mu_derivative_of_the_log_sum(self):
+        beta, mu, nu, vol, h = 1.0, -0.5, 0.1, 4096.0, 1e-5
+        res = zero_mode_log_partition(beta, mu, nu, vol, rel_tol=1e-14)
+        plus, minus = (zero_mode_log_partition(beta, m, nu, vol, rel_tol=1e-14)
+                       for m in (mu + h, mu - h))
+        derivative = vol * (plus.numeric_log_sum - minus.numeric_log_sum) / (2.0 * h)
+        assert derivative == pytest.approx(res.mean_occupation, rel=1e-7)
+
+    def test_nu_zero_closed_form(self):
+        beta, mu = 1.3, -0.6
+        res = zero_mode_log_partition(beta, mu, 0.0, 250.0)
+        assert res.mean_occupation == 1.0 / math.expm1(-beta * mu)
+        assert res.occupation_bound == 0.0
+
+    @pytest.mark.parametrize("half", [0, 1, 3, 10, 30, 60, 150])
+    def test_each_weighted_side_bounded(self, half):
+        # Each side's |n - n*|-weighted bound must cover its brute-force sum.
+        beta, mu, nu, vol = 1.0, -0.5, 0.1, 4096.0
+        f = ExponentFunction(mu=mu, nu=nu, volume=vol)
+        n_star = round(vol * exponent_maximizer(f))
+        n = np.arange(0, 4 * n_star, dtype=float)
+        terms = np.abs(n - n_star) * np.exp(
+            beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
+                    * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0))))
+        left, right = _side_bounds(beta, f, n_star, half, weighted=True)[2:]
+        assert terms[n < n_star - half].sum() <= left
+        assert terms[n > n_star + half].sum() <= right
+
+    def test_peak_bytes_per_term(self, monkeypatch):
+        # The doubling releases each window before it forms the next one.
+        import tracemalloc
+
+        from bose_limits import nonlinear_model
+
+        lengths = []
+        window_exponents = nonlinear_model._window_exponents
+
+        def recording(beta, f, n_star, lo, hi):
+            lengths.append(hi - lo + 1)
+            return window_exponents(beta, f, n_star, lo, hi)
+
+        monkeypatch.setattr(nonlinear_model, "_window_exponents", recording)
+        tracemalloc.start()
+        try:
+            zero_mode_log_partition(1.0, -0.5, 0.1, 1e9, rel_tol=1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        windows = [n for n in lengths if n > 1]  # not the one-term edge probes
+        assert len(windows) > 1 and max(windows) > 100_000  # the window doubled
+        # Four float arrays of the largest window, and the constant covers it.
+        assert peak <= 4 * 8 * max(windows) + 65536
+        assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * max(windows) + 65536
+
+
 class TestPressureSqrtSource:
     def test_nu_zero_equals_ideal_gas_with_zero_mode(self, lattice_d3_l16):
         beta, mu = 1.0, -0.5
