@@ -24,14 +24,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equivalence import delta_pressure_closed_form, verify_equivalence
+from .equivalence import pressure_pair, verify_equivalence
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
 from .lattice_ideal import ThermoPoint, _require_stable, build_lattice
 from .nonlinear_model import (ExponentFunction, exponent_eval, laplace_sup,
-                              pressure_sqrt_source, zero_mode_log_partition)
-from .source_model import pressure_source
+                              zero_mode_log_partition)
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
 
@@ -226,12 +225,9 @@ def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
     start = time.perf_counter()
     lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
     point = ThermoPoint(beta=beta, mu=mu, nu=nu, phi=cfg.phi, lattice=lattice)
-    p_lin = pressure_source(point)
-    p_sqrt = pressure_sqrt_source(point, rel_tol=cfg.rel_tol,
-                                  coefficient=cfg.coefficient)
-    delta = p_lin.total - p_sqrt.total
-    closed = delta_pressure_closed_form(point, rel_tol=cfg.rel_tol)
-    rel_err = abs(delta - closed) / max(abs(closed), 1e-300)
+    pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient)
+    p_lin, p_sqrt = pair.linear, pair.sqrt
+    rel_err = pair.identity_rel_err
     return {
         "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
         "phi": cfg.phi, "dim": cfg.dim, "side": cfg.side,
@@ -241,7 +237,7 @@ def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
         "p_linear_bound": p_lin.truncation_bound,
         "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
         "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
-        "delta_p": delta, "identity_rel_err": rel_err,
+        "delta_p": pair.delta, "identity_rel_err": rel_err,
         "passed": rel_err <= 1e-12, "duration_s": time.perf_counter() - start,
     }
 
@@ -283,7 +279,7 @@ def _run_equivalence(cfg: RunConfig) -> tuple:
             "delta_p": result.ladder.values[i],
             "identity_rel_err": result.identity_rel_errors[i],
             "passed": result.identity_rel_errors[i] <= 1e-12,
-            "duration_s": 0.0,
+            "duration_s": result.rung_durations[i],
         })
     rows.append({
         "command": cfg.command, "row": "summary", "beta": beta, "mu": mu,

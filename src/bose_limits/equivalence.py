@@ -12,16 +12,18 @@ derivatives wherever it exists).
 """
 
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonConvergenceError, StepSizeError, require
-from .lattice_ideal import (ThermoPoint, _log1m_exp, build_lattice,
-                            critical_density_finite, critical_density_limit)
-from .nonlinear_model import (pressure_sqrt_source, pressure_sqrt_source_limit,
-                              zero_mode_pressure_series)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
+                            build_lattice, critical_density_finite,
+                            critical_density_limit, pressure_ideal_primed)
+from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
+                              pressure_sqrt_source_limit, zero_mode_pressure_series)
 from .source_model import (condensate_density_source, pressure_source,
                            zero_mode_depletion)
 
@@ -30,6 +32,7 @@ __all__ = [
     "DensityReport",
     "RateFit",
     "EquivalenceResult",
+    "PressurePair",
     "delta_pressure",
     "delta_pressure_closed_form",
     "density_from_pressure",
@@ -37,6 +40,7 @@ __all__ = [
     "condensate_density_limit",
     "condensate_temperature_spread",
     "fit_rate",
+    "pressure_pair",
     "verify_equivalence",
 ]
 
@@ -94,25 +98,74 @@ class DensityReport:
         return self.rho_total - self.rho_c
 
 
+class PressurePair(NamedTuple):
+    """Both models' pressures at one point, sharing their p != 0 part.
+
+    `series` is the square-root model's zero-mode series, whose weights
+    also give its condensate density.  `closed_form` is the pressure gap
+    from `delta_pressure_closed_form`, assembled apart from the two
+    breakdowns, so `identity_rel_err` checks their totals.
+    """
+
+    linear: PressureBreakdown
+    sqrt: PressureBreakdown
+    series: LaplaceResult
+    closed_form: float
+
+    @property
+    def delta(self) -> float:
+        """Linear source minus square-root source, as the totals subtract."""
+        return self.linear.total - self.sqrt.total
+
+    @property
+    def identity_rel_err(self) -> float:
+        """|delta - closed_form| relative to the closed form."""
+        return abs(self.delta - self.closed_form) / max(abs(self.closed_form), 1e-300)
+
+
+def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
+                  coefficient: float = 2.0) -> PressurePair:
+    """Both pressures from one p != 0 mode sum and one zero-mode series.
+
+    The breakdowns are `pressure_source(point)` and
+    `pressure_sqrt_source(point, rel_tol, coefficient)`, each handed the
+    shared sums instead of forming its own.
+    """
+    primed = pressure_ideal_primed(point)
+    series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
+    return PressurePair(
+        linear=pressure_source(point, primed=primed),
+        sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
+                                  primed=primed, series=series),
+        series=series,
+        closed_form=delta_pressure_closed_form(point, rel_tol=rel_tol,
+                                               coefficient=coefficient, series=series))
+
+
 def delta_pressure(point: ThermoPoint, rel_tol: float = 1e-10) -> float:
     """Finite-volume pressure difference, linear source minus sqrt source.
 
-    The p != 0 contributions are computed once per model on the same
-    lattice, so they cancel in the subtraction up to rounding and the
-    result equals `delta_pressure_closed_form` to near machine precision.
-    Negative for nu > 0 at finite volume; tends to 0 as V grows.
+    Both models share one p != 0 sum on the point's lattice, so it cancels
+    in the subtraction up to rounding and the result equals
+    `delta_pressure_closed_form` to near machine precision.  Negative for
+    nu > 0 at finite volume; tends to 0 as V grows.
     """
-    p_lin = pressure_source(point)
-    p_sqrt = pressure_sqrt_source(point, rel_tol=rel_tol)
-    return p_lin.total - p_sqrt.total
+    return pressure_pair(point, rel_tol=rel_tol).delta
 
 
-def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10) -> float:
-    """The same difference assembled from zero-mode and constant terms only."""
+def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
+                               coefficient: float = 2.0,
+                               series: LaplaceResult = None) -> float:
+    """The same difference assembled from zero-mode and constant terms only.
+
+    `series`, when given, is the point's zero-mode series at `rel_tol`
+    and `coefficient`, and is used instead of a new one.
+    """
     beta, mu, nu = point.beta, point.mu, point.nu
     v = point.volume
     zero_lin = -_log1m_exp(beta * mu) / (beta * v)
-    series = zero_mode_pressure_series(point, rel_tol=rel_tol)
+    if series is None:
+        series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
     return (zero_lin - nu * nu / mu) - series.numeric_log_sum
 
 
@@ -224,13 +277,18 @@ def fit_rate(ladder: ConvergenceLadder) -> RateFit:
 
 @dataclass(frozen=True)
 class EquivalenceResult:
-    """Outcome of the pressure-equivalence and condensate-equality checks."""
+    """Outcome of the pressure-equivalence and condensate-equality checks.
+
+    `rung_durations` holds the wall time of each ladder rung in seconds; it
+    is left out of `repr` and equality, so results compare by value.
+    """
 
     ladder: ConvergenceLadder
     density_linear: DensityReport
     density_sqrt: DensityReport
     identity_rel_errors: tuple
     passed: bool
+    rung_durations: tuple = field(default=(), repr=False, compare=False)
 
 
 def verify_equivalence(beta: float, mu: float, nu: float, d: int,
@@ -239,12 +297,13 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
                        condensate_tol: float = 1e-4) -> EquivalenceResult:
     """Pressure-gap ladder plus condensate comparison for both models.
 
-    The ladder holds delta_pressure on each side; the fitted decay rate in
+    The ladder holds delta_pressure on each side, from one `pressure_pair`
+    per side; the fitted decay rate in
     V must reach `rate_threshold` for the result to pass.  The condensate
     densities rho - rho' at the largest side are analytic, as the p != 0
     parts cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu) - 1)) for the linear
-    source, <n0>/V from the zero-mode series weights for the square-root
-    source.  Their difference plus the occupation bound over V must stay
+    source, <n0>/V from the last rung's zero-mode series weights for the
+    square-root source.  Their difference plus the occupation bound over V must stay
     within `condensate_tol`.  For nu = 0 the gap vanishes identically and
     the rate fit is skipped.
 
@@ -254,14 +313,15 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     require(len(sides) >= 1, "at least one side required")
     values = []
     identity_errors = []
+    durations = []
     for side in sides:
+        start = time.perf_counter()
         point = ThermoPoint(beta=beta, mu=mu, nu=nu,
                             lattice=build_lattice(d, float(side), p_max))
-        dp = delta_pressure(point, rel_tol=rel_tol)
-        closed = delta_pressure_closed_form(point, rel_tol=rel_tol)
-        scale = max(abs(closed), 1e-300)
-        identity_errors.append(abs(dp - closed) / scale)
-        values.append(dp)
+        pair = pressure_pair(point, rel_tol=rel_tol)
+        identity_errors.append(pair.identity_rel_err)
+        values.append(pair.delta)
+        durations.append(time.perf_counter() - start)
 
     ladder = ConvergenceLadder(d=d, sides=tuple(sides), values=tuple(values),
                                limit_ref=0.0)
@@ -273,11 +333,11 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
             fit = fit_rate(ladder)
             ladder = replace(ladder, fitted_rate=fit.rate, fit_residual=fit.residual)
 
-    # `point` sits on the largest side.
+    # `point` and `pair` sit on the largest side.
     volume = point.volume
     rho_c = critical_density_finite(point)
     rho0_lin = condensate_density_source(mu, nu) + zero_mode_depletion(beta, mu, volume)
-    series = zero_mode_pressure_series(point, rel_tol=rel_tol)
+    series = pair.series
     rho0_sqrt = series.mean_occupation / volume
     dens_lin = DensityReport(rho_total=rho0_lin + rho_c, rho_c=rho_c, method="analytic")
     dens_sqrt = DensityReport(rho_total=rho0_sqrt + rho_c, rho_c=rho_c, method="analytic")
@@ -292,4 +352,4 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     return EquivalenceResult(ladder=ladder, density_linear=dens_lin,
                              density_sqrt=dens_sqrt,
                              identity_rel_errors=tuple(identity_errors),
-                             passed=passed)
+                             passed=passed, rung_durations=tuple(durations))

@@ -156,16 +156,22 @@ def _series_exponents(beta: float, f: ExponentFunction, n_max: int) -> np.ndarra
                    + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
 
 
-def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
-                      lo: int, hi: int) -> np.ndarray:
-    """e(n) - e(n*) for n = lo..hi, without cancellation.
+def _exponent_offset(beta: float, f: ExponentFunction, n_star: int, n, sqrt):
+    """e(n) - e(n*) without cancellation, for a float n or a float array n.
 
-    sqrt(n+1) - sqrt(n*+1) = (n - n*) / (sqrt(n+1) + sqrt(n*+1)).
+    sqrt(n+1) - sqrt(n*+1) = (n - n*) / (sqrt(n+1) + sqrt(n*+1)).  Both
+    `math.sqrt` and `np.sqrt` round correctly, so a scalar n gives the
+    same double as the array element.
     """
-    n = np.arange(lo, hi + 1, dtype=float)
-    root_sum = np.sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
+    root_sum = sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
     return beta * (n - n_star) * ((f.mu - f.lambda0)
                                   + f.coefficient * f.nu * math.sqrt(f.volume) / root_sum)
+
+
+def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
+                      lo: int, hi: int) -> np.ndarray:
+    """e(n) - e(n*) for n = lo..hi."""
+    return _exponent_offset(beta, f, n_star, np.arange(lo, hi + 1, dtype=float), np.sqrt)
 
 
 def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
@@ -174,30 +180,37 @@ def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
 
     Both are relative to e^(e(n*)).  Concavity makes the exponent step
     across an edge an upper bound on every later step, so a dropped side is
-    at most first / (1 - e^step); the left side has only n* - half terms,
-    so it is also at most that many times its first term.  `weighted` adds
-    two bounds on the sums of |n - n*| times the terms: on the left n* times
-    the left bound, as |n - n*| <= n*; on the right the arithmetico-geometric
-    series first * ((half+1)/(1-r) + r/(1-r)^2), r = e^step.
+    at most first / (1 - r), r = e^step; the left side has only n* - half
+    terms, so it is also at most that many times its first term.  `weighted`
+    adds two bounds on the sums of |n - n*| times the terms.  On either
+    side |n - n*| runs half+1, half+2, ..., so the arithmetico-geometric
+    series first * ((half+1)/(1-r) + r/(1-r)^2) bounds it; on the left,
+    n* times the left bound does too, as |n - n*| <= n*.
     """
     def exponent(n):
-        return float(_window_exponents(beta, f, n_star, n, n)[0])
+        return _exponent_offset(beta, f, n_star, float(n), math.sqrt)
+
+    def geometric(first, step):
+        # The plain and the |n - n*|-weighted series from the first term on.
+        plain = math.exp(first) / -math.expm1(step)
+        return plain, plain * (half + 1 + math.exp(step) / -math.expm1(step))
 
     first = exponent(n_star + half + 1)
     step = first - exponent(n_star + half)
     right = right_weighted = math.inf
     if step < 0.0:
-        right = math.exp(first) / -math.expm1(step)
-        right_weighted = right * (half + 1 + math.exp(step) / -math.expm1(step))
+        right, right_weighted = geometric(first, step)
     count = n_star - half
-    left = 0.0
+    left = left_weighted = 0.0
     if count > 0:
         first = exponent(count - 1)
         step = first - exponent(count)
-        left = count * math.exp(first)
+        left, left_weighted = count * math.exp(first), math.inf
         if step < 0.0:
-            left = min(left, math.exp(first) / -math.expm1(step))
-    return (left, right, n_star * left, right_weighted) if weighted else (left, right)
+            plain, left_weighted = geometric(first, step)
+            left = min(left, plain)
+        left_weighted = min(left_weighted, n_star * left)
+    return (left, right, left_weighted, right_weighted) if weighted else (left, right)
 
 
 def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
@@ -335,15 +348,21 @@ def zero_mode_pressure_series(point: ThermoPoint, rel_tol: float = 1e-10,
 
 
 def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
-                         coefficient: float = 2.0) -> PressureBreakdown:
+                         coefficient: float = 2.0, primed: PressureBreakdown = None,
+                         series: LaplaceResult = None) -> PressureBreakdown:
     """Finite-volume pressure of the square-root-source model.
 
     zero_mode comes from the series, primed from the ideal-gas modes on
     the point's lattice; there is no constant part.  The model has no
     phase parameter, so the result depends on nu only through nu itself.
+    A caller that already holds `pressure_ideal_primed(point)` or
+    `zero_mode_pressure_series(point, rel_tol, coefficient)` passes it as
+    `primed` or `series`, so that sum is not formed again.
     """
-    series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
-    primed = pressure_ideal_primed(point)
+    if series is None:
+        series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
+    if primed is None:
+        primed = pressure_ideal_primed(point)
     return PressureBreakdown(zero_mode=series.numeric_log_sum, primed=primed.primed,
                              constant=0.0,
                              truncation_bound=primed.truncation_bound + series.tail_bound)

@@ -66,16 +66,20 @@ def shift_parameters(mu: float, nu: float, phi: float, volume: float) -> ShiftPa
     return ShiftParameters(displacement=disp, energy_offset=nu * nu * volume / mu)
 
 
-def pressure_source(point: ThermoPoint, rel_tol: float = None) -> PressureBreakdown:
+def pressure_source(point: ThermoPoint, rel_tol: float = None,
+                    primed: PressureBreakdown = None) -> PressureBreakdown:
     """Exact finite-volume pressure of the linear-source model.
 
     zero_mode = -(1/(beta*V))*log(1 - e^{beta*mu}), constant = -nu^2/mu,
     primed = ideal-gas pressure of the p != 0 modes on the point's lattice.
-    Both non-primed parts are nonnegative for mu < 0, nu >= 0.
+    Both non-primed parts are nonnegative for mu < 0, nu >= 0.  A caller
+    that already holds `pressure_ideal_primed(point)` passes it as `primed`
+    (`rel_tol` is then unused), so the sum is not formed again.
     """
     beta, mu, nu = point.beta, point.mu, point.nu
     _require_stable(mu)
-    primed = pressure_ideal_primed(point, rel_tol=rel_tol)
+    if primed is None:
+        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     v = point.volume
     zero_mode = -_log1m_exp(beta * mu) / (beta * v)
     constant = -nu * nu / mu

@@ -1,10 +1,9 @@
 """Deterministic reductions for mode sums and partition sums.
 
-Every reported total in this package goes through `stable_sum`, which
-canonicalizes the summation order (descending magnitude) and then uses
-`math.fsum`, whose result is the exactly rounded sum of its inputs.  Totals
-are therefore bit-identical across runs and platforms and independent of
-how the terms were produced.
+Every reported total in this package goes through `stable_sum`, which is
+`math.fsum`: its result is the exactly rounded sum of its inputs, whatever
+their order.  Totals are therefore bit-identical across runs and platforms
+and independent of how the terms were produced.
 
 `weighted_sum` adds terms that occur with integer multiplicities, as the
 mode sums do once modes are grouped by |n|^2 shell.  It splits each term
@@ -28,12 +27,13 @@ _VELTKAMP = float(2 ** 27 + 1)
 
 
 def stable_sum(terms) -> float:
-    """Exactly rounded sum of `terms`, evaluated in descending |term| order."""
-    arr = np.asarray(terms, dtype=float).ravel()
-    if arr.size == 0:
-        return 0.0
-    order = np.argsort(np.abs(arr), kind="stable")[::-1]
-    return math.fsum(arr[order])
+    """Exactly rounded sum of `terms`, in any order of the terms.
+
+    For finite terms the result is the correctly rounded sum, unless a
+    running partial sum overflows (`math.fsum` then raises OverflowError).
+    The memoryview feeds `math.fsum` one double at a time, without a copy.
+    """
+    return math.fsum(memoryview(np.ascontiguousarray(terms, dtype=float).ravel()))
 
 
 def weighted_sum(terms, weights) -> float:

@@ -101,6 +101,35 @@ class TestRun:
         assert row["identity_rel_err"] < 1e-12
         assert row["p_linear_constant"] == pytest.approx(0.02, rel=1e-14)
 
+    def test_pressure_custom_coefficient(self, capsys):
+        # The closed form shares the square-root model's coefficient.
+        from bose_limits.nonlinear_model import zero_mode_log_partition
+
+        code = main(["--command", "pressure", "--mu=-0.5", "--nu", "0.1",
+                     "--side", "8", "--coefficient", "3"])
+        header, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert code == 0
+        assert float(row["identity_rel_err"]) <= 1e-12
+        series = zero_mode_log_partition(1.0, -0.5, 0.1, 512.0, coefficient=3.0)
+        assert float(row["p_sqrt_zero_mode"]) == series.numeric_log_sum
+
+    def test_sweep_custom_coefficient(self):
+        code, rows = run(parse_config(["--command", "sweep", "--mu=-1.0,-0.5",
+                                       "--nu", "0.1,0.3", "--side", "6", "--pmax", "6",
+                                       "--coefficient", "3"]))
+        assert code == 0
+        assert all(r["identity_rel_err"] <= 1e-12 for r in rows)
+
+    def test_equivalence_ladder_rows_timed(self):
+        code, rows = run(parse_config(["--command", "equivalence", "--mu=-0.5",
+                                       "--nu", "0.1", "--ladder", "4,6,8", "--pmax", "8"]))
+        ladder = [r for r in rows if r["row"] == "ladder"]
+        (summary,) = [r for r in rows if r["row"] == "summary"]
+        assert len(ladder) == 3
+        assert all(r["duration_s"] > 0.0 for r in ladder)
+        assert sum(r["duration_s"] for r in ladder) <= summary["duration_s"]
+
     def test_laplace_rows(self):
         cfg = parse_config(["--command", "laplace", "--mu", "-0.5", "--nu", "0.1",
                             "--dim", "1", "--ladder", "100,1000"])

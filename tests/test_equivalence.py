@@ -8,7 +8,8 @@ from bose_limits.errors import NonConvergenceError, StepSizeError
 from bose_limits.equivalence import (ConvergenceLadder, condensate_density_limit,
                                      condensate_temperature_spread, delta_pressure,
                                      delta_pressure_closed_form, density_from_pressure,
-                                     density_limit, fit_rate, verify_equivalence)
+                                     density_limit, fit_rate, pressure_pair,
+                                     verify_equivalence)
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
                                        critical_density_limit, pressure_ideal_limit)
@@ -54,6 +55,90 @@ class TestDeltaPressure:
             vals.append(abs(delta_pressure(
                 ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat))))
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestPressurePair:
+    @pytest.mark.parametrize("coefficient", [2.0, 3.0])
+    def test_equals_the_model_pressures_bit_for_bit(self, lattice_d3_l16, coefficient):
+        from bose_limits.nonlinear_model import pressure_sqrt_source
+
+        point = ThermoPoint(beta=1.1, mu=-0.45, nu=0.09, lattice=lattice_d3_l16)
+        pair = pressure_pair(point, coefficient=coefficient)
+        assert pair.linear == pressure_source(point)
+        assert pair.sqrt == pressure_sqrt_source(point, coefficient=coefficient)
+        assert pair.delta == pair.linear.total - pair.sqrt.total
+        assert pair.identity_rel_err <= 1e-12
+
+    def test_closed_form_and_delta_match_the_public_functions(self, lattice_d3_l16):
+        point = ThermoPoint(beta=0.8, mu=-0.7, nu=0.2, lattice=lattice_d3_l16)
+        pair = pressure_pair(point)
+        assert pair.closed_form == delta_pressure_closed_form(point)
+        assert pair.delta == delta_pressure(point)
+        pair3 = pressure_pair(point, coefficient=3.0)
+        assert pair3.closed_form == delta_pressure_closed_form(point, coefficient=3.0)
+
+    def test_identity_fails_on_a_wrong_breakdown(self, lattice_d3_l16, monkeypatch):
+        # The closed form is assembled apart from the breakdowns, so an
+        # error in one of them shows in identity_rel_err.
+        import dataclasses
+
+        import bose_limits.equivalence as eq
+
+        original = eq.pressure_source
+
+        def off_by_a_bit(point, **kwargs):
+            res = original(point, **kwargs)
+            return dataclasses.replace(res, constant=res.constant * (1 + 1e-9))
+
+        monkeypatch.setattr(eq, "pressure_source", off_by_a_bit)
+        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=lattice_d3_l16)
+        assert pressure_pair(point).identity_rel_err > 1e-9
+
+
+class TestOneSumPerPoint:
+    """The p != 0 sum and the zero-mode series run once per point."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        # Replace the function in every bose_limits namespace that holds it.
+        import sys
+
+        original = getattr(sys.modules[module], name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bose_limits"):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counting)
+        return calls
+
+    def counters(self, monkeypatch):
+        return (self.count_calls(monkeypatch, "bose_limits.lattice_ideal",
+                                 "pressure_ideal_primed"),
+                self.count_calls(monkeypatch, "bose_limits.nonlinear_model",
+                                 "zero_mode_log_partition"))
+
+    def test_once_per_ladder_rung(self, monkeypatch):
+        primed, series = self.counters(monkeypatch)
+        sides = (4, 8, 12)
+        result = verify_equivalence(1.0, -0.5, 0.1, 3, sides, p_max=8.0)
+        assert len(primed) == len(series) == len(sides)
+        assert len(result.rung_durations) == len(sides)
+
+    def test_once_per_pressure_row(self, monkeypatch):
+        from bose_limits.cli import _pressure_row, parse_config
+
+        cfg = parse_config(["--command", "pressure", "--mu=-0.5", "--nu", "0.1",
+                            "--side", "6", "--pmax", "6", "--coefficient", "3"])
+        primed, series = self.counters(monkeypatch)
+        row = _pressure_row(1.0, -0.5, 0.1, cfg)
+        assert len(primed) == len(series) == 1
+        assert row["passed"] is True
 
 
 class TestDensityFromPressure:
@@ -169,6 +254,14 @@ class TestVerifyEquivalence:
         # the gap carries a log(V)/V component, so the window rate sits
         # below the 0.9 pass threshold on these sides
         assert result.passed == (oracle_rate >= 0.9)
+
+    def test_rung_durations_stay_out_of_repr_and_equality(self):
+        a = verify_equivalence(1.0, -0.5, 0.1, 3, (4, 8), p_max=8.0)
+        b = verify_equivalence(1.0, -0.5, 0.1, 3, (4, 8), p_max=8.0)
+        assert len(a.rung_durations) == 2
+        assert all(t > 0.0 for t in a.rung_durations)
+        assert "rung_durations" not in repr(a)
+        assert a == b and repr(a) == repr(b)
 
     def test_identity_errors_small(self):
         result = verify_equivalence(1.0, -0.5, 0.1, 3, (8, 16), p_max=8.0)

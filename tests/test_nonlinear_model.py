@@ -272,6 +272,23 @@ class TestMeanOccupation:
         assert terms[n < n_star - half].sum() <= left
         assert terms[n > n_star + half].sum() <= right
 
+    def test_left_weighted_bound_nearly_tight(self):
+        # At the window the series keeps, the left |n - n*|-weighted bound
+        # covers its brute-force sum and exceeds it by a few percent only.
+        beta, mu, nu, vol = 1.0, -0.5, 0.1, 1e6
+        res = zero_mode_log_partition(beta, mu, nu, vol, rel_tol=1e-10)
+        f = ExponentFunction(mu=mu, nu=nu, volume=vol)
+        n_star = round(vol * exponent_maximizer(f))
+        holds = (res.terms_used - 1) // 2
+        assert n_star > holds  # the window is not clipped at n = 0
+        n = np.arange(0, n_star - holds, dtype=float)
+        brute = np.sum((n_star - n) * np.exp(
+            beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
+                    * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0)))))
+        left, _, left_weighted, _ = _side_bounds(beta, f, n_star, holds, weighted=True)
+        assert brute <= left_weighted <= 1.1 * brute
+        assert left_weighted < 0.1 * n_star * left
+
     def test_peak_bytes_per_term(self, monkeypatch):
         # The doubling releases each window before it forms the next one.
         import tracemalloc

@@ -1,0 +1,137 @@
+"""Parent-versus-change snapshot of the benchmark, written as BENCH_<n>.json.
+
+    python3 tools/bench_snapshot.py --parent ../parent --change . \\
+        --seeds 21-30 --out BENCH_10.json
+
+For each seed it runs
+
+    python3 perfbench/run.py --workload all --seed S --seconds 20 --trace 0
+
+once in each checkout, one pair per seed, alternating which side runs
+first.  Both checkouts must hold committed trees: the file records each
+side's commit and the hash of its `src` tree.  The output holds every
+pair's end-to-end metrics and, per workload and metric, each side's median
+and quartiles, the number of pairs the change won (ties count for
+neither) and whether the gain rule holds: at least nine wins in ten and a
+median difference larger than the parent's interquartile range.  Metric
+names, units and directions come from the change's BENCHMARK.json.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+SECONDS = 20
+SIDES = ("parent", "change")
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-C", root, *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _checkout(root):
+    return {"commit": _git(root, "rev-parse", "HEAD"),
+            "src_tree": _git(root, "rev-parse", "HEAD:src"),
+            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no"))}
+
+
+def run_benchmark(root, seed):
+    """(environment, metrics {"<workload>.<metric>": value}) of one run in `root`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    env = next(json.loads(line.split(":", 1)[1]) for line in lines
+               if line.startswith("# environment:"))
+    final = json.loads(lines[-1])
+    if not final["correct"]:
+        raise RuntimeError(f"benchmark in {root} reports failures at seed {seed}")
+    return env, {name: m["value"] for name, m in final["metrics"].items()}
+
+
+def _steady(env):
+    # The load average moves between runs; the rest describes the machine.
+    return {key: value for key, value in env.items() if not key.startswith("loadavg")}
+
+
+def _spread(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, metrics):
+    """Per-metric medians, quartiles, wins and the gain rule over `pairs`."""
+    better = {m["name"]: m["better"] for m in metrics}
+    out = {}
+    for name in pairs[0]["parent"]:
+        direction = better[name.split(".", 1)[1]]
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (a - b) > 0.0 for a, b in zip(parent, change))
+        p, c = _spread(parent), _spread(change)
+        out[name] = {
+            "better": direction, "parent": p, "change": c,
+            "ratio_of_medians": c["median"] / p["median"] if p["median"] else None,
+            "change_wins": wins, "pairs": len(pairs),
+            "gain_rule_met": (10 * wins >= 9 * len(pairs)
+                              and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
+        }
+    return out
+
+
+def snapshot(parent_root, change_root, seeds):
+    """Run one alternating pair per seed and return the BENCH_<n> object."""
+    with open(f"{change_root}/BENCHMARK.json", encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    roots = {"parent": parent_root, "change": change_root}
+    pairs, environments = [], []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            env, pair[side] = run_benchmark(roots[side], seed)
+            environments.append(env)
+        pairs.append(pair)
+    return {
+        "command": (f"python3 perfbench/run.py --workload all --seed S "
+                    f"--seconds {SECONDS} --trace 0"),
+        "seeds": list(seeds),
+        "environment": environments[0],
+        "environment_varied": len({json.dumps(_steady(env), sort_keys=True)
+                                   for env in environments}) > 1,
+        "parent": _checkout(parent_root),
+        "change": _checkout(change_root),
+        "summary": summarize(pairs, metrics),
+        "pairs": pairs,
+    }
+
+
+def _seeds(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--seeds", type=_seeds, required=True, help="e.g. 21-30")
+    parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_10.json")
+    args = parser.parse_args(argv)
+    result = snapshot(args.parent, args.change, args.seeds)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, s in result["summary"].items():
+        print(f"{name:28s} parent {s['parent']['median']:.6g}  change "
+              f"{s['change']['median']:.6g}  wins {s['change_wins']}/{s['pairs']}"
+              f"{'  gain' if s['gain_rule_met'] else ''}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
