@@ -125,17 +125,24 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _list_of(convert):
     return lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip())
 
 
 # Converter of each configuration key, applied to the string a flag or a
-# config-file line gives; the keys are RunConfig's fields.
+# config-file line gives; the keys are RunConfig's fields.  Floats are finite.
 _CONVERTERS = {
-    "command": str, "beta": _list_of(float), "mu": _list_of(float),
-    "nu": _list_of(float), "phi": float, "dim": int, "side": float,
-    "ladder": _list_of(int), "pmax": float, "fock_cutoff": _list_of(int),
-    "coefficient": float, "mf_a": float, "rel_tol": float, "workers": int,
+    "command": str, "beta": _list_of(_finite), "mu": _list_of(_finite),
+    "nu": _list_of(_finite), "phi": _finite, "dim": int, "side": _finite,
+    "ladder": _list_of(int), "pmax": _finite, "fock_cutoff": _list_of(int),
+    "coefficient": _finite, "mf_a": _finite, "rel_tol": _finite, "workers": int,
     "out": str, "format": str,
 }
 _FLAGS = ("--config",) + tuple("--" + key.replace("_", "-") for key in _CONVERTERS)

@@ -171,7 +171,7 @@ class PressureBreakdown:
 
 
 def _require_stable(mu: float) -> None:
-    if mu >= 0.0:
+    if not mu < 0.0:
         raise DomainError("outside stability domain (mu must be < 0)")
 
 
@@ -267,11 +267,12 @@ def build_lattice(d: int, l: float, p_max: float,
     d = int(d)
 
     radius = p_max * l / (2.0 * math.pi)
-    # Ball-volume estimate of the mode count, checked before counting.
-    est = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * (radius + 1.0) ** d
-    if est > 4.0 * max_modes:
-        raise ResourceGuardError(
-            f"estimated mode count {est:.3g} exceeds the limit {max_modes}")
+    # Ball-volume estimate of the mode count, in logs: no side or d overflows it.
+    log_est = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+               + d * math.log1p(radius))
+    if log_est > math.log(4.0 * max_modes):
+        raise ResourceGuardError(f"estimated mode count 10^{log_est / math.log(10):.3g} "
+                                 f"exceeds the limit {max_modes}")
 
     shells, mult = _shell_counts(d, math.floor(radius * radius * (1.0 + 1e-14)))
     n_modes = int(mult.sum())
@@ -348,12 +349,16 @@ def _mode_tail_bound(beta: float, mu: float, d: int, l: float, p_max: float) -> 
     """Bound on (1/V) * sum over |p| > p_max of exp(beta*(mu - |p|^2/2))."""
     h = math.pi * math.sqrt(d) / l
     a = max(0.0, p_max - h)
-    plateau = (max(h, a) ** d - a ** d) / d
     u0 = max(0.0, a - h)
-    decaying = sum(math.comb(d - 1, k) * h ** (d - 1 - k)
-                   * _gaussian_moment_tail(beta, k, u0)
-                   for k in range(d))
-    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    try:
+        plateau = (max(h, a) ** d - a ** d) / d
+        decaying = sum(math.comb(d - 1, k) * h ** (d - 1 - k)
+                       * _gaussian_moment_tail(beta, k, u0)
+                       for k in range(d))
+        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:
+        raise NonConvergenceError(
+            f"cutoff tail bound overflows at side {l:.3g} in d = {d}") from None
     return ((2.0 * math.pi) ** (-d) * math.exp(beta * mu) * surface
             * (plateau + decaying))
 

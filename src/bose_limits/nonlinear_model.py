@@ -5,7 +5,7 @@ The zero mode carries the diagonal source -c*nu*sqrt(V)*sqrt(n0 + 1)
 log of a scalar series,
 
     (1/(beta*V)) * log sum_n exp(beta*V * g(n/V)),
-    g(x) = (mu - lambda0)*x + c*nu*sqrt(x + 1/V),
+    g(x) = mu*x + c*nu*sqrt(x + 1/V),
 
 a Darboux sum whose infinite-volume value is sup g by the Laplace
 principle.  This module evaluates the exponent family, its maximizer and
@@ -17,13 +17,13 @@ almost all of the mass lies within O(sqrt(V)) occupations of n*.  The
 series is summed over [max(0, n* - W), n* + W] only.  By concavity, each
 dropped side is bounded by a geometric series whose first term is the
 first dropped term and whose ratio is e^Delta, Delta the exponent step
-across that window edge.  W starts at 8*sigma and doubles until those two
-bounds are below rel_tol times the window sum; the reported window is then
-the smallest half-width within the last doubling that still meets that
-(with half the tolerance, so a running sum may decide it).  Exponents are
-formed relative to e(n*) without cancellation, and the sum is accumulated
-relative to its peak term; beta*V*g exceeds the floating-point exponent
-range long before the physics gets large.
+across that window edge.  W is chosen from scalar probes before any term
+is formed (grow from 8*sigma, then bisect): both bounds must be below
+rel_tol/2 times the geometric series under the chord of the exponent from
+n* to n* + W, a floor on the window sum.  Exponents are formed relative to
+e(n*) without cancellation, and the sum is accumulated relative to its peak
+term; beta*V*g exceeds the floating-point exponent range long before the
+physics gets large.
 """
 
 import math
@@ -52,27 +52,23 @@ __all__ = [
     "pressure_sqrt_source_limit",
 ]
 
-# Peak bytes per term of the largest window: four float arrays in
-# `_window_exponents`.  The previous window is released first, and the
-# terms, running sums and occupation offsets of the mean take 24 B;
-# tracemalloc measures 32.0 B, whether or not the window doubled.
+# Peak bytes per term of the window: four float arrays in
+# `_window_exponents`.  The window length is known before it is allocated,
+# so its term count is checked against this fixed ceiling first.
 SERIES_BYTES_PER_TERM = 32
 DEFAULT_MAX_SERIES_TERMS = MAX_ALLOC_BYTES // SERIES_BYTES_PER_TERM
 
 
 @dataclass(frozen=True)
 class ExponentFunction:
-    """The concave exponent g(x) = (mu - lambda0)*x + coefficient*nu*sqrt(x + 1/V).
+    """The concave exponent g(x) = mu*x + coefficient*nu*sqrt(x + 1/V).
 
-    Defined on [0, inf); strictly concave wherever nu > 0.  lambda0 is the
-    zero-mode energy and is 0 for the models treated here; it is kept as a
-    field so the concavity analysis stays reusable.
+    Defined on [0, inf); strictly concave wherever nu > 0.
     """
 
     mu: float
     nu: float
     volume: float
-    lambda0: float = 0.0
     coefficient: float = 2.0
 
     def __post_init__(self):
@@ -84,7 +80,7 @@ class ExponentFunction:
 def exponent_eval(f: ExponentFunction, x: float) -> float:
     if x < 0.0:
         raise DomainError("exponent domain is [0, inf)")
-    return (f.mu - f.lambda0) * x + f.coefficient * f.nu * math.sqrt(x + 1.0 / f.volume)
+    return f.mu * x + f.coefficient * f.nu * math.sqrt(x + 1.0 / f.volume)
 
 
 def exponent_second_derivative(f: ExponentFunction, x: float) -> float:
@@ -97,13 +93,13 @@ def exponent_second_derivative(f: ExponentFunction, x: float) -> float:
 def exponent_maximizer(f: ExponentFunction) -> float:
     """Global maximizer of g on [0, inf), clamped to the boundary at 0.
 
-    The interior stationary point is (c*nu / (2*(lambda0 - mu)))^2 - 1/V;
-    for volumes too small to make it nonnegative the maximum sits at 0.
+    The interior stationary point is (c*nu / (-2*mu))^2 - 1/V; for volumes
+    too small to make it nonnegative the maximum sits at 0.
     """
-    if f.mu >= f.lambda0:
-        raise DomainError("maximizer requires mu < lambda0")
+    if f.mu >= 0.0:
+        raise DomainError("maximizer requires mu < 0")
     # r * r, not r ** 2: it overflows to inf rather than raising.
-    r = f.coefficient * f.nu / (2.0 * (f.lambda0 - f.mu))
+    r = f.coefficient * f.nu / (-2.0 * f.mu)
     return max(0.0, r * r - 1.0 / f.volume)
 
 
@@ -111,17 +107,15 @@ def laplace_sup(f: ExponentFunction) -> float:
     """sup of g over [0, inf), evaluated at the (clamped) maximizer.
 
     Needs the decay hypothesis g(x) < -alpha*x for large x, which holds
-    exactly when mu < lambda0.  For the interior case the value is
-    c^2*nu^2/(4*(lambda0-mu)) + (lambda0-mu)/V, with infinite-volume limit
-    -c^2*nu^2/(4*mu) at lambda0 = 0.
+    exactly when mu < 0.  For the interior case the value is
+    c^2*nu^2/(-4*mu) - mu/V, with infinite-volume limit -c^2*nu^2/(4*mu).
     """
-    if f.mu >= f.lambda0:
-        raise DomainError("decay hypothesis fails for mu >= lambda0")
+    if f.mu >= 0.0:
+        raise DomainError("decay hypothesis fails for mu >= 0")
     x_star = exponent_maximizer(f)
     if x_star == 0.0:
         return exponent_eval(f, 0.0)
-    gap = f.lambda0 - f.mu
-    return (0.5 * f.coefficient * f.nu) ** 2 / gap + gap / f.volume
+    return (0.5 * f.coefficient * f.nu) ** 2 / -f.mu - f.mu / f.volume
 
 
 @dataclass(frozen=True)
@@ -152,8 +146,7 @@ class LaplaceResult:
 
 def _series_exponents(beta: float, f: ExponentFunction, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1, dtype=float)
-    return beta * ((f.mu - f.lambda0) * n
-                   + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
+    return beta * (f.mu * n + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
 
 
 def _exponent_offset(beta: float, f: ExponentFunction, n_star: int, n, sqrt):
@@ -164,8 +157,7 @@ def _exponent_offset(beta: float, f: ExponentFunction, n_star: int, n, sqrt):
     same double as the array element.
     """
     root_sum = sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
-    return beta * (n - n_star) * ((f.mu - f.lambda0)
-                                  + f.coefficient * f.nu * math.sqrt(f.volume) / root_sum)
+    return beta * (n - n_star) * (f.mu + f.coefficient * f.nu * math.sqrt(f.volume) / root_sum)
 
 
 def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
@@ -214,8 +206,7 @@ def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
 
 
 def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
-                            rel_tol: float = 1e-10, coefficient: float = 2.0,
-                            max_terms: int = DEFAULT_MAX_SERIES_TERMS) -> LaplaceResult:
+                            rel_tol: float = 1e-10, coefficient: float = 2.0) -> LaplaceResult:
     """Zero-mode pressure (1/(beta*V)) log sum_n e^(beta*V*g(n/V)) with tail bound.
 
     For nu = 0 the series is geometric and is returned in closed form
@@ -227,12 +218,12 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     weights; its bound weights the two dropped sides by |n - n*|.  For
     nu = 0 it is 1/(e^(-beta*mu) - 1), exactly.
 
-    Raises NonConvergenceError if the window would exceed `max_terms`
-    terms, or the peak lies beyond exactly representable occupations.
-    Every window the doubling allocates has at most `max_terms` terms.
+    Raises NonConvergenceError if the window would exceed
+    DEFAULT_MAX_SERIES_TERMS terms, or the peak lies beyond exactly
+    representable occupations.  Both are decided before the window is
+    allocated.
     """
     require(beta > 0.0, "beta must be positive")
-    require(max_terms >= 1, "max_terms must be >= 1")
     _require_stable(mu)
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
 
@@ -256,47 +247,42 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         raise NonConvergenceError(
             f"zero-mode series peaks at n = {peak:.3g}, beyond exact occupations")
     n_star = int(round(peak))
-    # |e''(n*)|, whose inverse square root is the Laplace width sigma.
+
+    def certified(w):
+        # The dropped sides against a floor on the window sum that needs no
+        # terms: the exponent is concave, so t(n* + j) >= e^(j*s) for
+        # j = 0..w, s the chord slope from n* to n* + w.
+        s = _exponent_offset(beta, f, n_star, float(n_star + w), math.sqrt) / max(w, 1)
+        floor = w + 1.0 if s == 0.0 else math.expm1((w + 1) * s) / math.expm1(s)
+        return sum(_side_bounds(beta, f, n_star, w)) <= 0.5 * rel_tol * floor
+
+    # Grow from 8 sigma (sigma^-2 = |e''(n*)|), then bisect; the floor is
+    # not monotone in w, so only the upper end is kept certified.
     curvature = beta * coefficient * nu * math.sqrt(volume) / (4.0 * (n_star + 1.0) ** 1.5)
-    max_half = (max_terms - 1) // 2
+    max_half = (DEFAULT_MAX_SERIES_TERMS - 1) // 2
     half = int(min(max_half, 8.0 / math.sqrt(curvature) + 1.0)) if curvature > 0.0 \
         else max_half
-    while True:
-        lo = max(0, n_star - half)
-        terms = np.exp(_window_exponents(beta, f, n_star, lo, n_star + half))
-        center = n_star - lo
-        # partial[w]: the window sum at half-width w, ring by ring.
-        partial = terms[center:].copy()
-        partial[1:center + 1] += terms[:center][::-1]
-        np.cumsum(partial, out=partial)
-        if sum(_side_bounds(beta, f, n_star, half)) <= 0.5 * rel_tol * partial[-1]:
-            break
+    fails = -1
+    while not certified(half):
         if half >= max_half:
             raise NonConvergenceError(
-                f"zero-mode series needs more than {max_terms} terms")
-        del terms, partial  # before the next, twice as long window is formed
-        half = min(2 * half, max_half)
-
-    # The smallest half-width that still meets the tolerance; the bound
-    # shrinks and the sum grows with w.  Half the tolerance lets the
-    # running sum decide for the exactly rounded one.
-    fails, holds = -1, half
-    while holds - fails > 1:
-        w = (fails + holds) // 2
-        if sum(_side_bounds(beta, f, n_star, w)) <= 0.5 * rel_tol * partial[w]:
-            holds = w
+                f"zero-mode series needs more than {DEFAULT_MAX_SERIES_TERMS} terms")
+        fails, half = half, min(2 * half, max_half)
+    while half - fails > 1:
+        w = (fails + half) // 2
+        if certified(w):
+            half = w
         else:
             fails = w
-    first, last = max(0, center - holds), center + holds
-    window = terms[first:last + 1]
+    lo = max(0, n_star - half)
+    window = np.exp(_window_exponents(beta, f, n_star, lo, n_star + half))
     # sum (n - n*) t_n, for <n0>; formed before `stable_sum`, whose
     # temporaries then reuse its pages instead of faulting in new ones.
-    moment = float(np.dot(np.arange(first - center, last - center + 1, dtype=float),
-                          window))
+    moment = float(np.dot(np.arange(lo - n_star, half + 1, dtype=float), window))
     scaled = stable_sum(window)
-    left, right, left_w, right_w = _side_bounds(beta, f, n_star, holds, weighted=True)
+    left, right, left_w, right_w = _side_bounds(beta, f, n_star, half, weighted=True)
     tail = left + right
-    linear = beta * (mu - f.lambda0) * n_star
+    linear = beta * mu * n_star
     root = beta * coefficient * nu * math.sqrt(volume * (n_star + 1.0))
     log_sum = linear + root + math.log(scaled)
     value = log_sum / (beta * volume)
@@ -308,18 +294,17 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
                        + abs(value))
     bound = math.log1p(tail / scaled) / (beta * volume) + rounding
     # Dropping the sides moves <n0> by at most (weighted tails + |offset| *
-    # tail) / scaled.  Inside, |n - n*| <= holds: the dot product rounds by
+    # tail) / scaled.  Inside, |n - n*| <= half: the dot product rounds by
     # gamma_count, and each t_n by its exponent's error, a few ulps of
     # beta*|n - n*|*slope, once through the moment and once through the sum.
-    count = last - first + 1
     offset = moment / scaled
-    slope = abs(mu - f.lambda0) + coefficient * nu * math.sqrt(volume / (n_star + 1.0))
-    relative = (count * _EPS / (1.0 - count * _EPS)
-                + _EPS * (16.0 * beta * holds * slope + 8.0))
+    slope = abs(mu) + coefficient * nu * math.sqrt(volume / (n_star + 1.0))
+    relative = (window.size * _EPS / (1.0 - window.size * _EPS)
+                + _EPS * (16.0 * beta * half * slope + 8.0))
     occupation_bound = ((left_w + right_w + abs(offset) * tail) / scaled
-                        + holds * relative + _EPS * (n_star + 2.0 * abs(offset)))
+                        + half * relative + _EPS * (n_star + 2.0 * abs(offset)))
     return LaplaceResult(maximizer=x_star, sup_value=sup, numeric_log_sum=value,
-                         gap=abs(value - sup), terms_used=count,
+                         gap=abs(value - sup), terms_used=window.size,
                          tail_bound=bound, mean_occupation=n_star + offset,
                          occupation_bound=occupation_bound)
 

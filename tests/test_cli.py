@@ -263,6 +263,38 @@ class TestFlagErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "DomainError"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--rel-tol", "nan"), ("--mu", "nan"), ("--beta", "inf"), ("--mu", "-inf"),
+        ("--nu", "inf"), ("--coefficient", "inf"), ("--side", "inf"), ("--pmax", "inf"),
+        ("--phi", "nan"), ("--mf-a", "-inf"), ("--nu", "0.1,nan"),
+    ])
+    def test_non_finite_numbers_exit_2_at_parse(self, flag, value, capsys):
+        args = ["--command", "pressure", "--mu=-0.5", "--nu", "0.1", f"{flag}={value}"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        record = json.loads(err)
+        assert record["error"] == "DomainError"
+        key = flag[2:].replace("-", "_")
+        assert record["message"] == f"could not parse {key}={value!r}"
+
+    def test_nan_mu_outside_stability_domain(self):
+        with pytest.raises(DomainError, match="stability domain"):
+            RunConfig(command="pressure", mu=(math.nan,))
+
+    @pytest.mark.parametrize("side,error", [
+        ("1e120", "ResourceGuardError"),    # the mode-count estimate, in logs
+        ("1e-103", "NonConvergenceError"),  # the cutoff bound overflows
+    ])
+    def test_extreme_sides_exit_3_with_one_json_record(self, side, error, capsys):
+        args = ["--command", "pressure", "--mu=-0.5", "--nu", "0.1", "--side", side]
+        assert main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
     def test_equivalence_near_zero_mu_has_no_step_error(self, capsys):
         # The finite-difference step used to disagree by 0.36 here.
         code = main(["--command", "equivalence", "--mu=-3e-5", "--nu", "1e-7",

@@ -128,8 +128,18 @@ class TestZeroModeSeries:
             assert res.gap <= math.log(res.terms_used) / v + res.tail_bound
 
     def test_series_ceiling(self):
-        with pytest.raises(NonConvergenceError):
-            zero_mode_log_partition(1.0, -0.5, 0.1, 1e6, max_terms=1000)
+        # A ~55 M-term window exceeds the fixed ceiling; it is refused from
+        # scalar probes, before any window is allocated.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergenceError, match="needs more than"):
+                zero_mode_log_partition(1.0, -0.5, 0.1, 1e14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -204,6 +214,38 @@ class TestZeroModeWindow:
         exponents = beta * (mu * n + 2.0 * nu * np.sqrt(vol * (n + 1.0)))
         doubled = log_sum_exp(exponents) / (beta * vol)
         assert abs(doubled - res.numeric_log_sum) <= res.tail_bound
+
+    @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
+           vol=st.floats(1.0, 1e6), rel_tol=st.sampled_from([1e-6, 1e-10, 1e-15]))
+    @settings(max_examples=30, deadline=None)
+    def test_mass_outside_window_within_half_rel_tol(self, beta, mu, nu, vol, rel_tol):
+        # The half-width is chosen before any term is formed; brute force
+        # checks that it holds all but rel_tol/2 of the mass.
+        res = zero_mode_log_partition(beta, mu, nu, vol, rel_tol=rel_tol)
+        n_star = round(vol * res.maximizer)
+        half = _half_width(res, vol)
+        lo, hi = max(0, n_star - half), n_star + half
+
+        def terms(n):
+            return np.exp(beta * (mu * (n - n_star) + 2.0 * nu * math.sqrt(vol)
+                                  * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0))))
+
+        def side(start, step):
+            # Terms from n = start outward in chunks, until n passes 0 or
+            # they underflow to zero (concavity: all later ones do too).
+            total = 0.0
+            while start >= 0:
+                chunk = terms(np.arange(start, max(start + step * 65536, -1), step,
+                                        dtype=float))
+                total += math.fsum(chunk)
+                if chunk.max() == 0.0:
+                    break
+                start += step * 65536
+            return total
+
+        inside = math.fsum(terms(np.arange(lo, hi + 1, dtype=float)))
+        outside = side(hi + 1, 1) + side(lo - 1, -1)
+        assert outside <= 0.5 * rel_tol * inside
 
 
 def _brute_mean_occupation(beta, mu, nu, volume):
@@ -290,7 +332,7 @@ class TestMeanOccupation:
         assert left_weighted < 0.1 * n_star * left
 
     def test_peak_bytes_per_term(self, monkeypatch):
-        # The doubling releases each window before it forms the next one.
+        # The half-width is chosen from scalar probes; the window is formed once.
         import tracemalloc
 
         from bose_limits import nonlinear_model
@@ -309,11 +351,10 @@ class TestMeanOccupation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        windows = [n for n in lengths if n > 1]  # not the one-term edge probes
-        assert len(windows) > 1 and max(windows) > 100_000  # the window doubled
-        # Four float arrays of the largest window, and the constant covers it.
-        assert peak <= 4 * 8 * max(windows) + 65536
-        assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * max(windows) + 65536
+        assert len(lengths) == 1 and lengths[0] > 100_000
+        # Four float arrays of the window, and the constant covers it.
+        assert peak <= 4 * 8 * lengths[0] + 65536
+        assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * lengths[0] + 65536
 
 
 class TestPressureSqrtSource:
