@@ -52,7 +52,7 @@ _COLUMNS = {
     "laplace": [
         "command", "beta", "mu", "nu", "dim", "side", "volume", "maximizer",
         "sup_value", "numeric_log_sum", "gap", "gap_bound", "terms_used",
-        "tail_bound", "passed", "duration_s",
+        "tail_bound", "method", "passed", "duration_s",
     ],
     "fulldiag": [
         "command", "beta", "mu", "nu", "mf_a", "coefficient", "cutoffs",
@@ -307,7 +307,11 @@ def _run_laplace(cfg: RunConfig) -> tuple:
     all_ok = True
     for side in cfg.ladder:
         start = time.perf_counter()
-        volume = float(side) ** cfg.dim
+        try:
+            volume = float(side) ** cfg.dim
+        except OverflowError as exc:
+            raise DomainError(f"volume side**{cfg.dim} overflows a float at a side of "
+                              f"{len(str(side))} digits") from exc
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=cfg.rel_tol,
                                       coefficient=cfg.coefficient)
         f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)
@@ -327,7 +331,7 @@ def _run_laplace(cfg: RunConfig) -> tuple:
             "maximizer": res.maximizer, "sup_value": sup,
             "numeric_log_sum": res.numeric_log_sum, "gap": res.gap,
             "gap_bound": gap_bound, "terms_used": res.terms_used,
-            "tail_bound": res.tail_bound, "passed": ok,
+            "tail_bound": res.tail_bound, "method": res.method, "passed": ok,
             "duration_s": time.perf_counter() - start,
         })
     return (0 if all_ok else 1), rows

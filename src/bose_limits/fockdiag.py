@@ -66,7 +66,6 @@ __all__ = [
     "gibbs_probabilities",
     "gibbs_expectation",
     "bogoliubov_bounds",
-    "jensen_gap",
     "quasiaverage_fd",
     "boundary_shell_weight",
     "verify_sandwich",
@@ -410,19 +409,6 @@ def bogoliubov_bounds(op_a: OperatorMatrix, op_b: OperatorMatrix, beta: float,
     upper = _average(op_b, beta, diagonal, coupling) / volume
     delta_p = gibbs_trace(op_b, beta, volume) - gibbs_trace(op_a, beta, volume)
     return InequalityReport(lower=lower, upper=upper, delta_p=delta_p, tolerance=tol)
-
-
-def jensen_gap(concave_fn: Callable[[float], float], observable,
-               op: OperatorMatrix, beta: float) -> float:
-    """f(<X>) - <f(X)> for a concave scalar f; nonnegative by Jensen.
-
-    `observable` must be a per-configuration array (an operator diagonal
-    in the occupation basis) so that f(X) is again diagonal.
-    """
-    x = np.asarray(observable, dtype=float)
-    require(x.ndim == 1, "jensen_gap needs a per-configuration observable")
-    fx = np.array([concave_fn(v) for v in x])
-    return concave_fn(gibbs_expectation(x, op, beta)) - gibbs_expectation(fx, op, beta)
 
 
 def zero_mode_annihilator(trunc: FockTruncation) -> np.ndarray:

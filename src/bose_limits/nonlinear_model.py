@@ -14,16 +14,23 @@ supremum, and the series itself with a certified geometric tail bound.
 Series window: the term exponent e(n) = beta*V*g(n/V) is concave in n and
 peaks at n* = round(V*x_star) with width sigma = 1/sqrt(|e''(n*)|), so
 almost all of the mass lies within O(sqrt(V)) occupations of n*.  The
-series is summed over [max(0, n* - W), n* + W] only.  By concavity, each
-dropped side is bounded by a geometric series whose first term is the
-first dropped term and whose ratio is e^Delta, Delta the exponent step
-across that window edge.  W is chosen from scalar probes before any term
-is formed (grow from 8*sigma, then bisect): both bounds must be below
-rel_tol/2 times the geometric series under the chord of the exponent from
-n* to n* + W, a floor on the window sum.  Exponents are formed relative to
-e(n*) without cancellation, and the sum is accumulated relative to its peak
-term; beta*V*g exceeds the floating-point exponent range long before the
-physics gets large.
+window is [max(0, n* - W), n* + W].  By concavity, each side outside it is
+bounded by a geometric series whose first term is the first dropped term
+and whose ratio is e^Delta, Delta the exponent step across that window
+edge.  W is chosen from scalar probes before any term is formed (grow from
+8*sigma, then bisect): both bounds must be below rel_tol/2 times the
+geometric series under the chord of the exponent from n* to n* + W, a
+floor on the window sum.
+
+Closed form: from the window's left edge on, the series is
+Euler-Maclaurin of order 4 over an integral that is a closed form in exp
+and erfc, with a remainder bound made of O(1) scalars; the left side keeps
+its geometric bound.  That costs O(1) at any V and is used whenever the
+left bound, the remainder and the rounding fit rel_tol/2 of the sum, which
+holds for wide peaks (sigma >~ 200 at rel_tol = 1e-10).  Narrower peaks sum
+the window's terms.  Exponents are formed relative to e(n*) without
+cancellation, and sums relative to the peak term; beta*V*g exceeds the
+floating-point exponent range long before the physics gets large.
 """
 
 import math
@@ -54,7 +61,8 @@ __all__ = [
 
 # Peak bytes per term of the window: four float arrays in
 # `_window_exponents`.  The window length is known before it is allocated,
-# so its term count is checked against this fixed ceiling first.
+# so its term count is checked against this fixed ceiling first.  The
+# closed form allocates no window, so the ceiling does not bound it.
 SERIES_BYTES_PER_TERM = 32
 DEFAULT_MAX_SERIES_TERMS = MAX_ALLOC_BYTES // SERIES_BYTES_PER_TERM
 
@@ -126,7 +134,8 @@ class LaplaceResult:
     signed difference lies in [0, log(terms_used)/(beta*V)] up to the
     reported tail bound, because every term is at most e^(beta*V*sup).
     mean_occupation is <n0> under the series weights, the mu-derivative of
-    V*numeric_log_sum; occupation_bound bounds its absolute error.
+    V*numeric_log_sum; occupation_bound bounds its absolute error.  method
+    names the path that certified them, "closed_form" or "window".
     """
 
     maximizer: float
@@ -137,6 +146,7 @@ class LaplaceResult:
     tail_bound: float
     mean_occupation: float
     occupation_bound: float
+    method: str = "window"
 
     def __post_init__(self):
         require(self.maximizer >= 0.0, "maximizer must be >= 0")
@@ -205,23 +215,165 @@ def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
     return (left, right, left_weighted, right_weighted) if weighted else (left, right)
 
 
+def _remainder_bound(k2: float, k3: float, k4: float, integral: float,
+                     peak: float) -> tuple:
+    """Two parts of a bound on the integral of |G''''| over [A, inf), G = e^k.
+
+    Needs k'(A) >= 0, k'' < 0 < k''' and |k''|, k''', |k''''| nonincreasing
+    on [A, inf), with k2, k3, k4 their magnitudes at A; `integral` is the
+    integral of G over [A, inf) and `peak` is at least sup G.  In
+    G'''' = (k'''' + 4k'k''' + 3k''^2 + 6k'^2 k'' + k'^4) G, integrating by
+    parts gives int k'^2 G <= k2 int G and int k'^4 G <= 3 k2 int k'^2 G
+    (the boundary terms at A are <= 0), so all but the k'k''' term lie
+    within (12 k2^2 + k4) int G; int |k'| G = int |G'| <= 2 sup G bounds
+    that term by 8 k3 sup G.
+    """
+    return (12.0 * k2 * k2 + k4) * integral, 8.0 * k3 * peak
+
+
+def _euler_maclaurin(beta: float, f: ExponentFunction, n_star: int, half: int):
+    """Sums of t_n and n*t_n over n >= n* - half by Euler-Maclaurin, or None.
+
+    With m = n + 1 the terms are F(m) = e^h(m), h(m) = -a(m - 1) + b*sqrt(m),
+    a = -beta*mu and b = beta*c*nu*sqrt(V).  From A = n* - half + 1 on,
+    sum F = int_A^inf F + F(A)/2 - F'(A)/12 + F'''(A)/720 + R with
+    |R| <= int |F''''| / 720.  The integral is a closed form in exp and
+    erfc: with s = sqrt(m) = u + s0, s0 = b/(2a), it is
+    2 e^(h_max) int_{u0}^inf (u + s0) e^(-a u^2) du, u0 = sqrt(A) - s0 < 0,
+    and every part is positive.  The moment takes the same expansion of
+    (m - 1)F = e^(h + log(m - 1)).  Returns (sum, moment, sum error,
+    moment error), relative to t_{n*}; each error bounds the remainder plus
+    rounding.  None unless n* - half >= 1 and A lies left of the continuous
+    peak s0^2, where the remainder bound holds.
+    """
+    lo = n_star - half
+    if lo < 1:
+        return None
+    a = -beta * f.mu
+    b = beta * f.coefficient * f.nu * math.sqrt(f.volume)
+    edge = lo + 1.0
+    s0 = b / (2.0 * a)
+    u0 = math.sqrt(edge) - s0
+    if not u0 < 0.0:
+        return None
+    # log(sup F / F(n* + 1)) = a*(sqrt(n* + 1) - s0)^2, without cancellation.
+    delta = (n_star + 1.0 - s0 * s0) / (math.sqrt(n_star + 1.0) + s0)
+    c = a * delta * delta
+    peak = math.exp(c)
+    # j_k = e^c * int_{u0}^inf u^k e^(-a u^2) du.  Only j2 has a negative
+    # part, at most half of its positive one.
+    gauss = math.exp(c - a * u0 * u0)
+    j0 = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * u0) * peak
+    j1 = gauss / (2.0 * a)
+    j2 = (u0 * gauss + j0) / (2.0 * a)
+    j3 = (a * u0 * u0 + 1.0) * gauss / (2.0 * a * a)
+    integral = 2.0 * (j1 + s0 * j0)
+    integral_moment = 2.0 * (j3 + 3.0 * s0 * j2 + (3.0 * s0 * s0 - 1.0) * j1
+                             + s0 * (s0 * s0 - 1.0) * j0)
+    # h' > 0 and the magnitudes of h'', h''', h'''' at A; h'(A) is
+    # -a*u0/sqrt(A), which has no cancellation.
+    h1 = -a * u0 / math.sqrt(edge)
+    h2 = b / (4.0 * edge ** 1.5)
+    h3 = 3.0 * b / (8.0 * edge ** 2.5)
+    h4 = 15.0 * b / (16.0 * edge ** 3.5)
+    t = math.exp(_exponent_offset(beta, f, n_star, float(lo), math.sqrt))
+    d1 = h1 * t
+    d2 = (h1 * h1 - h2) * t
+    d3 = (h3 - 3.0 * h1 * h2 + h1 ** 3) * t
+    w = float(lo)  # the weight m - 1 at A
+    total = integral + 0.5 * t - d1 / 12.0 + d3 / 720.0
+    moment = (integral_moment + 0.5 * w * t - (t + w * d1) / 12.0
+              + (3.0 * d2 + w * d3) / 720.0)
+    # log(m - 1) adds -1/w^2, 2/w^3 and -6/w^4 to h'', h''' and h''''; and
+    # sup (m - 1)F <= sup F * (s0 + 1/(a*s0))^2, the peak of s^2 e^(-a(s - s0)^2).
+    remainder = sum(_remainder_bound(h2, h3, h4, integral, peak)) / 720.0
+    remainder_moment = sum(_remainder_bound(
+        h2 + w ** -2, h3 + 2.0 * w ** -3, h4 + 6.0 * w ** -4, integral_moment,
+        peak * (s0 + 1.0 / (a * s0)) ** 2)) / 720.0
+    # Rounding: a few ulps per operation and the exponents' absolute errors,
+    # plus u0's error of ~2 ulps of s0, which moves an integral by its
+    # integrand at A times 2*sqrt(A) <= 2*s0 per unit of u0.
+    rho = _EPS * (64.0 + 8.0 * (a + c + a * u0 * u0))
+    rounding = rho * (integral + t + abs(d1) + abs(d3)) + 8.0 * _EPS * s0 * s0 * t
+    rounding_moment = (rho * (integral_moment + w * t + abs(t + w * d1)
+                              + abs(3.0 * d2 + w * d3))
+                       + 8.0 * _EPS * s0 * s0 * w * t)
+    return total, moment, remainder + rounding, remainder_moment + rounding_moment
+
+
+def _closed_form_sums(beta: float, f: ExponentFunction, n_star: int, half: int,
+                      rel_tol: float):
+    """Series sum and <n0> from `_euler_maclaurin`, or None if they miss rel_tol.
+
+    Returns (sum relative to t_{n*}, bound on |log(series / sum)|, <n0>,
+    bound on its error).  The side left of the window is dropped and
+    bounded by `_side_bounds`; the right one is inside the integral.  Both
+    the sum's and the moment's errors must fit rel_tol/2 of their values.
+    """
+    closed = _euler_maclaurin(beta, f, n_star, half)
+    if closed is None:
+        return None
+    total, moment, total_error, moment_error = closed
+    left, _, left_w, _ = _side_bounds(beta, f, n_star, half, weighted=True)
+    mean = moment / total
+    error = left + total_error
+    # sum (n - <n0>) t_n moves by the moment's error plus <n0> times the
+    # sum's, and on the left by at most left_w + |<n0> - n*| * left.
+    moment_error += mean * total_error
+    if not (error <= 0.5 * rel_tol * total and moment_error <= 0.5 * rel_tol * moment):
+        return None
+    occupation_bound = ((left_w + abs(mean - n_star) * left + moment_error)
+                        / (total - error) + _EPS * mean)
+    return total, -math.log1p(-error / total), mean, occupation_bound
+
+
+def _window_sums(beta: float, f: ExponentFunction, n_star: int, half: int) -> tuple:
+    """Series sum and <n0> over the window [max(0, n* - half), n* + half].
+
+    Returns what `_closed_form_sums` does; both dropped sides are bounded
+    by `_side_bounds`.
+    """
+    lo = max(0, n_star - half)
+    window = np.exp(_window_exponents(beta, f, n_star, lo, n_star + half))
+    # sum (n - n*) t_n, for <n0>; formed before `stable_sum`, whose
+    # temporaries then reuse its pages instead of faulting in new ones.
+    moment = float(np.dot(np.arange(lo - n_star, half + 1, dtype=float), window))
+    scaled = stable_sum(window)
+    left, right, left_w, right_w = _side_bounds(beta, f, n_star, half, weighted=True)
+    tail = left + right
+    # Dropping the sides moves <n0> by at most (weighted tails + |offset| *
+    # tail) / scaled.  Inside, |n - n*| <= half: the dot product rounds by
+    # gamma_count, and each t_n by its exponent's error, a few ulps of
+    # beta*|n - n*|*slope, once through the moment and once through the sum.
+    offset = moment / scaled
+    slope = abs(f.mu) + f.coefficient * f.nu * math.sqrt(f.volume / (n_star + 1.0))
+    relative = (window.size * _EPS / (1.0 - window.size * _EPS)
+                + _EPS * (16.0 * beta * half * slope + 8.0))
+    occupation_bound = ((left_w + right_w + abs(offset) * tail) / scaled
+                        + half * relative + _EPS * (n_star + 2.0 * abs(offset)))
+    return scaled, math.log1p(tail / scaled), n_star + offset, occupation_bound
+
+
 def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
                             rel_tol: float = 1e-10, coefficient: float = 2.0) -> LaplaceResult:
     """Zero-mode pressure (1/(beta*V)) log sum_n e^(beta*V*g(n/V)) with tail bound.
 
     For nu = 0 the series is geometric and is returned in closed form
-    (tail bound zero).  Otherwise it is summed over a window around the
-    Laplace peak whose two dropped sides are bounded by geometric series
-    (see the module docstring); `tail_bound` maps their sum, plus the
-    rounding of the window sum, to pressure units, and `terms_used` is the
-    window length.  `mean_occupation` <n0> comes from the same window
-    weights; its bound weights the two dropped sides by |n - n*|.  For
-    nu = 0 it is 1/(e^(-beta*mu) - 1), exactly.
+    (tail bound zero).  Otherwise the half-width W of a window around the
+    Laplace peak is chosen first (see the module docstring), and
+    `terms_used` is that window's length.  The series is then evaluated by
+    Euler-Maclaurin over the closed-form integral from the window's left
+    edge on (`method` "closed_form") when its error fits rel_tol/2 of the
+    sum, and otherwise summed over the window ("window").  `tail_bound`
+    maps the bounded parts (the dropped sides, or the left side and the
+    remainder), plus rounding, to pressure units.  `mean_occupation` <n0>
+    comes from the same sums weighted by n, and `occupation_bound` bounds
+    its error.  For nu = 0 it is 1/(e^(-beta*mu) - 1), exactly.
 
-    Raises NonConvergenceError if the window would exceed
-    DEFAULT_MAX_SERIES_TERMS terms, or the peak lies beyond exactly
-    representable occupations.  Both are decided before the window is
-    allocated.
+    Raises NonConvergenceError if the peak lies beyond exactly
+    representable occupations, or if the closed form does not certify and
+    the window would exceed DEFAULT_MAX_SERIES_TERMS terms.  Both are
+    decided before any window is allocated.
     """
     require(beta > 0.0, "beta must be positive")
     _require_stable(mu)
@@ -257,56 +409,51 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         return sum(_side_bounds(beta, f, n_star, w)) <= 0.5 * rel_tol * floor
 
     # Grow from 8 sigma (sigma^-2 = |e''(n*)|), then bisect; the floor is
-    # not monotone in w, so only the upper end is kept certified.
+    # not monotone in w, so only the upper end is kept certified.  Past the
+    # window ceiling only the closed form, which needs n* - W >= 1, can use
+    # the half-width, so the growth stops at the larger of the two.
     curvature = beta * coefficient * nu * math.sqrt(volume) / (4.0 * (n_star + 1.0) ** 1.5)
     max_half = (DEFAULT_MAX_SERIES_TERMS - 1) // 2
+    limit = max(max_half, n_star)
     half = int(min(max_half, 8.0 / math.sqrt(curvature) + 1.0)) if curvature > 0.0 \
         else max_half
     fails = -1
     while not certified(half):
-        if half >= max_half:
+        if half >= limit:
             raise NonConvergenceError(
                 f"zero-mode series needs more than {DEFAULT_MAX_SERIES_TERMS} terms")
-        fails, half = half, min(2 * half, max_half)
+        fails, half = half, min(2 * half, limit)
     while half - fails > 1:
         w = (fails + half) // 2
         if certified(w):
             half = w
         else:
             fails = w
-    lo = max(0, n_star - half)
-    window = np.exp(_window_exponents(beta, f, n_star, lo, n_star + half))
-    # sum (n - n*) t_n, for <n0>; formed before `stable_sum`, whose
-    # temporaries then reuse its pages instead of faulting in new ones.
-    moment = float(np.dot(np.arange(lo - n_star, half + 1, dtype=float), window))
-    scaled = stable_sum(window)
-    left, right, left_w, right_w = _side_bounds(beta, f, n_star, half, weighted=True)
-    tail = left + right
+    terms_used = n_star + half - max(0, n_star - half) + 1
+    method = "closed_form"
+    sums = _closed_form_sums(beta, f, n_star, half, rel_tol)
+    if sums is None:
+        if terms_used > DEFAULT_MAX_SERIES_TERMS:
+            raise NonConvergenceError(
+                f"zero-mode series needs more than {DEFAULT_MAX_SERIES_TERMS} terms")
+        method = "window"
+        sums = _window_sums(beta, f, n_star, half)
+    scaled, log_error, mean, occupation_bound = sums
     linear = beta * mu * n_star
     root = beta * coefficient * nu * math.sqrt(volume * (n_star + 1.0))
     log_sum = linear + root + math.log(scaled)
     value = log_sum / (beta * volume)
     sup = laplace_sup(f)
-    # Error in the log from the dropped sides, mapped to pressure units.
-    # Those bounds are nearly tight, so the bound also carries the rounding
-    # of the peak exponent, the window sum and its log.
+    # Error in the log from the dropped or bounded parts, mapped to pressure
+    # units.  Those bounds are nearly tight, so the bound also carries the
+    # rounding of the peak exponent, the sum and its log.
     rounding = _EPS * ((abs(linear) + root + abs(log_sum) + 4.0) / (beta * volume)
                        + abs(value))
-    bound = math.log1p(tail / scaled) / (beta * volume) + rounding
-    # Dropping the sides moves <n0> by at most (weighted tails + |offset| *
-    # tail) / scaled.  Inside, |n - n*| <= half: the dot product rounds by
-    # gamma_count, and each t_n by its exponent's error, a few ulps of
-    # beta*|n - n*|*slope, once through the moment and once through the sum.
-    offset = moment / scaled
-    slope = abs(mu) + coefficient * nu * math.sqrt(volume / (n_star + 1.0))
-    relative = (window.size * _EPS / (1.0 - window.size * _EPS)
-                + _EPS * (16.0 * beta * half * slope + 8.0))
-    occupation_bound = ((left_w + right_w + abs(offset) * tail) / scaled
-                        + half * relative + _EPS * (n_star + 2.0 * abs(offset)))
     return LaplaceResult(maximizer=x_star, sup_value=sup, numeric_log_sum=value,
-                         gap=abs(value - sup), terms_used=window.size,
-                         tail_bound=bound, mean_occupation=n_star + offset,
-                         occupation_bound=occupation_bound)
+                         gap=abs(value - sup), terms_used=terms_used,
+                         tail_bound=log_error / (beta * volume) + rounding,
+                         mean_occupation=mean, occupation_bound=occupation_bound,
+                         method=method)
 
 
 def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,

@@ -139,12 +139,20 @@ class TestRun:
         assert all(r["gap"] <= r["gap_bound"] + r["tail_bound"] for r in rows)
 
     def test_laplace_out_to_volume_1e12(self):
-        # The windowed series sums O(sqrt(V)) terms, so V = 1e8 and 1e12 certify.
+        # The closed form certifies V = 1e8 and 1e12 from O(1) scalars.
         code, rows = run(parse_config(["--command", "laplace", "--mu", "-0.5",
                                        "--nu", "0.1", "--dim", "1",
                                        "--ladder", "100000000,1000000000000"]))
         assert code == 0
         assert [r["passed"] for r in rows] == [True, True]
+        assert [r["method"] for r in rows] == ["closed_form", "closed_form"]
+
+    def test_laplace_rows_name_their_method(self, capsys):
+        assert main(["--command", "laplace", "--mu=-0.5", "--nu", "0.1", "--dim", "1",
+                     "--ladder", "100,1000000", "--format", "json"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["method"] for r in rows] == ["window", "closed_form"]
+        assert all(list(r)[-1] == "duration_s" for r in rows)
 
     @pytest.mark.parametrize("beta,mu,nu,dim,side", [
         (1.0, -50.0, 19.687, 1, 10),
@@ -386,6 +394,21 @@ class TestModuleEntryPoint:
                        if key.startswith(("p_", "delta_p", "identity")))
         else:
             assert json.loads(proc.stderr)["error"] == "NonConvergenceError"
+
+    def test_laplace_volume_overflow_exits_2(self):
+        # side**dim beyond the float range is invalid input: one JSON
+        # record on stderr, no traceback.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "laplace",
+             "--mu=-0.5", "--nu", "0.1", "--ladder", "1" + "0" * 110],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "DomainError"
 
     def test_import_leaves_scipy_unloaded(self):
         src = str(Path(bose_limits.__file__).resolve().parent.parent)

@@ -9,12 +9,23 @@ from bose_limits.fockdiag import (DiagonalModel, FockTruncation, add_linear_sour
                                   add_sqrt_source, bogoliubov_bounds,
                                   boundary_shell_weight, diagonal_energies,
                                   enumerate_configs, gibbs_expectation,
-                                  gibbs_probabilities, gibbs_trace, jensen_gap,
+                                  gibbs_probabilities, gibbs_trace,
                                   quasiaverage_fd, truncate_lattice, verify_sandwich,
                                   zero_mode_annihilator)
 from bose_limits.lattice_ideal import build_lattice
 from bose_limits.nonlinear_model import zero_mode_partial_logsum
 from bose_limits.source_model import pressure_source
+
+
+def jensen_gap(concave_fn, observable, op, beta):
+    """f(<X>) - <f(X)> for a concave scalar f and a diagonal observable X.
+
+    Nonnegative by Jensen.  `observable` is a per-configuration array, so
+    f(X) is again diagonal and is applied elementwise.
+    """
+    x = np.asarray(observable, dtype=float)
+    fx = np.vectorize(concave_fn, otypes=[float])(x)
+    return concave_fn(gibbs_expectation(x, op, beta)) - gibbs_expectation(fx, op, beta)
 
 
 def single_mode_truncation(cutoff):

@@ -20,6 +20,14 @@ from bose_limits.nonlinear_model import (ExponentFunction, exponent_eval,
 from bose_limits.summation import log_sum_exp
 
 
+@pytest.fixture
+def window_only(monkeypatch):
+    """Sum every nu > 0 series over its window, as for a narrow peak."""
+    from bose_limits import nonlinear_model
+
+    monkeypatch.setattr(nonlinear_model, "_euler_maclaurin", lambda *args: None)
+
+
 class TestExponentFunction:
     def test_value_at_origin(self):
         f = ExponentFunction(mu=-0.5, nu=0.1, volume=100.0)
@@ -128,18 +136,26 @@ class TestZeroModeSeries:
             assert res.gap <= math.log(res.terms_used) / v + res.tail_bound
 
     def test_series_ceiling(self):
-        # A ~55 M-term window exceeds the fixed ceiling; it is refused from
-        # scalar probes, before any window is allocated.
+        # At rel_tol = 1e-15 the closed form's rounding misses the budget,
+        # so V = 1e14 needs a ~55 M-term window, beyond the fixed ceiling; it
+        # is refused from scalar probes, before any window is allocated.
         import tracemalloc
 
         tracemalloc.start()
         try:
             with pytest.raises(NonConvergenceError, match="needs more than"):
-                zero_mode_log_partition(1.0, -0.5, 0.1, 1e14)
+                zero_mode_log_partition(1.0, -0.5, 0.1, 1e14, rel_tol=1e-15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_closed_form_certifies_past_the_ceiling(self):
+        res = zero_mode_log_partition(1.0, -0.5, 0.1, 1e14)
+        assert res.method == "closed_form"
+        assert res.terms_used > 3 * 2 ** 24
+        assert 0.0 <= res.numeric_log_sum - res.sup_value <= (
+            math.log(res.terms_used) / 1e14 + res.tail_bound)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -270,12 +286,14 @@ class TestMeanOccupation:
 
     @pytest.mark.parametrize("volume", [32.0 ** 3, 64.0 ** 3, 1e4, 1e5, 1e6])
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
-    def test_bound_covers_both_dropped_sides(self, volume, rel_tol):
-        # No cancellation between the two sides is assumed: the bound covers
-        # the |n - n*|-weighted mass of both, relative to the window sum.
-        # At rel_tol = 1e-6 the left side's mass exceeds the bound's slack.
+    def test_bound_covers_both_dropped_sides(self, volume, rel_tol, window_only):
+        # No cancellation between the two sides is assumed: the window's
+        # bound covers the |n - n*|-weighted mass of both, relative to the
+        # window sum.  At rel_tol = 1e-6 the left side's mass exceeds the
+        # bound's slack.
         beta, mu, nu = 1.0, -0.5, 0.1
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        assert res.method == "window"
         n_star = round(volume * res.maximizer)
         half = _half_width(res, volume)
         assert n_star - half > 0
@@ -355,6 +373,123 @@ class TestMeanOccupation:
         # Four float arrays of the window, and the constant covers it.
         assert peak <= 4 * 8 * lengths[0] + 65536
         assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * lengths[0] + 65536
+
+
+def _terms_from(beta, mu, nu, volume, n_star, lo, count):
+    """Occupations lo, lo+1, ... and their terms relative to t_{n*}."""
+    n = np.arange(lo, lo + count, dtype=float)
+    root_sum = np.sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
+    return n, np.exp(beta * (n - n_star) * (mu + 2.0 * nu * math.sqrt(volume) / root_sum))
+
+
+def _sqrt_model_derivatives(a, b, m, moment):
+    """h = -a(m - 1) + b*sqrt(m) and its derivatives 1..4 at m; plus
+    log(m - 1) when `moment`, the exponent of (m - 1) e^h."""
+    k = [-a * (m - 1.0) + b * np.sqrt(m), -a + b / (2.0 * np.sqrt(m)),
+         -b / (4.0 * m ** 1.5), 3.0 * b / (8.0 * m ** 2.5), -15.0 * b / (16.0 * m ** 3.5)]
+    if moment:
+        w = m - 1.0
+        k = [k[0] + np.log(w), k[1] + 1.0 / w, k[2] - w ** -2, k[3] + 2.0 * w ** -3,
+             k[4] - 6.0 * w ** -4]
+    return k
+
+
+class TestClosedForm:
+    def test_method_follows_the_peak_width(self):
+        # The series workload's points: sigma = 40 and 126 at V = 1e4 and
+        # 1e5 stay on the window; from V = 1e6 on the closed form certifies.
+        methods = [zero_mode_log_partition(1.0, -0.5, 0.1, v).method
+                   for v in (1e4, 1e5, 1e6, 1e7, 1e8)]
+        assert methods == ["window"] * 2 + ["closed_form"] * 3
+
+    @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (0.8, -0.3, 0.06),
+                                              (0.5, -2.0, 0.5)])
+    @pytest.mark.parametrize("volume", [3e5, 1e6])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_brute_force_within_bounds(self, beta, mu, nu, volume, rel_tol):
+        res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        assert res.method == "closed_form"
+        n_max = int(math.ceil(volume * (4.0 * nu / mu) ** 2)) + 64
+        full = zero_mode_partial_logsum(beta, mu, nu, volume, n_max)
+        assert abs(full - res.numeric_log_sum) <= res.tail_bound
+        brute = _brute_mean_occupation(beta, mu, nu, volume)
+        assert abs(res.mean_occupation - brute) <= res.occupation_bound
+
+    @pytest.mark.parametrize("half", [10, 20, 40])
+    def test_expansion_is_exact_to_fourth_order(self, half):
+        # With the left edge within one width of the peak, the sums differ
+        # from brute force by far less than their F'''/720 terms.
+        from bose_limits.nonlinear_model import _euler_maclaurin
+
+        beta, mu, nu, vol = 1.0, -0.5, 0.1, 1e4
+        f = ExponentFunction(mu=mu, nu=nu, volume=vol)
+        n_star = round(vol * exponent_maximizer(f))
+        lo = n_star - half
+        n, terms = _terms_from(beta, mu, nu, vol, n_star, lo, 20 * n_star)
+        total, moment, total_error, moment_error = _euler_maclaurin(beta, f, n_star, half)
+        _, h1, h2, h3, _ = _sqrt_model_derivatives(-beta * mu, 2.0 * beta * nu * math.sqrt(vol),
+                                                   lo + 1.0, False)
+        d2 = (h2 + h1 * h1) * terms[0]
+        d3 = (h3 + 3.0 * h1 * h2 + h1 ** 3) * terms[0]
+        assert abs(total - math.fsum(terms)) <= 1e-3 * abs(d3) / 720.0 <= total_error
+        assert (abs(moment - math.fsum(n * terms))
+                <= 1e-3 * abs(3.0 * d2 + lo * d3) / 720.0 <= moment_error)
+
+    @pytest.mark.parametrize("moment", [False, True])
+    @pytest.mark.parametrize("a, s0, edge", [(0.5, 20.0, 360.0), (0.5, 20.0, 400.0),
+                                             (3.0, 1.5, 2.0), (10.0, 10.0, 100.0),
+                                             (0.1, 3.0, 3.0), (1.0, 2.0, 2.0)])
+    def test_remainder_bound_parts_hold(self, a, s0, edge, moment):
+        # Each part of the bound on int |G''''| covers its part of the
+        # termwise majorant, by quadrature; the bound on sup (m - 1)F holds.
+        from scipy.integrate import quad
+
+        from bose_limits.nonlinear_model import _remainder_bound
+
+        b = 2.0 * a * s0
+        top = a + b * b / (4.0 * a)
+
+        def g(m):
+            return np.exp(_sqrt_model_derivatives(a, b, m, moment)[0] - top)
+
+        def majorant(m, skew):
+            _, k1, k2, k3, k4 = _sqrt_model_derivatives(a, b, m, moment)
+            if skew:
+                return 4.0 * abs(k1 * k3) * g(m)
+            return (abs(k4) + 3.0 * k2 * k2 + 6.0 * k1 * k1 * abs(k2) + k1 ** 4) * g(m)
+
+        end = max(4.0 * s0 * s0, edge) + 400.0 / a
+        kinks = [s0 * s0] if edge < s0 * s0 else None
+        integral = quad(g, edge, end, points=kinks, limit=200)[0]
+        grid = np.linspace(edge, end, 200001)
+        peak = 1.0
+        if moment:
+            peak = (s0 + 1.0 / (a * s0)) ** 2
+            assert g(grid).max() <= peak
+        _, k1, k2, k3, k4 = _sqrt_model_derivatives(a, b, edge, moment)
+        assert k1 >= 0.0
+        curvature, skew = _remainder_bound(abs(k2), k3, abs(k4), integral, peak)
+        assert quad(majorant, edge, end, args=(False,), points=kinks, limit=200)[0] <= curvature
+        assert quad(majorant, edge, end, args=(True,), points=kinks, limit=200)[0] <= skew
+
+    @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
+           log_volume=st.floats(5.0, 9.0), rel_tol=st.sampled_from([1e-6, 1e-10]))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_window(self, beta, mu, nu, log_volume, rel_tol):
+        from bose_limits import nonlinear_model
+
+        volume = 10.0 ** log_volume
+        closed = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        assume(closed.method == "closed_form" and closed.terms_used <= 1_000_000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonlinear_model, "_euler_maclaurin", lambda *args: None)
+            window = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        assert window.method == "window"
+        assert window.terms_used == closed.terms_used
+        assert (abs(closed.numeric_log_sum - window.numeric_log_sum)
+                <= closed.tail_bound + window.tail_bound)
+        assert (abs(closed.mean_occupation - window.mean_occupation)
+                <= closed.occupation_bound + window.occupation_bound)
 
 
 class TestPressureSqrtSource:
