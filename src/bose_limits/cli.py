@@ -104,6 +104,8 @@ class RunConfig:
             raise DomainError("rel_tol must be positive")
         if not self.ladder:
             raise DomainError("ladder must not be empty")
+        if min(self.ladder) <= 0:
+            raise DomainError("ladder sides must be positive")
         if self.format not in ("csv", "json"):
             raise DomainError(f"unknown format {self.format!r}")
         if self.workers < 1:
@@ -235,6 +237,7 @@ def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
     pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient)
     p_lin, p_sqrt = pair.linear, pair.sqrt
     rel_err = pair.identity_rel_err
+    certified = all(p.truncation_bound <= cfg.rel_tol * abs(p.total) for p in (p_lin, p_sqrt))
     return {
         "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
         "phi": cfg.phi, "dim": cfg.dim, "side": cfg.side,
@@ -245,7 +248,8 @@ def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
         "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
         "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
         "delta_p": pair.delta, "identity_rel_err": rel_err,
-        "passed": rel_err <= 1e-12, "duration_s": time.perf_counter() - start,
+        "passed": rel_err <= 1e-12 and certified,
+        "duration_s": time.perf_counter() - start,
     }
 
 

@@ -127,11 +127,11 @@ def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
                   coefficient: float = 2.0) -> PressurePair:
     """Both pressures from one p != 0 mode sum and one zero-mode series.
 
-    The breakdowns are `pressure_source(point)` and
+    The breakdowns are `pressure_source(point, rel_tol)` and
     `pressure_sqrt_source(point, rel_tol, coefficient)`, each handed the
     shared sums instead of forming its own.
     """
-    primed = pressure_ideal_primed(point)
+    primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
     return PressurePair(
         linear=pressure_source(point, primed=primed),

@@ -2,23 +2,15 @@
 
 A box of side `l` in `d` dimensions with periodic boundary conditions
 carries the dual momentum lattice p = 2*pi*n/l (n integer vector) with
-single-particle dispersion |p|^2/2.  This module builds that lattice up to
-a momentum cutoff and evaluates the ideal-gas pressure and critical
-(thermal) density, both at finite volume and in the infinite-volume limit.
+single-particle dispersion |p|^2/2.  This module evaluates the ideal-gas
+pressure and critical (thermal) density, at finite volume and in the
+infinite-volume limit, and lists the modes up to a momentum cutoff for the
+exact-diagonalization models; that list is built only where it is used.
 
-A mode enters every ideal-gas quantity only through k = |n|^2, so the
-lattice is stored as its distinct shells k and their exact integer
-multiplicities r_d(k).  The p != 0 mode sums evaluate their summand once
-per shell and form the exactly rounded value of sum_k r_d(k) * f(k) with
-`summation.weighted_sum`; that is the same double as the exactly rounded
-sum over every mode, because all modes of a shell share one energy
-0.5*step^2*k and hence one term.
-
-Finite mode sums carry a certified truncation bound: the discarded modes
-beyond the cutoff are compared against a d-dimensional Gaussian-tail
-integral over the region |p| > p_max - pi*sqrt(d)/l.  The inward shift by
-half a lattice-cell diagonal makes the comparison an honest upper bound
-for radially decreasing summands.
+The finite-volume sums run over every p != 0 mode, with no cutoff: the
+geometric series of the Bose functions turns each lattice sum into powers
+of a Jacobi theta function, a series of positive terms whose exactly
+rounded value is reported with a certificate (see the section below).
 
 Chemical potentials are restricted to mu < 0 (mu <= 0 for the limiting
 critical density); no ideal-gas quantity is evaluated outside that domain.
@@ -26,13 +18,15 @@ critical density); no ideal-gas quantity is evaluated outside that domain.
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ResourceGuardError, require
-from .summation import stable_sum, weighted_sum
+from .errors import (MAX_ALLOC_BYTES, DomainError, NonConvergenceError,
+                     ResourceGuardError, require)
+from .summation import stable_sum
 
 __all__ = [
     "ModeLattice",
@@ -44,7 +38,6 @@ __all__ = [
     "pressure_ideal_primed",
     "pressure_ideal_limit",
     "critical_density_finite",
-    "critical_density_tail_bound",
     "critical_density_limit",
     "polylog",
 ]
@@ -54,30 +47,54 @@ DEFAULT_MAX_MODES = 20_000_000
 
 @dataclass(frozen=True, eq=False)
 class ModeLattice:
-    """The finite dual lattice of a periodic box, grouped by |n|^2 shell.
+    """A periodic box and its dual-lattice modes with |p| <= p_max.
 
-    `shells` holds the distinct k = |n|^2 of the retained modes in
-    ascending order (k = 0 first when the zero mode is present) and
-    `multiplicities` the exact number r_d(k) of integer vectors on each.
-    Explicit mode vectors are enumerated only on request, in canonical
-    order sorted by (|p|^2, lexicographic integer components), so the zero
-    mode sits at index 0; the build's mode-count guard bounds that
-    enumeration.
+    The ideal-gas sums need only `d` and `l`.  The cutoff `p_max` defines
+    the finite mode list of the exact-diagonalization models: `shells`
+    holds the distinct k = |n|^2 of those modes in ascending order (k = 0
+    first when the zero mode is present) and `multiplicities` the exact
+    number r_d(k) of integer vectors on each.  That table is built on first
+    use, at most once per lattice, and refused if it would hold more than
+    `max_modes` modes.  Explicit mode vectors are enumerated only on
+    request, in canonical order sorted by (|p|^2, lexicographic integer
+    components), so the zero mode sits at index 0.
     """
 
     d: int
     l: float
     p_max: float
-    shells: np.ndarray = field(repr=False)          # distinct |n|^2, ascending
-    multiplicities: np.ndarray = field(repr=False)  # r_d(k) per shell
-
-    def __post_init__(self):
-        self.shells.setflags(write=False)
-        self.multiplicities.setflags(write=False)
+    max_modes: int = DEFAULT_MAX_MODES
 
     @property
     def volume(self) -> float:
         return self.l ** self.d
+
+    @cached_property
+    def _table(self) -> tuple:
+        d = self.d
+        radius = self.p_max * self.l / (2.0 * math.pi)
+        # Ball-volume estimate of the mode count, in logs: no side or d overflows it.
+        log_est = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+                   + d * math.log1p(radius))
+        if log_est > math.log(4.0 * self.max_modes):
+            raise ResourceGuardError(f"estimated mode count 10^{log_est / math.log(10):.3g} "
+                                     f"exceeds the limit {self.max_modes}")
+        shells, mult = _shell_counts(d, math.floor(radius * radius * (1.0 + 1e-14)))
+        n_modes = int(mult.sum())
+        if n_modes > self.max_modes:
+            raise ResourceGuardError(
+                f"mode count {n_modes} exceeds the limit {self.max_modes}")
+        shells.setflags(write=False)
+        mult.setflags(write=False)
+        return shells, mult
+
+    @property
+    def shells(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return self._table[1]
 
     @property
     def includes_zero(self) -> bool:
@@ -91,16 +108,8 @@ class ModeLattice:
     def nonzero_energies(self) -> np.ndarray:
         """Energy |p|^2 / 2 of each p != 0 shell."""
         step = 2.0 * math.pi / self.l
-        return 0.5 * step * step * self.shells[self._nonzero].astype(float)
-
-    @property
-    def nonzero_multiplicities(self) -> np.ndarray:
-        """Mode count of each p != 0 shell, aligned with `nonzero_energies`."""
-        return self.multiplicities[self._nonzero]
-
-    @property
-    def _nonzero(self) -> slice:
-        return slice(1, None) if self.includes_zero else slice(None)
+        nonzero = self.shells[1:] if self.includes_zero else self.shells
+        return 0.5 * step * step * nonzero.astype(float)
 
     def leading_modes(self, count: int):
         """Momenta (count, d) and energies of the first `count` modes.
@@ -153,8 +162,8 @@ class PressureBreakdown:
 
     `total` is defined as the floating-point sum of the three parts, so the
     decomposition identity holds exactly at the arithmetic level.
-    `truncation_bound` bounds the error from the momentum cutoff and any
-    truncated series entering the parts.
+    `truncation_bound` bounds the error of the parts: the certificate of
+    the p != 0 theta series plus that of any truncated zero-mode series.
     """
 
     zero_mode: float
@@ -242,7 +251,7 @@ def _mode_vectors(d: int, kcut: int) -> np.ndarray:
 
 def build_lattice(d: int, l: float, p_max: float,
                   max_modes: int = DEFAULT_MAX_MODES) -> ModeLattice:
-    """All dual-lattice modes with |p| <= p_max, grouped by |n|^2 shell.
+    """The periodic box of side `l` in `d` dimensions, with cutoff `p_max`.
 
     Parameters
     ----------
@@ -251,36 +260,22 @@ def build_lattice(d: int, l: float, p_max: float,
     l : float
         Box side length, > 0.  The lattice spacing is 2*pi/l.
     p_max : float
-        Euclidean momentum cutoff, > 0.
+        Euclidean momentum cutoff, > 0, of the mode list (`shells`,
+        `modes`, `leading_modes`); the ideal-gas sums do not use it.
     max_modes : int
-        Resource guard; the lattice is refused if the mode count can
-        exceed this.
+        Resource guard of the mode list: it is refused, when first used,
+        if it would hold more modes than this.
 
-    Returns
-    -------
-    ModeLattice
-        Shells k = |n|^2 <= (p_max*l/(2*pi))^2 with their multiplicities.
+    Nothing is enumerated here.  Raises ResourceGuardError if the volume
+    l**d is outside the range of normal floats.
     """
     require(d >= 1 and int(d) == d, "d must be an integer >= 1")
     require(l > 0.0, "l must be positive")
     require(p_max > 0.0, "p_max must be positive")
     d = int(d)
-
-    radius = p_max * l / (2.0 * math.pi)
-    # Ball-volume estimate of the mode count, in logs: no side or d overflows it.
-    log_est = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-               + d * math.log1p(radius))
-    if log_est > math.log(4.0 * max_modes):
-        raise ResourceGuardError(f"estimated mode count 10^{log_est / math.log(10):.3g} "
-                                 f"exceeds the limit {max_modes}")
-
-    shells, mult = _shell_counts(d, math.floor(radius * radius * (1.0 + 1e-14)))
-    n_modes = int(mult.sum())
-    if n_modes > max_modes:
-        raise ResourceGuardError(
-            f"mode count {n_modes} exceeds the limit {max_modes}")
-    return ModeLattice(d=d, l=float(l), p_max=float(p_max), shells=shells,
-                       multiplicities=mult)
+    if not abs(d * math.log(l)) < -math.log(sys.float_info.min):
+        raise ResourceGuardError(f"volume {l:.3g}**{d} is outside the float range")
+    return ModeLattice(d=d, l=float(l), p_max=float(p_max), max_modes=max_modes)
 
 
 def dispersion(p) -> float:
@@ -303,89 +298,130 @@ def occupation(beta: float, mu: float, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Tail bounds for the momentum cutoff.
+# The p != 0 mode sums by Jacobi-theta resummation.
 #
-# Both summands used here are dominated by the radially decreasing function
-# C * exp(beta*mu) * exp(-beta*r^2/2).  Each discarded mode p is compared
-# with the average of the dominating function, evaluated half a cell
-# diagonal h = pi*sqrt(d)/l closer to the origin, over the lattice cell
-# centered at p; those cells are disjoint and lie in |q| > p_max - h.  In
-# radial coordinates the bound is
+# Expanding -log(1 - x) = sum_j x^j/j and x/(1 - x) = sum_j x^j in
+# x = e^(beta*(mu - eps_n)) and summing over n in Z^d first gives
+# sum_{n != 0} e^(-j*beta*eps_n) = theta(t_j)^d - 1, t_j = j*h,
+# h = beta*(2*pi/l)^2/2, theta(t) = sum_{n in Z} e^(-t n^2).  So
+# p' = S_1/(beta*V) and rho' = S_0/V over every p != 0 mode, with
 #
-#   (1/V) sum_{|p|>p_max} f(|p|)
-#     <= (2 pi)^-d S_{d-1} int_{r>a} exp(-beta*max(0, r-h)^2/2) r^(d-1) dr,
+#   S_power = sum_{j>=1} e^(j*beta*mu) j^-power (theta(t_j)^d - 1),
 #
-# a = max(0, p_max - h).  The plateau piece r in (a, h) integrates to
-# (h^d - a^d)/d; beyond it the substitution u = r - h and a binomial
-# expansion of (u + h)^(d-1) reduce everything to upper incomplete gamma
-# functions Gamma((k+1)/2, x).  The bound is loose for p_max below a couple
-# of cell diagonals but remains valid there.
+# all terms positive.  theta takes its direct form 1 + 2*sum e^(-t n^2) for
+# t >= pi and the Poisson dual sqrt(pi/t)*(1 + 2*sum e^(-pi^2 m^2/t)) below,
+# each with n, m <= 4.  theta(t) - 1 shrinks by at least e^(-s) when t grows
+# by s, and so does (1 + x)^d - 1 (convex, zero at 0), so each term is at
+# most q = e^(beta*mu - h) times the one before and the tail after term J is
+# at most term_J * q/(1 - q); J = 1 + log(_J_TAIL*(1 - q))/log(q) puts it
+# below _J_TAIL times the first term.  The certificate adds that tail, the dropped
+# theta terms, a count of the roundings in every term, one rounding of the
+# exactly rounded sum, and 2^-1074 per operation that could underflow.
 # ---------------------------------------------------------------------------
 
-def _upper_gamma_half(k: int, x: float) -> float:
-    """Gamma((k+1)/2, x) for x >= 0 by the upward recurrence.
+_U = 2.0 ** -53       # unit roundoff
+_TINY = 2.0 ** -1074  # smallest subnormal
+_THETA_N2 = np.arange(1.0, 5.0) ** 2
+# Dropped theta terms, at the worst case t = pi of each form: n^2 - 25 >=
+# 11*(n - 5) for n >= 5 makes them geometric.  Relative to 2*sum e^(-t n^2)
+# (direct) and to 1 (dual).
+_THETA_DIRECT_TAIL = math.exp(-24.0 * math.pi) / -math.expm1(-11.0 * math.pi)
+_THETA_DUAL_TAIL = 2.0 * math.exp(-25.0 * math.pi) / -math.expm1(-11.0 * math.pi)
+_J_TAIL = 1e-17       # the j-series tail relative to its first term
+_J_CHUNK = 4096       # j-terms evaluated per array pass
+_J_BYTES = 16         # kept per j-term: the term and its concatenated copy
 
-    Gamma(a+1, x) = a*Gamma(a, x) + x^a e^-x, started from
-    Gamma(1/2, x) = sqrt(pi)*erfc(sqrt(x)) or Gamma(1, x) = e^-x; every
-    step adds nonnegative terms, so nothing cancels.
+
+def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
+    """theta(t)^d - 1 for ascending t > 0, and a bound on each value's relative error.
+
+    The bound counts roundings, with t carrying 8 and pow 1.  Direct form,
+    expm1(d*log1p(x)) with x = 2*sum e^(-t n^2): x is off by (9t + 5)
+    relative (an error in t moves e^(-t n^2) by t*n^2 times it), and log1p,
+    the product and expm1 add one each, expm1 amplifying by at most 1 + z;
+    t is clipped at 1e4, beyond which every e^(-t n^2) is 0.  Dual form,
+    (P - 1) + P*expm1(d*log1p(y)) with P = (pi/t)^(d/2), pi/t off by 10
+    and y = 2*sum e^(-s m^2), s = pi^2/t, off by (13s + 4): each part's
+    error is bounded absolutely, then divided by the value.  P is not
+    formed as an exponential, so its error does not grow with log V.
     """
-    if k % 2 == 0:
-        a, value = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
-    else:
-        a, value = 1.0, math.exp(-x)
-    while a < 0.5 * (k + 1):
-        value = a * value + x ** a * math.exp(-x)
-        a += 1.0
-    return value
+    k = int(np.searchsorted(t, math.pi))
+    r = math.pi / t[:k]
+    s = math.pi * r
+    y = 2.0 * np.exp(-np.multiply.outer(s, _THETA_N2)).sum(axis=1)
+    zy = d * np.log1p(y)
+    e = np.expm1(zy)
+    p = r ** (0.5 * d)
+    dual = (p - 1.0) + p * e
+    rel_p = _U * (1.0 + 5.0 * d)
+    rel_y = _U * (13.0 * np.minimum(s, 1e4) + 4.0)
+    abs_e = (1.0 + e) * (d * (y * rel_y + _THETA_DUAL_TAIL) + 2.0 * _U * zy) + _U * e
+    abs_dual = p * rel_p + _U * (p - 1.0 + dual) + p * e * (rel_p + _U) + p * abs_e
+
+    z = d * np.log1p(2.0 * np.exp(-np.multiply.outer(t[k:], _THETA_N2)).sum(axis=1))
+    rel_direct = ((1.0 + z) * (_U * (10.0 * np.minimum(t[k:], 1e4) + 7.0)
+                               + _THETA_DIRECT_TAIL) + _U)
+    return (np.concatenate((dual, np.expm1(z))),
+            np.concatenate((abs_dual / dual, rel_direct)))
 
 
-def _gaussian_moment_tail(beta: float, k: int, u0: float) -> float:
-    """int_{u0}^inf u^k exp(-beta u^2/2) du, exact in closed form."""
-    s = 0.5 * (k + 1)
-    return 0.5 * (2.0 / beta) ** s * _upper_gamma_half(k, 0.5 * beta * u0 * u0)
+def _theta_series(point: ThermoPoint, power: int, rel_tol: float = None) -> tuple:
+    """(S_power / (beta^power * V), certified bound) on the point's box.
 
-
-def _mode_tail_bound(beta: float, mu: float, d: int, l: float, p_max: float) -> float:
-    """Bound on (1/V) * sum over |p| > p_max of exp(beta*(mu - |p|^2/2))."""
-    h = math.pi * math.sqrt(d) / l
-    a = max(0.0, p_max - h)
-    u0 = max(0.0, a - h)
-    try:
-        plateau = (max(h, a) ** d - a ** d) / d
-        decaying = sum(math.comb(d - 1, k) * h ** (d - 1 - k)
-                       * _gaussian_moment_tail(beta, k, u0)
-                       for k in range(d))
-        surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    except OverflowError:
-        raise NonConvergenceError(
-            f"cutoff tail bound overflows at side {l:.3g} in d = {d}") from None
-    return ((2.0 * math.pi) ** (-d) * math.exp(beta * mu) * surface
-            * (plateau + decaying))
+    Raises ResourceGuardError, before forming any term, if the series
+    needs more than MAX_ALLOC_BYTES / _J_BYTES terms or theta(t_1)^d is
+    beyond the float range, and NonConvergenceError if `rel_tol` is given
+    and the bound exceeds rel_tol times the value.
+    """
+    beta, mu, d, l = point.beta, point.mu, point.lattice.d, point.lattice.l
+    _require_stable(mu)
+    bm = beta * mu
+    step = 2.0 * math.pi / l
+    h = 0.5 * beta * step * step
+    # theta(t) <= 1 + sqrt(pi/t), the sum against its integral.
+    log_theta_max = d * math.log1p(math.sqrt(math.pi / h)) if h > 0.0 else math.inf
+    if not log_theta_max < 600.0:
+        raise ResourceGuardError(f"theta(t)^d at side {l:.3g} is beyond the float range")
+    log_q = bm - h
+    one_minus_q = -math.expm1(log_q)
+    terms = (math.log(_J_TAIL) + math.log(one_minus_q)) / log_q
+    if not _J_BYTES * terms <= MAX_ALLOC_BYTES:
+        raise ResourceGuardError(
+            f"the theta series needs ~{terms:.3g} terms at beta*mu = {bm:.3g} and "
+            f"side {l:.3g}, above the ceiling of {MAX_ALLOC_BYTES} bytes")
+    count = 1 + math.ceil(terms)
+    chunks, rounding = [], 0.0
+    for start in range(1, count + 1, _J_CHUNK):
+        j = np.arange(start, min(start + _J_CHUNK, count + 1), dtype=float)
+        g, rel_g = _theta_power_m1(j * h, d)
+        x = j * bm
+        a = np.exp(x) * g / j ** power
+        # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
+        rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g
+        rounding += float(a @ rel)
+        chunks.append(a)
+    total = stable_sum(np.concatenate(chunks))
+    ratio = math.exp(log_q) / one_minus_q
+    tail = float(chunks[-1][-1] * (1.0 + rel[-1])) * ratio * (1.0 + _U * (7.0 * -log_q + 10.0))
+    underflow = (count + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
+    scale = beta ** power * point.volume
+    value = total / scale
+    # The volume, its product with beta and the quotient: 3 roundings.
+    bound = (_U * total + rounding + tail + underflow) / scale + 3.0 * _U * value
+    if rel_tol is not None and bound > rel_tol * max(value, 1e-300):
+        raise NonConvergenceError(f"theta series bound {bound:.3e} exceeds rel_tol * value")
+    return value, bound
 
 
 def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> PressureBreakdown:
-    """Ideal-gas pressure carried by all p != 0 modes, with tail bound.
+    """Ideal-gas pressure carried by all p != 0 modes, with its certificate.
 
-    Evaluates -(1/(beta*V)) * sum_{0 < |p| <= p_max} log(1 - e^(beta*(mu - lam)))
-    on the point's lattice.  The zero-mode and constant parts of the
-    returned breakdown are zero.
-
-    Raises NonConvergenceError when `rel_tol` is given and the certified
-    cutoff bound exceeds rel_tol * |value|.
+    -(1/(beta*V)) * sum_{p != 0} log(1 - e^(beta*(mu - |p|^2/2))) over every
+    mode of the point's box, by the theta series; the lattice's p_max does
+    not enter.  The zero-mode and constant parts of the returned breakdown
+    are zero.  Raises as `_theta_series` does.
     """
-    beta, mu, lat = point.beta, point.mu, point.lattice
-    _require_stable(mu)
-    lam = lat.nonzero_energies
-    v = lat.volume
-    terms = -np.log1p(-np.exp(beta * (mu - lam))) / (beta * v)
-    primed = weighted_sum(terms, lat.nonzero_multiplicities)
-    # -log(1-x) <= x/(1-x) <= x/(1 - e^(beta*(mu - p_max^2/2))) for
-    # x = e^(beta*(mu-lam)): every dropped mode has |p| > p_max.
-    factor = 1.0 / (beta * -math.expm1(beta * (mu - 0.5 * lat.p_max ** 2)))
-    bound = factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
-    if rel_tol is not None and bound > rel_tol * max(abs(primed), 1e-300):
-        raise NonConvergenceError(
-            f"cutoff tail bound {bound:.3e} exceeds rel_tol * |pressure|")
+    primed, bound = _theta_series(point, 1, rel_tol)
     return PressureBreakdown(zero_mode=0.0, primed=primed, constant=0.0,
                              truncation_bound=bound)
 
@@ -400,27 +436,11 @@ def pressure_ideal_limit(beta: float, mu: float, d: int = 3,
 
 
 def critical_density_finite(point: ThermoPoint, rel_tol: float = None) -> float:
-    """Thermal density of the p != 0 modes at finite volume."""
-    beta, mu, lat = point.beta, point.mu, point.lattice
-    _require_stable(mu)
-    lam = lat.nonzero_energies
-    terms = 1.0 / np.expm1(beta * (lam - mu))
-    value = weighted_sum(terms, lat.nonzero_multiplicities) / lat.volume
-    if rel_tol is not None:
-        bound = critical_density_tail_bound(point)
-        if bound > rel_tol * max(abs(value), 1e-300):
-            raise NonConvergenceError(
-                f"cutoff tail bound {bound:.3e} exceeds rel_tol * density")
-    return value
+    """Thermal density of all p != 0 modes at finite volume, by the theta series.
 
-
-def critical_density_tail_bound(point: ThermoPoint) -> float:
-    """Certified bound on the cutoff error of `critical_density_finite`."""
-    beta, mu, lat = point.beta, point.mu, point.lattice
-    _require_stable(mu)
-    # x/(1-x) <= x/(1 - e^(beta*(mu - p_max^2/2))): every dropped mode has |p| > p_max.
-    factor = 1.0 / -math.expm1(beta * (mu - 0.5 * lat.p_max ** 2))
-    return factor * _mode_tail_bound(beta, mu, lat.d, lat.l, lat.p_max)
+    Raises as `_theta_series` does.
+    """
+    return _theta_series(point, 0, rel_tol)[0]
 
 
 def critical_density_limit(beta: float, mu: float, d: int = 3,

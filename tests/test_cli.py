@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 import bose_limits
 
 from bose_limits.cli import RunConfig, emit_csv, emit_json, main, parse_config, run
+from bose_limits.equivalence import pressure_pair
 from bose_limits.errors import DomainError
 
 
@@ -100,6 +102,26 @@ class TestRun:
         row = rows[0]
         assert row["identity_rel_err"] < 1e-12
         assert row["p_linear_constant"] == pytest.approx(0.02, rel=1e-14)
+
+    def test_pressure_passed_needs_both_certificates(self, monkeypatch):
+        # A coarse cutoff no longer matters: every mode enters the sum.
+        cfg = parse_config(["--command", "pressure", "--mu=-0.5", "--nu", "0.1",
+                            "--side", "4", "--pmax", "1"])
+        code, (row,) = run(cfg)
+        assert code == 0 and row["passed"]
+        for model in ("linear", "sqrt"):
+            assert row[f"p_{model}_bound"] <= cfg.rel_tol * abs(row[f"p_{model}_total"])
+
+        from bose_limits import cli
+
+        def loose(point, **kwargs):
+            pair = pressure_pair(point, **kwargs)
+            return pair._replace(sqrt=dataclasses.replace(pair.sqrt, truncation_bound=1.0))
+
+        monkeypatch.setattr(cli, "pressure_pair", loose)
+        code, (row,) = run(cfg)
+        assert row["identity_rel_err"] <= 1e-12
+        assert code == 1 and not row["passed"]
 
     def test_pressure_custom_coefficient(self, capsys):
         # The closed form shares the square-root model's coefficient.
@@ -291,8 +313,9 @@ class TestFlagErrors:
             RunConfig(command="pressure", mu=(math.nan,))
 
     @pytest.mark.parametrize("side,error", [
-        ("1e120", "ResourceGuardError"),    # the mode-count estimate, in logs
-        ("1e-103", "NonConvergenceError"),  # the cutoff bound overflows
+        ("1e120", "ResourceGuardError"),    # the volume overflows a float
+        ("1e-103", "ResourceGuardError"),   # the volume underflows a float
+        ("1e-60", "NonConvergenceError"),   # p' underflows to 0 with a bound > 0
     ])
     def test_extreme_sides_exit_3_with_one_json_record(self, side, error, capsys):
         args = ["--command", "pressure", "--mu=-0.5", "--nu", "0.1", "--side", side]
@@ -409,6 +432,38 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("command,ladder", [
+        ("laplace", "-5"), ("laplace", "10,0"), ("equivalence", "8,-16,32"),
+    ])
+    def test_nonpositive_ladder_sides_exit_2(self, command, ladder):
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", command,
+             "--mu=-0.5", "--nu", "0.1", "--dim", "2", f"--ladder={ladder}"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainError"
+        assert "ladder" in record["message"]
+
+    def test_overlong_theta_series_exits_3(self):
+        # mu -> 0- on a side of 1e6 would need ~3e12 theta-series terms.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "pressure",
+             "--mu=-1e-300", "--side", "1e6"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert json.loads(line)["error"] == "ResourceGuardError"
 
     def test_import_leaves_scipy_unloaded(self):
         src = str(Path(bose_limits.__file__).resolve().parent.parent)

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,19 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bose_limits import lattice_ideal
 from bose_limits.errors import DomainError, NonConvergenceError, ResourceGuardError
 from bose_limits.lattice_ideal import (ModeLattice, PressureBreakdown, ThermoPoint,
                                        build_lattice, critical_density_finite,
-                                       critical_density_limit,
-                                       critical_density_tail_bound, dispersion,
+                                       critical_density_limit, dispersion,
                                        occupation, polylog, pressure_ideal_limit,
-                                       pressure_ideal_primed, _upper_gamma_half, _zeta)
+                                       pressure_ideal_primed, _theta_power_m1,
+                                       _theta_series, _zeta)
 from bose_limits.summation import stable_sum
 
 from conftest import (brute_force_density, brute_force_mode_vectors,
                       brute_force_primed_pressure)
+from shell_oracle import shell_critical_density, shell_primed_pressure
 
 TWO_PI = 2.0 * math.pi
+# An oracle's own rounding, relative: a few roundings per shell or mode
+# term, which the cutoff bound does not cover.
+ORACLE_ROUNDING = 1e-15
 
 # mpmath oracles, frozen at 40 digits
 OCC_BETA1_MU_M1 = 0.58197670686932642439          # 1/(e - 1)
@@ -70,8 +77,18 @@ class TestBuildLattice:
         assert nsq[0] == 0.0
 
     def test_resource_guard(self):
+        lat = build_lattice(3, 50.0, 40.0, max_modes=1000)
         with pytest.raises(ResourceGuardError):
-            build_lattice(3, 50.0, 40.0, max_modes=1000)
+            lat.n_modes
+
+    def test_mode_list_is_built_on_first_use_only(self):
+        lat = build_lattice(3, 1e4, 10.0)
+        point = ThermoPoint(beta=1.0, mu=-0.5, lattice=lat)
+        pressure_ideal_primed(point)
+        critical_density_finite(point)
+        assert "_table" not in vars(lat)
+        small = build_lattice(3, 8.0, 4.0)
+        assert small.shells is small.shells
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -113,7 +130,8 @@ class TestThermoPoint:
 
 
 # (d, l, p_max, beta, mu) -> (primed pressure, critical density), both
-# computed by exactly rounded summation over every explicit mode.
+# computed by exactly rounded summation over every explicit mode with
+# |p| <= p_max.
 PINNED_MODE_SUMS = {
     (3, 16.0, 10.0, 1.0, -0.5): ("0x1.665ce247e6ca0p-5", "0x1.a27c473ad6b3dp-5"),
     (3, 64.0, 10.0, 1.3, -0.7): ("0x1.d72e40a698316p-7", "0x1.4ebe70b4912cap-6"),
@@ -126,8 +144,8 @@ def test_shell_sums_match_pinned_mode_sums(case):
     d, l, p_max, beta, mu = case
     point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, p_max))
     primed, rho_c = PINNED_MODE_SUMS[case]
-    assert pressure_ideal_primed(point).primed == float.fromhex(primed)
-    assert critical_density_finite(point) == float.fromhex(rho_c)
+    assert shell_primed_pressure(point)[0] == float.fromhex(primed)
+    assert shell_critical_density(point)[0] == float.fromhex(rho_c)
 
 
 @pytest.mark.parametrize("d,l,p_max", [(1, 7.0, 4.0), (2, 7.0, 4.0), (3, 8.0, 6.0)])
@@ -136,9 +154,101 @@ def test_shell_sums_equal_per_mode_sums(d, l, p_max):
     point = ThermoPoint(beta=0.7, mu=-0.4, lattice=lat)
     lam = lat.energies[1:]
     terms = -np.log1p(-np.exp(0.7 * (-0.4 - lam))) / (0.7 * lat.volume)
-    assert pressure_ideal_primed(point).primed == stable_sum(terms)
+    assert shell_primed_pressure(point)[0] == stable_sum(terms)
     density = stable_sum(1.0 / np.expm1(0.7 * (lam + 0.4))) / lat.volume
-    assert critical_density_finite(point) == density
+    assert shell_critical_density(point)[0] == density
+
+
+def _exact_theta_series(beta, mu, d, l, power, dps=30):
+    """The p != 0 sum over every mode, sum_j e^(j*beta*mu) j^-power
+    (theta_3(0, e^(-t_j))^d - 1) / (beta^power * l^d), with mpmath's jtheta."""
+    with mp.workdps(dps):
+        h = mp.mpf(beta) * 2 * mp.pi ** 2 / mp.mpf(l) ** 2
+        total, j = mp.mpf(0), 1
+        while True:
+            term = (mp.exp(j * mp.mpf(beta) * mp.mpf(mu)) / mp.mpf(j) ** power
+                    * (mp.jtheta(3, 0, mp.exp(-j * h)) ** d - 1))
+            total += term
+            if term < total * mp.mpf(10) ** -(dps - 2):
+                return total / (mp.mpf(beta) ** power * mp.mpf(l) ** d)
+            j += 1
+
+
+class TestThetaSeries:
+    """The p != 0 sums over every mode, by Jacobi-theta resummation."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_theta_power_against_mpmath(self, d):
+        # Both forms of theta, either side of t = pi, from t = 1e-6 up to
+        # 700, where theta - 1 ~ 2e^(-t) is still a normal float.
+        t = np.logspace(-6.0, math.log10(700.0), 61)
+        value, rel = _theta_power_m1(t, d)
+        for k, tk in enumerate(t.tolist()):
+            # theta - 1 ~ 2e^(-t): t/log(10) more digits survive the subtraction.
+            with mp.workdps(30 + int(tk)):
+                exact = mp.jtheta(3, 0, mp.exp(-mp.mpf(tk))) ** d - 1
+                assert abs(value[k] - exact) <= rel[k] * value[k]
+        # Past t ~ 10 the bound grows as 10t roundings: e^(-t) carries t's error.
+        assert np.all(rel[t < 10.0] < 1e-13)
+
+    @pytest.mark.parametrize("d,l,beta,mu", [
+        (3, 8.0, 1.0, -0.5), (1, 3.0, 0.7, -1e-3), (2, 12.0, 2.0, -0.05),
+        (3, 2.0, 0.5, -1.5),
+    ])
+    def test_certificate_covers_the_error(self, d, l, beta, mu, monkeypatch):
+        point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, 1.0))
+        exact = [_exact_theta_series(beta, mu, d, l, power) for power in (0, 1)]
+        for power in (0, 1):
+            value, bound = _theta_series(point, power)
+            assert abs(value - exact[power]) <= bound <= 1e-14 * value
+        # Stopped early, the j-tail dominates the certificate.
+        monkeypatch.setattr(lattice_ideal, "_J_TAIL", 1e-6)
+        for power in (0, 1):
+            value, bound = _theta_series(point, power)
+            assert 1e-13 * value < abs(value - exact[power]) <= bound
+
+    @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -1e-3),
+           side=st.floats(2.0, 64.0), d=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_shell_oracle(self, beta, mu, side, d):
+        point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, side, 10.0))
+        theta = pressure_ideal_primed(point)
+        shell, cutoff = shell_primed_pressure(point)
+        assert abs(theta.primed - shell) <= (cutoff + theta.truncation_bound
+                                             + ORACLE_ROUNDING * shell)
+        density, density_bound = _theta_series(point, 0)
+        assert density == critical_density_finite(point)
+        shell, cutoff = shell_critical_density(point)
+        assert abs(density - shell) <= cutoff + density_bound + ORACLE_ROUNDING * shell
+
+    def test_large_box_is_cheap_and_certified(self):
+        point = ThermoPoint(beta=1.0, mu=-0.5, lattice=build_lattice(3, 1e4, 10.0))
+        res = pressure_ideal_primed(point, rel_tol=1e-14)
+        # The zero mode's share, log(1 - e^(beta*mu))/(beta*V), is ~1e-12.
+        assert res.primed == pytest.approx(pressure_ideal_limit(1.0, -0.5, 3), rel=1e-9)
+        assert critical_density_finite(point, rel_tol=1e-14) == pytest.approx(
+            critical_density_limit(1.0, -0.5, 3, tol=1e-14), rel=1e-9)
+
+    def test_long_series_refused_before_allocating(self):
+        # mu -> 0- on a side of 1e6 would need ~3e12 terms.
+        point = ThermoPoint(beta=1.0, mu=-1e-300, lattice=build_lattice(3, 1e6, 10.0))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceGuardError, match="theta series"):
+                pressure_ideal_primed(point)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("d,l", [(1, 1e200), (2, 1e150)])
+    def test_spacing_beyond_float_range_refused(self, d, l):
+        point = ThermoPoint(beta=1.0, mu=-0.5, lattice=build_lattice(d, l, 10.0))
+        with pytest.raises(ResourceGuardError, match="float range"):
+            pressure_ideal_primed(point)
 
 
 class TestDispersion:
@@ -180,7 +290,10 @@ class TestPressureIdealPrimed:
         point = ThermoPoint(beta=1.0, mu=-1.0, lattice=lat)
         result = pressure_ideal_primed(point)
         oracle = brute_force_primed_pressure(1.0, -1.0, 1, TWO_PI, 20.0)
-        assert abs(result.primed - oracle) <= result.truncation_bound
+        wide = ThermoPoint(beta=1.0, mu=-1.0, lattice=build_lattice(1, TWO_PI, 20.0))
+        assert abs(result.primed - oracle) <= (result.truncation_bound
+                                               + shell_primed_pressure(wide)[1]
+                                               + ORACLE_ROUNDING * oracle)
 
     def test_deep_mu_vanishes(self):
         lat = build_lattice(1, TWO_PI, 10.0)
@@ -200,9 +313,9 @@ class TestPressureIdealPrimed:
         for p_max in (4.0, 6.0):
             small = build_lattice(3, 16.0, p_max)
             large = build_lattice(3, 16.0, 2.0 * p_max)
-            a = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=-0.5, lattice=small))
-            b = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=-0.5, lattice=large))
-            assert abs(b.primed - a.primed) < a.truncation_bound
+            a, a_bound = shell_primed_pressure(ThermoPoint(beta=1.0, mu=-0.5, lattice=small))
+            b, _ = shell_primed_pressure(ThermoPoint(beta=1.0, mu=-0.5, lattice=large))
+            assert abs(b - a) < a_bound
 
     @pytest.mark.parametrize("p_max,side", [(1.0, 16.0), (2.0, 4.0), (3.0, 8.0)])
     def test_cutoff_bound_finite_and_sound_near_mu_zero(self, p_max, side):
@@ -211,14 +324,14 @@ class TestPressureIdealPrimed:
         mu = -1e-300
         small = build_lattice(3, side, p_max)
         large = build_lattice(3, side, 4.0 * p_max + 8.0)
-        a = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=mu, lattice=small))
-        b = pressure_ideal_primed(ThermoPoint(beta=1.0, mu=mu, lattice=large))
-        assert math.isfinite(a.truncation_bound)
-        assert b.primed - a.primed < a.truncation_bound
+        a, a_bound = shell_primed_pressure(ThermoPoint(beta=1.0, mu=mu, lattice=small))
+        b, _ = shell_primed_pressure(ThermoPoint(beta=1.0, mu=mu, lattice=large))
+        assert math.isfinite(a_bound)
+        assert b - a < a_bound
         point = ThermoPoint(beta=1.0, mu=mu, lattice=small)
-        dropped = critical_density_finite(ThermoPoint(beta=1.0, mu=mu, lattice=large)) \
-            - critical_density_finite(point)
-        assert 0.0 < dropped < critical_density_tail_bound(point) < math.inf
+        rho_large, _ = shell_critical_density(ThermoPoint(beta=1.0, mu=mu, lattice=large))
+        rho_small, rho_bound = shell_critical_density(point)
+        assert 0.0 < rho_large - rho_small < rho_bound < math.inf
 
     def test_breakdown_structure(self):
         lat = build_lattice(1, TWO_PI, 10.0)
@@ -230,7 +343,14 @@ class TestPressureIdealPrimed:
         lat = build_lattice(3, 8.0, 2.0)
         point = ThermoPoint(beta=1.0, mu=-0.1, lattice=lat)
         with pytest.raises(NonConvergenceError):
-            pressure_ideal_primed(point, rel_tol=1e-12)
+            shell_primed_pressure(point, rel_tol=1e-12)
+        # Every mode enters the theta series: its certificate meets 1e-12
+        # at any cutoff, and refuses a tolerance below its rounding.
+        assert pressure_ideal_primed(point, rel_tol=1e-12).truncation_bound > 0.0
+        with pytest.raises(NonConvergenceError):
+            pressure_ideal_primed(point, rel_tol=1e-17)
+        with pytest.raises(NonConvergenceError):
+            critical_density_finite(point, rel_tol=1e-17)
 
     def test_deterministic(self):
         lat = build_lattice(3, 8.0, 6.0)
@@ -281,7 +401,7 @@ class TestCriticalDensityFinite:
         assert lat.n_modes == 3
         point = ThermoPoint(beta=1.0, mu=-0.5, lattice=lat)
         expected = 2.0 * occupation(1.0, -0.5, 0.5) / TWO_PI
-        assert critical_density_finite(point) == pytest.approx(expected, rel=1e-14)
+        assert shell_critical_density(point)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_matches_brute_force(self, lattice_d3_l16):
         point = ThermoPoint(beta=1.0, mu=-0.5, lattice=lattice_d3_l16)
@@ -299,7 +419,7 @@ class TestCriticalDensityFinite:
 
     def test_tail_bound_positive(self, lattice_d3_l16):
         point = ThermoPoint(beta=1.0, mu=-0.5, lattice=lattice_d3_l16)
-        assert critical_density_tail_bound(point) > 0.0
+        assert shell_critical_density(point)[1] > 0.0
 
 
 class TestCriticalDensityLimit:
@@ -360,15 +480,6 @@ class TestPolylog:
         val = polylog(s, z, tol=1e-13)
         assert val >= z - 1e-15
         assert polylog(s, min(z + 0.02, 0.97), tol=1e-13) >= val
-
-
-class TestUpperGammaHalf:
-    @pytest.mark.parametrize("k", range(6))
-    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 1.0, 7.5, 40.0, 300.0])
-    def test_mpmath_oracle(self, k, x):
-        with mp.workdps(40):
-            oracle = mp.gammainc(mp.mpf(k + 1) / 2, mp.mpf(x))
-        assert _upper_gamma_half(k, x) == pytest.approx(float(oracle), rel=1e-14)
 
 
 class TestZeta:
