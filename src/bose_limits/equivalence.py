@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError, StepSizeError, require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
+from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp,
                             build_lattice, critical_density_finite,
                             critical_density_limit, pressure_ideal_primed)
 from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
@@ -121,6 +121,27 @@ class PressurePair(NamedTuple):
     def identity_rel_err(self) -> float:
         """|delta - closed_form| relative to the closed form."""
         return abs(self.delta - self.closed_form) / max(abs(self.closed_form), 1e-300)
+
+    @property
+    def identity_bound(self) -> float:
+        """What rounding alone can put between `delta` and `closed_form`.
+
+        The forms share every part and differ in six additions: two in the
+        linear total, one in the square-root total, their difference and
+        two in the closed form.  Each rounds by at most u = 2^-53 times its
+        result, and every part but the series is nonnegative, so no result
+        exceeds |p_lin| + |p_sqrt| + |closed form|; gamma_6 = 6u/(1 - 6u)
+        times that sum bounds all six.
+        """
+        return 6.0 * _U / (1.0 - 6.0 * _U) * (abs(self.linear.total) + abs(self.sqrt.total)
+                                             + abs(self.closed_form))
+
+    def passed(self, rel_tol: float) -> bool:
+        """`delta` within `identity_bound` of the closed form, and each
+        model's `truncation_bound` at most `rel_tol` times its total."""
+        return (abs(self.delta - self.closed_form) <= self.identity_bound
+                and all(p.truncation_bound <= rel_tol * abs(p.total)
+                        for p in (self.linear, self.sqrt)))
 
 
 def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
@@ -279,6 +300,7 @@ def fit_rate(ladder: ConvergenceLadder) -> RateFit:
 class EquivalenceResult:
     """Outcome of the pressure-equivalence and condensate-equality checks.
 
+    `rung_passed` holds each ladder rung's `PressurePair.passed`.
     `rung_durations` holds the wall time of each ladder rung in seconds; it
     is left out of `repr` and equality, so results compare by value.
     """
@@ -287,6 +309,7 @@ class EquivalenceResult:
     density_linear: DensityReport
     density_sqrt: DensityReport
     identity_rel_errors: tuple
+    rung_passed: tuple
     passed: bool
     rung_durations: tuple = field(default=(), repr=False, compare=False)
 
@@ -311,15 +334,14 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     decreasing in magnitude (nu > 0).
     """
     require(len(sides) >= 1, "at least one side required")
-    values = []
-    identity_errors = []
-    durations = []
+    values, identity_errors, rung_passed, durations = [], [], [], []
     for side in sides:
         start = time.perf_counter()
         point = ThermoPoint(beta=beta, mu=mu, nu=nu,
                             lattice=build_lattice(d, float(side), p_max))
         pair = pressure_pair(point, rel_tol=rel_tol)
         identity_errors.append(pair.identity_rel_err)
+        rung_passed.append(pair.passed(rel_tol))
         values.append(pair.delta)
         durations.append(time.perf_counter() - start)
 
@@ -352,4 +374,5 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     return EquivalenceResult(ladder=ladder, density_linear=dens_lin,
                              density_sqrt=dens_sqrt,
                              identity_rel_errors=tuple(identity_errors),
-                             passed=passed, rung_durations=tuple(durations))
+                             rung_passed=tuple(rung_passed), passed=passed,
+                             rung_durations=tuple(durations))

@@ -4,7 +4,7 @@ The CLI maps these onto exit codes: invalid input (DomainError and
 subclasses) exits 2, convergence and resource failures exit 3.
 """
 
-# Bytes one Fock rung, zero-mode series window or theta series may allocate; fixed.
+# Bytes one Fock rung, mode enumeration, zero-mode window, theta or polylog series may allocate.
 MAX_ALLOC_BYTES = 2 ** 29
 
 

@@ -123,11 +123,10 @@ class FockTruncation:
 
 
 def truncate_lattice(lattice: ModeLattice, cutoffs: Sequence[int]) -> FockTruncation:
-    """Keep the first len(cutoffs) modes of a lattice (canonical order)."""
-    m = len(cutoffs)
-    require(1 <= m <= lattice.n_modes, "more cutoffs than lattice modes")
-    require(lattice.includes_zero, "lattice must contain the zero mode")
-    modes, energies = lattice.leading_modes(m)
+    """Keep the first len(cutoffs) modes of a lattice (canonical order), from
+    `ModeLattice.leading_modes`: a DomainError if p_max holds fewer."""
+    require(len(cutoffs) >= 1, "at least one cutoff is required")
+    modes, energies = lattice.leading_modes(len(cutoffs))
     return FockTruncation(modes=modes, energies=energies,
                           cutoffs=tuple(int(c) for c in cutoffs))
 

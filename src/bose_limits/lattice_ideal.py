@@ -5,7 +5,7 @@ carries the dual momentum lattice p = 2*pi*n/l (n integer vector) with
 single-particle dispersion |p|^2/2.  This module evaluates the ideal-gas
 pressure and critical (thermal) density, at finite volume and in the
 infinite-volume limit, and lists the modes up to a momentum cutoff for the
-exact-diagonalization models; that list is built only where it is used.
+exact-diagonalization models, enumerating only the modes they use.
 
 The finite-volume sums run over every p != 0 mode, with no cutoff: the
 geometric series of the Bose functions turns each lattice sum into powers
@@ -42,33 +42,37 @@ __all__ = [
     "polylog",
 ]
 
-DEFAULT_MAX_MODES = 20_000_000
+# Modes the full shell table may hold; `leading_modes` does not build it.
+MAX_MODES = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
 class ModeLattice:
     """A periodic box and its dual-lattice modes with |p| <= p_max.
 
-    The ideal-gas sums need only `d` and `l`.  The cutoff `p_max` defines
-    the finite mode list of the exact-diagonalization models: `shells`
-    holds the distinct k = |n|^2 of those modes in ascending order (k = 0
-    first when the zero mode is present) and `multiplicities` the exact
-    number r_d(k) of integer vectors on each.  That table is built on first
-    use, at most once per lattice, and refused if it would hold more than
-    `max_modes` modes.  Explicit mode vectors are enumerated only on
-    request, in canonical order sorted by (|p|^2, lexicographic integer
-    components), so the zero mode sits at index 0.
+    The ideal-gas sums need only `d` and `l`.  `leading_modes` lists the
+    modes within p_max in canonical order, by (|p|^2, lexicographic integer
+    components), so the zero mode comes first.  `shells` (the distinct
+    k = |n|^2 within p_max, ascending from 0) and `multiplicities` (the
+    r_d(k) vectors on each) are built on first use, at most once, and
+    refused beyond MAX_MODES modes.
     """
 
     d: int
     l: float
     p_max: float
-    max_modes: int = DEFAULT_MAX_MODES
 
     @property
     def volume(self) -> float:
         return self.l ** self.d
 
+    @property
+    def _max_shell(self) -> float:
+        """The largest |n|^2 within the cutoff, (p_max*l/(2*pi))^2, widened by 1e-14."""
+        radius = self.p_max * self.l / (2.0 * math.pi)
+        return radius * radius * (1.0 + 1e-14)
+
+    # The shell table is read only by perfbench/tracer.py and tests/shell_oracle.py.
     @cached_property
     def _table(self) -> tuple:
         d = self.d
@@ -76,14 +80,13 @@ class ModeLattice:
         # Ball-volume estimate of the mode count, in logs: no side or d overflows it.
         log_est = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
                    + d * math.log1p(radius))
-        if log_est > math.log(4.0 * self.max_modes):
+        if log_est > math.log(4.0 * MAX_MODES):
             raise ResourceGuardError(f"estimated mode count 10^{log_est / math.log(10):.3g} "
-                                     f"exceeds the limit {self.max_modes}")
-        shells, mult = _shell_counts(d, math.floor(radius * radius * (1.0 + 1e-14)))
+                                     f"exceeds the limit {MAX_MODES}")
+        shells, mult = _shell_counts(d, math.floor(self._max_shell))
         n_modes = int(mult.sum())
-        if n_modes > self.max_modes:
-            raise ResourceGuardError(
-                f"mode count {n_modes} exceeds the limit {self.max_modes}")
+        if n_modes > MAX_MODES:
+            raise ResourceGuardError(f"mode count {n_modes} exceeds the limit {MAX_MODES}")
         shells.setflags(write=False)
         mult.setflags(write=False)
         return shells, mult
@@ -97,10 +100,6 @@ class ModeLattice:
         return self._table[1]
 
     @property
-    def includes_zero(self) -> bool:
-        return bool(self.shells.size > 0 and self.shells[0] == 0)
-
-    @property
     def n_modes(self) -> int:
         return int(self.multiplicities.sum())
 
@@ -108,30 +107,31 @@ class ModeLattice:
     def nonzero_energies(self) -> np.ndarray:
         """Energy |p|^2 / 2 of each p != 0 shell."""
         step = 2.0 * math.pi / self.l
-        nonzero = self.shells[1:] if self.includes_zero else self.shells
-        return 0.5 * step * step * nonzero.astype(float)
+        return 0.5 * step * step * self.shells[1:].astype(float)
 
     def leading_modes(self, count: int):
         """Momenta (count, d) and energies of the first `count` modes.
 
-        Only the shells up to the one holding mode `count` are enumerated.
+        Enumerated directly, with no shell table: every x with |x| <= r
+        lies in the unit cube around a lattice point n with
+        |n| <= r + sqrt(d)/2, so those points number at least the volume
+        of that ball, set here to `count`.  Raises DomainError if the
+        count-th mode lies beyond p_max, and ResourceGuardError if the
+        enumeration would allocate more than MAX_ALLOC_BYTES.
         """
-        require(0 <= count <= self.n_modes, "count must lie in [0, n_modes]")
-        last = int(np.searchsorted(np.cumsum(self.multiplicities), count))
-        n = _mode_vectors(self.d, int(self.shells[last]))[:count]
+        require(count >= 0, "count must be nonnegative")
+        d = self.d
+        r = (count * math.gamma(0.5 * d + 1.0) / math.pi ** (0.5 * d)) ** (1.0 / d)
+        kcut = math.floor(min((r + 0.5 * math.sqrt(d)) ** 2 + 1.0, self._max_shell))
+        if 8 * (3 * d + 2) * (2 * math.isqrt(kcut) + 1) ** d > MAX_ALLOC_BYTES:
+            raise ResourceGuardError(f"enumerating {count} modes in d = {d} exceeds "
+                                     f"the ceiling of {MAX_ALLOC_BYTES} bytes")
+        n = _mode_vectors(d, kcut)[:count]
+        if n.shape[0] < count:
+            raise DomainError(f"fewer than {count} modes lie within p_max = {self.p_max}")
         step = 2.0 * math.pi / self.l
         nsq = (n * n).sum(axis=1)
         return step * n.astype(float), 0.5 * step * step * nsq.astype(float)
-
-    @property
-    def modes(self) -> np.ndarray:
-        """Momenta of all modes, shape (n_modes, d), canonical order."""
-        return self.leading_modes(self.n_modes)[0]
-
-    @property
-    def energies(self) -> np.ndarray:
-        """|p|^2 / 2 of all modes, canonical order."""
-        return self.leading_modes(self.n_modes)[1]
 
 
 @dataclass(frozen=True)
@@ -224,33 +224,22 @@ def _shell_counts(d: int, kmax: int):
 
 
 def _mode_vectors(d: int, kcut: int) -> np.ndarray:
-    """All n in Z^d with |n|^2 <= kcut, in canonical (|n|^2, lexicographic) order."""
-    r = math.isqrt(kcut)
-    axis = np.arange(-r, r + 1, dtype=np.int64)
-    if d == 1:
-        n_all = axis[:, None]
-    else:
-        # Slice along the first axis to keep peak memory bounded.
-        rest = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
-        rest = np.stack([g.ravel() for g in rest], axis=1)
-        rest_sq = (rest * rest).sum(axis=1)
-        chunks = []
-        for n1 in axis.tolist():
-            keep = rest_sq <= kcut - n1 * n1
-            block = np.empty((int(keep.sum()), d), dtype=np.int64)
-            block[:, 0] = n1
-            block[:, 1:] = rest[keep]
-            chunks.append(block)
-        n_all = np.concatenate(chunks, axis=0)
-    nsq = (n_all * n_all).sum(axis=1)
+    """All n in Z^d with |n|^2 <= kcut, in canonical (|n|^2, lexicographic) order.
+
+    They are cut from the cube |n_i| <= isqrt(kcut), whose (2*isqrt(kcut) + 1)^d
+    points each take at most 3*d + 2 integers at peak.
+    """
+    axis = np.arange(-math.isqrt(kcut), math.isqrt(kcut) + 1, dtype=np.int64)
+    cube = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    nsq = (cube * cube).sum(axis=1)
+    n_all, nsq = cube[nsq <= kcut], nsq[nsq <= kcut]
     # Integer sort keys make the canonical order exact: |n|^2 first, then
     # lexicographic components.
     order = np.lexsort(tuple(n_all[:, k] for k in range(d - 1, -1, -1)) + (nsq,))
     return n_all[order]
 
 
-def build_lattice(d: int, l: float, p_max: float,
-                  max_modes: int = DEFAULT_MAX_MODES) -> ModeLattice:
+def build_lattice(d: int, l: float, p_max: float) -> ModeLattice:
     """The periodic box of side `l` in `d` dimensions, with cutoff `p_max`.
 
     Parameters
@@ -260,11 +249,8 @@ def build_lattice(d: int, l: float, p_max: float,
     l : float
         Box side length, > 0.  The lattice spacing is 2*pi/l.
     p_max : float
-        Euclidean momentum cutoff, > 0, of the mode list (`shells`,
-        `modes`, `leading_modes`); the ideal-gas sums do not use it.
-    max_modes : int
-        Resource guard of the mode list: it is refused, when first used,
-        if it would hold more modes than this.
+        Euclidean momentum cutoff, > 0, of the mode list (`leading_modes`,
+        `shells`); the ideal-gas sums do not use it.
 
     Nothing is enumerated here.  Raises ResourceGuardError if the volume
     l**d is outside the range of normal floats.
@@ -275,7 +261,7 @@ def build_lattice(d: int, l: float, p_max: float,
     d = int(d)
     if not abs(d * math.log(l)) < -math.log(sys.float_info.min):
         raise ResourceGuardError(f"volume {l:.3g}**{d} is outside the float range")
-    return ModeLattice(d=d, l=float(l), p_max=float(p_max), max_modes=max_modes)
+    return ModeLattice(d=d, l=float(l), p_max=float(p_max))
 
 
 def dispersion(p) -> float:
@@ -329,7 +315,7 @@ _THETA_DIRECT_TAIL = math.exp(-24.0 * math.pi) / -math.expm1(-11.0 * math.pi)
 _THETA_DUAL_TAIL = 2.0 * math.exp(-25.0 * math.pi) / -math.expm1(-11.0 * math.pi)
 _J_TAIL = 1e-17       # the j-series tail relative to its first term
 _J_CHUNK = 4096       # j-terms evaluated per array pass
-_J_BYTES = 16         # kept per j-term: the term and its concatenated copy
+_J_BYTES = 8          # kept per term of a series: one double
 
 
 def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
@@ -390,19 +376,19 @@ def _theta_series(point: ThermoPoint, power: int, rel_tol: float = None) -> tupl
             f"the theta series needs ~{terms:.3g} terms at beta*mu = {bm:.3g} and "
             f"side {l:.3g}, above the ceiling of {MAX_ALLOC_BYTES} bytes")
     count = 1 + math.ceil(terms)
-    chunks, rounding = [], 0.0
-    for start in range(1, count + 1, _J_CHUNK):
-        j = np.arange(start, min(start + _J_CHUNK, count + 1), dtype=float)
+    a, rounding = np.empty(count), 0.0
+    for start in range(0, count, _J_CHUNK):
+        j = np.arange(start + 1, min(start + _J_CHUNK, count) + 1, dtype=float)
         g, rel_g = _theta_power_m1(j * h, d)
         x = j * bm
-        a = np.exp(x) * g / j ** power
+        chunk = a[start:start + j.size]
+        chunk[:] = np.exp(x) * g / j ** power
         # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
         rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g
-        rounding += float(a @ rel)
-        chunks.append(a)
-    total = stable_sum(np.concatenate(chunks))
+        rounding += float(chunk @ rel)
+    total = stable_sum(a)
     ratio = math.exp(log_q) / one_minus_q
-    tail = float(chunks[-1][-1] * (1.0 + rel[-1])) * ratio * (1.0 + _U * (7.0 * -log_q + 10.0))
+    tail = float(a[-1] * (1.0 + rel[-1])) * ratio * (1.0 + _U * (7.0 * -log_q + 10.0))
     underflow = (count + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
     scale = beta ** power * point.volume
     value = total / scale
@@ -603,38 +589,32 @@ def _robinson(s: float, t: float, tol: float) -> tuple:
     return value, tail + error + _EPS * rounding
 
 
-def _direct_series(s: float, z: float, tol: float, max_terms: int) -> float:
-    """sum_{k>=1} z^k / k^s for 0 < z < 1 until the geometric tail bound
-    z^(K+1) / ((K+1)^s (1-z)) is below tol * max(1, partial sum)."""
-    log_z = math.log(z)
-    # Li_s(z) <= z/(1-z); if the bound at max_terms cannot meet tol even
-    # against that, refuse before summing anything.
-    log_tail_at_cap = (max_terms + 1) * log_z - s * math.log(max_terms + 1.0) \
-        - math.log1p(-z)
-    if log_tail_at_cap > math.log(tol * max(1.0, z / (1.0 - z))):
-        raise NonConvergenceError(f"polylog did not converge within {max_terms} terms")
-    total = 0.0
-    k_start = 1
-    block = 4096
-    collected = []
-    while True:
-        k = np.arange(k_start, min(k_start + block, max_terms + 1), dtype=float)
-        if k.size == 0:
-            raise NonConvergenceError(f"polylog did not converge within {max_terms} terms")
-        terms = np.exp(k * log_z - s * np.log(k))
-        collected.append(terms)
-        k_end = int(k[-1])
-        total += float(terms.sum())
-        tail = z ** (k_end + 1) / ((k_end + 1) ** s * (1.0 - z))
-        if tail <= tol * max(1.0, abs(total)):
-            break
-        k_start = k_end + 1
-        block = min(2 * block, 1_000_000)
-    return stable_sum(np.concatenate(collected))
+def _direct_series(s: float, t: float, tol: float) -> float:
+    """sum_{k<=K} e^(k*t) / k^s, K the fewest terms whose tail bound
+    z^(K+1) / ((K+1)^s (1-z)), z = e^t, is at most tol.
+
+    At x = K + 1 the bound's log over tol, f(x) = x*t - s*log(x) + c, is
+    convex and decreasing, so a Newton step never passes its root: integer
+    steps of at least 1 from x = 2 stop at the smallest x with f(x) <= 0.
+    K is refused, before any term is formed, beyond MAX_ALLOC_BYTES / 8.
+    """
+    c = -_log1m_exp(t) - math.log(tol)
+    x = 2
+    while (f := x * t - s * math.log(x) + c) > 0.0 and _J_BYTES * (x - 1) <= MAX_ALLOC_BYTES:
+        x = math.floor(x + max(1.0, f / (s / x - t)))
+    count = x - 1
+    if _J_BYTES * count > MAX_ALLOC_BYTES:
+        raise NonConvergenceError(
+            f"polylog({s:.17g}, e^{t:.3g}) needs over {MAX_ALLOC_BYTES // _J_BYTES} terms "
+            f"for tol = {tol:.1e}, above the ceiling of {MAX_ALLOC_BYTES} bytes")
+    terms = np.empty(count)
+    for start in range(0, count, _J_CHUNK):
+        k = np.arange(start + 1, min(start + _J_CHUNK, count) + 1, dtype=float)
+        terms[start:start + k.size] = np.exp(k * t - s * np.log(k))
+    return stable_sum(terms)
 
 
-def polylog(s: float, z: float, tol: float = 1e-12,
-            max_terms: int = 50_000_000) -> float:
+def polylog(s: float, z: float, tol: float = 1e-12) -> float:
     """Bose function sum_{k>=1} z^k / k^s with a certified truncation error.
 
     The returned value is within tol * max(1, |value|) of Li_s(z).
@@ -643,8 +623,9 @@ def polylog(s: float, z: float, tol: float = 1e-12,
       terms however close z is to 1.  Where its error bound misses `tol`
       (s close to an integer, where two poles cancel), the direct series
       below is tried instead.
-    * otherwise the defining series, summed until the geometric tail bound
-      z^(K+1) / ((K+1)^s (1-z)) drops below `tol`.
+    * otherwise the defining series, to the fewest terms K whose geometric
+      tail bound z^(K+1) / ((K+1)^s (1-z)) is at most `tol`, counted before
+      any term is formed (at most ~71 at |log z| >= 0.5, tol = 1e-15).
 
     Raises
     ------
@@ -652,7 +633,7 @@ def polylog(s: float, z: float, tol: float = 1e-12,
         If z is outside [0, 1] or s <= 0.
     NonConvergenceError
         If z = 1 with s <= 1 (divergent), or no evaluation meets `tol`
-        (the direct series would need more than `max_terms` terms).
+        (the direct series would need over MAX_ALLOC_BYTES / 8 terms).
     """
     require(s > 0.0, "s must be positive")
     require(0.0 <= z <= 1.0, "z must lie in [0, 1]")
@@ -673,4 +654,4 @@ def polylog(s: float, z: float, tol: float = 1e-12,
         value, error = _robinson(s, t, tol)
         if error <= tol * max(1.0, abs(value)):
             return value
-    return _direct_series(s, z, tol, max_terms)
+    return _direct_series(s, t, tol)

@@ -106,8 +106,7 @@ def _mode_tail_bound(beta: float, mu: float, d: int, l: float, p_max: float) -> 
 
 def _nonzero_shells(lat):
     """Energies and multiplicities of the p != 0 shells of the cutoff list."""
-    first = 1 if lat.includes_zero else 0
-    return lat.nonzero_energies, lat.multiplicities[first:]
+    return lat.nonzero_energies, lat.multiplicities[1:]
 
 
 def shell_primed_pressure(point, rel_tol: float = None) -> tuple:

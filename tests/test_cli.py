@@ -143,6 +143,26 @@ class TestRun:
         assert code == 0
         assert all(r["identity_rel_err"] <= 1e-12 for r in rows)
 
+    def test_equivalence_rows_read_the_pass_rule(self):
+        code, rows = run(parse_config(["--command", "equivalence", "--mu=-0.5", "--nu", "0.1",
+                                       "--ladder", "8,16,32,64,128,256,512,1024"]))
+        ladder = [r for r in rows if r["row"] == "ladder"]
+        assert len(ladder) == 8 and all(r["passed"] for r in ladder)
+        assert max(r["identity_rel_err"] for r in ladder) > 1e-12
+
+    def test_generic_side64_grid_passes(self):
+        # 1000 rows; under a fixed 1e-12 identity threshold 177 of them
+        # failed on rounding alone.
+        def grid(start, step):
+            return ",".join(repr(round(start + step * i, 10)) for i in range(10))
+
+        code, rows = run(parse_config(["--command", "sweep", "--beta", grid(0.5, 0.1),
+                                       f"--mu={grid(-0.05, -0.1)}", "--nu", grid(0.05, 0.05),
+                                       "--side", "64"]))
+        assert len(rows) == 1000
+        assert code == 0
+        assert max(r["identity_rel_err"] for r in rows) > 1e-12
+
     def test_equivalence_ladder_rows_timed(self):
         code, rows = run(parse_config(["--command", "equivalence", "--mu=-0.5",
                                        "--nu", "0.1", "--ladder", "4,6,8", "--pmax", "8"]))
@@ -243,6 +263,22 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ResourceGuardError"
         assert "block eigensolve" in err["message"]
+
+    @pytest.mark.parametrize("args,code", [(["--side", "200"], 0),
+                                           (["--side", "2", "--pmax", "1"], 2)])
+    def test_fulldiag_takes_its_modes_without_the_shell_table(self, args, code):
+        # Side 200 holds ~1e8 modes within the default cutoff, of which the
+        # run uses 2; at side 2, p_max = 1 holds only the zero mode.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "fulldiag", "--mu=-0.5",
+             "--nu", "0.1", "--fock-cutoff", "14,6", *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert json.loads(proc.stderr)["error"] == "DomainError"
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2

@@ -95,6 +95,55 @@ class TestPressurePair:
         assert pressure_pair(point).identity_rel_err > 1e-9
 
 
+LADDER_TO_1024 = (8, 16, 32, 64, 128, 256, 512, 1024)
+
+
+class TestPassRule:
+    """`PressurePair.passed`: the identity within its rounding bound, and
+    both truncation bounds within rel_tol of their totals."""
+
+    def test_every_rung_to_1024_passes(self):
+        # Identity errors reach 1.5e-11 at side 256 and 1.1e-9 at 1024,
+        # relative to the shrinking gap; both are rounding.
+        result = verify_equivalence(1.0, -0.5, 0.1, 3, LADDER_TO_1024)
+        assert result.rung_passed == (True,) * len(LADDER_TO_1024)
+        assert max(result.identity_rel_errors) > 1e-12
+
+    @pytest.mark.parametrize("side", LADDER_TO_1024)
+    def test_a_wrong_constant_fails_at_every_side(self, side, monkeypatch):
+        import dataclasses
+
+        import bose_limits.equivalence as eq
+
+        original = eq.pressure_source
+
+        def off_by_a_bit(point, **kwargs):
+            res = original(point, **kwargs)
+            return dataclasses.replace(res, constant=res.constant * (1 + 1e-9))
+
+        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1,
+                            lattice=build_lattice(3, float(side), 10.0))
+        assert pressure_pair(point).passed(1e-10)
+        monkeypatch.setattr(eq, "pressure_source", off_by_a_bit)
+        assert not pressure_pair(point).passed(1e-10)
+
+    def test_bound_is_tighter_than_1e12_at_small_sides(self):
+        for side in (8, 16, 32):
+            point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1,
+                                lattice=build_lattice(3, float(side), 10.0))
+            pair = pressure_pair(point)
+            assert pair.identity_bound < 1e-12 * abs(pair.closed_form)
+
+    def test_a_loose_truncation_bound_fails(self, lattice_d3_l16):
+        import dataclasses
+
+        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=lattice_d3_l16)
+        pair = pressure_pair(point)
+        assert pair.passed(1e-10)
+        loose = pair._replace(linear=dataclasses.replace(pair.linear, truncation_bound=1e-3))
+        assert not loose.passed(1e-10)
+
+
 class TestOneSumPerPoint:
     """The p != 0 sum and the zero-mode series run once per point."""
 

@@ -47,18 +47,25 @@ POLYLOG_GRID = {
 }
 
 
+def all_modes(lat):
+    """Momenta and energies of every mode within the lattice's cutoff."""
+    return lat.leading_modes(lat.n_modes)
+
+
 class TestBuildLattice:
     def test_d1_unit_spacing(self):
         lat = build_lattice(1, TWO_PI, 2.5)
-        assert sorted(lat.modes.ravel().tolist()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert lat.includes_zero
+        modes = all_modes(lat)[0]
+        assert sorted(modes.ravel().tolist()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert lat.shells[0] == 0
 
     def test_d3_seven_modes(self):
         lat = build_lattice(3, TWO_PI, 1.0)
         assert lat.n_modes == 7
-        assert np.all(lat.modes[0] == 0.0)
+        modes = all_modes(lat)[0]
+        assert np.all(modes[0] == 0.0)
         # origin plus the six unit vectors
-        assert sorted(np.abs(lat.modes).sum(axis=1).tolist()) == [0.0] + [1.0] * 6
+        assert sorted(np.abs(modes).sum(axis=1).tolist()) == [0.0] + [1.0] * 6
 
     def test_d3_count_matches_enumeration(self):
         lat = build_lattice(3, 4.0 * math.pi, 1.0)
@@ -67,19 +74,24 @@ class TestBuildLattice:
 
     def test_negation_closure(self):
         lat = build_lattice(2, 5.0, 3.0)
-        mode_set = {tuple(row) for row in lat.modes.tolist()}
+        mode_set = {tuple(row) for row in all_modes(lat)[0].tolist()}
         assert all(tuple(-x for x in m) in mode_set for m in mode_set)
 
     def test_canonical_order(self):
         lat = build_lattice(2, 7.0, 4.0)
-        nsq = (lat.modes ** 2).sum(axis=1)
+        nsq = (all_modes(lat)[0] ** 2).sum(axis=1)
         assert np.all(np.diff(nsq) >= -1e-12)
         assert nsq[0] == 0.0
 
     def test_resource_guard(self):
-        lat = build_lattice(3, 50.0, 40.0, max_modes=1000)
+        # ~1.7e13 modes within the cutoff: the shell table is refused, while
+        # the leading modes are enumerated without it.
+        lat = build_lattice(3, 1e4, 10.0)
         with pytest.raises(ResourceGuardError):
             lat.n_modes
+        modes, energies = lat.leading_modes(7)
+        assert modes.shape == (7, 3) and energies[0] == 0.0
+        assert "_table" not in vars(lat)
 
     def test_mode_list_is_built_on_first_use_only(self):
         lat = build_lattice(3, 1e4, 10.0)
@@ -112,15 +124,28 @@ class TestBuildLattice:
         lat = build_lattice(d, l, 10.0)
         assert lat.n_modes == n_modes
 
-    def test_leading_modes_are_a_prefix(self):
-        lat = build_lattice(3, 8.0, 4.0)
-        modes, energies = lat.modes, lat.energies
-        for count in (0, 1, 7, 8, 19, lat.n_modes):
+    @pytest.mark.parametrize("d,l,p_max", [(1, 7.0, 4.0), (2, 5.0, 3.0), (3, 8.0, 4.0),
+                                           (4, 3.0, 5.0)])
+    def test_leading_modes_are_a_prefix(self, d, l, p_max):
+        lat = build_lattice(d, l, p_max)
+        step = TWO_PI / l
+        oracle = sorted((sum(round(x / step) ** 2 for x in p), tuple(round(x / step) for x in p))
+                        for p in brute_force_mode_vectors(d, l, p_max))
+        assert len(oracle) == lat.n_modes
+        for count in sorted({0, 1, 2, 3, 7, 8, 19, lat.n_modes} & set(range(lat.n_modes + 1))):
             head, head_energies = lat.leading_modes(count)
-            np.testing.assert_array_equal(head, modes[:count])
-            np.testing.assert_array_equal(head_energies, energies[:count])
+            assert [tuple(round(x / step) for x in p) for p in head] == \
+                [n for _, n in oracle[:count]]
+            np.testing.assert_array_equal(head_energies,
+                                          0.5 * step * step * np.array([k for k, _ in oracle[:count]],
+                                                                       dtype=float))
         with pytest.raises(DomainError):
             lat.leading_modes(lat.n_modes + 1)
+
+    def test_leading_modes_guard_bytes(self):
+        lat = build_lattice(3, 1e6, 10.0)
+        with pytest.raises(ResourceGuardError):
+            lat.leading_modes(10 ** 9)
 
 
 class TestThermoPoint:
@@ -152,7 +177,7 @@ def test_shell_sums_match_pinned_mode_sums(case):
 def test_shell_sums_equal_per_mode_sums(d, l, p_max):
     lat = build_lattice(d, l, p_max)
     point = ThermoPoint(beta=0.7, mu=-0.4, lattice=lat)
-    lam = lat.energies[1:]
+    lam = all_modes(lat)[1][1:]
     terms = -np.log1p(-np.exp(0.7 * (-0.4 - lam))) / (0.7 * lat.volume)
     assert shell_primed_pressure(point)[0] == stable_sum(terms)
     density = stable_sum(1.0 / np.expm1(0.7 * (lam + 0.4))) / lat.volume
@@ -243,6 +268,21 @@ class TestThetaSeries:
             tracemalloc.stop()
         assert elapsed < 0.05
         assert peak < 2 ** 20
+
+    def test_terms_are_kept_once(self):
+        # ~2.5e6 j-terms at side 1000, mu = -1e-6: one double each, plus
+        # the chunk temporaries.
+        point = ThermoPoint(beta=1.0, mu=-1e-6, lattice=build_lattice(3, 1000.0, 10.0))
+        log_q = -1e-6 - 0.5 * (TWO_PI / 1000.0) ** 2
+        terms = 1 + math.ceil(math.log(1e-17 * -math.expm1(log_q)) / log_q)
+        tracemalloc.start()
+        try:
+            pressure_ideal_primed(point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms > 2e6
+        assert peak <= 10 * terms
 
     @pytest.mark.parametrize("d,l", [(1, 1e200), (2, 1e150)])
     def test_spacing_beyond_float_range_refused(self, d, l):
@@ -539,11 +579,41 @@ class TestPolylogNearOne:
             oracle = mp.polylog(s, mp.mpf(z))
         assert abs(value - oracle) <= tol * max(1.0, abs(oracle))
 
-    def test_direct_series_refuses_before_summing(self):
-        # z = 0.3 lies outside the expansion's range; no K <= 3 can meet
-        # tol, which is known before any term is formed.
-        with pytest.raises(NonConvergenceError):
-            polylog(1.5, 0.3, tol=1e-15, max_terms=3)
+    @pytest.mark.parametrize("s,t,tol", [(2.0 + 1e-9, -1e-7, 1e-13),
+                                         (2.0 + 1e-12, -1e-9, 1e-12)])
+    def test_direct_series_refuses_before_summing(self, s, t, tol):
+        # Robinson's bound misses tol here, and the defining series would
+        # need ~9.4e7 and ~2.7e10 terms: over the byte ceiling, which is
+        # known before any term is formed.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NonConvergenceError, match="ceiling"):
+                polylog(s, math.exp(t), tol=tol)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("s,z", [(1.5, 0.3), (2.5, 0.6), (0.5, math.exp(-0.5))])
+    def test_direct_series_counts_the_fewest_terms(self, s, z, monkeypatch):
+        # The count K is the smallest whose tail bound meets tol: K - 1
+        # terms would not.
+        counts = []
+        original = lattice_ideal.stable_sum
+        monkeypatch.setattr(lattice_ideal, "stable_sum",
+                            lambda terms: counts.append(len(terms)) or original(terms))
+        tol = 1e-15
+        polylog(s, z, tol=tol)
+        (k,) = counts
+        assert k <= 71
+
+        def tail(n):
+            return z ** (n + 1) / ((n + 1) ** s * (1.0 - z))
+
+        assert tail(k) <= tol < tail(k - 1)
 
     def test_critical_density_close_to_condensation(self):
         beta, mu = 1.0, -1e-7

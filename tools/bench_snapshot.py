@@ -15,16 +15,37 @@ and quartiles, the number of pairs the change won (ties count for
 neither) and whether the gain rule holds: at least nine wins in ten and a
 median difference larger than the parent's interquartile range.  Metric
 names, units and directions come from the change's BENCHMARK.json.
+
+For information only, outside the gain rule, `end_to_end_info` also holds
+each side's wall time of the five README commands (the median of 5 fresh
+interpreters each, with their exit codes) and of one Tier-1 test run.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 
 SECONDS = 20
 SIDES = ("parent", "change")
+README_RUNS = 5
+# The five commands of the README's "Command line" section.
+README_COMMANDS = {
+    "pressure": ["--command", "pressure", "--beta", "1", "--mu=-0.5", "--nu", "0.1",
+                 "--dim", "3", "--side", "16"],
+    "equivalence": ["--command", "equivalence", "--mu=-0.5", "--nu", "0.1",
+                    "--ladder", "8,16,32,64"],
+    "laplace": ["--command", "laplace", "--mu=-0.5", "--nu", "0.1", "--dim", "1",
+                "--ladder", "100,1000,10000"],
+    "fulldiag": ["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1", "--side", "2",
+                 "--pmax", "7", "--fock-cutoff", "14,6"],
+    "sweep": ["--command", "sweep", "--beta", "0.5,1", "--mu=-1,-0.5", "--nu", "0.1,0.2",
+              "--side", "8", "--workers", "2"],
+}
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
 def _git(root, *args):
@@ -50,6 +71,28 @@ def run_benchmark(root, seed):
     if not final["correct"]:
         raise RuntimeError(f"benchmark in {root} reports failures at seed {seed}")
     return env, {name: m["value"] for name, m in final["metrics"].items()}
+
+
+def _timed(root, args):
+    """(wall seconds, completed process) of `python args` in `root`, on its `src`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True)
+    return time.perf_counter() - start, proc
+
+
+def end_to_end_info(root):
+    """Wall times of the README commands and of one Tier-1 run in `root`."""
+    out = {}
+    for name, argv in README_COMMANDS.items():
+        runs = [_timed(root, ["-m", "bose_limits.cli", *argv]) for _ in range(README_RUNS)]
+        out[name] = {"median_s": statistics.median(t for t, _ in runs),
+                     "exit_codes": sorted({p.returncode for _, p in runs})}
+    wall, proc = _timed(root, TIER1)
+    lines = proc.stdout.strip().splitlines()
+    out["tier1"] = {"wall_s": wall, "summary": lines[-1] if lines else ""}
+    return out
 
 
 def _steady(env):
@@ -96,6 +139,7 @@ def snapshot(parent_root, change_root, seeds):
             env, pair[side] = run_benchmark(roots[side], seed)
             environments.append(env)
         pairs.append(pair)
+    info = {side: end_to_end_info(roots[side]) for side in SIDES}
     return {
         "command": (f"python3 perfbench/run.py --workload all --seed S "
                     f"--seconds {SECONDS} --trace 0"),
@@ -107,6 +151,7 @@ def snapshot(parent_root, change_root, seeds):
         "change": _checkout(change_root),
         "summary": summarize(pairs, metrics),
         "pairs": pairs,
+        "end_to_end_info": info,
     }
 
 
@@ -130,6 +175,10 @@ def main(argv=None):
         print(f"{name:28s} parent {s['parent']['median']:.6g}  change "
               f"{s['change']['median']:.6g}  wins {s['change_wins']}/{s['pairs']}"
               f"{'  gain' if s['gain_rule_met'] else ''}")
+    for side, info in result["end_to_end_info"].items():
+        print(side, " ".join(f"{name} {v['median_s']:.3f}s" for name, v in info.items()
+                             if name != "tier1"),
+              f"tier1 {info['tier1']['wall_s']:.1f}s ({info['tier1']['summary']})")
     return 0
 
 
