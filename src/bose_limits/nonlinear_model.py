@@ -49,7 +49,6 @@ __all__ = [
     "ExponentFunction",
     "LaplaceResult",
     "exponent_eval",
-    "exponent_second_derivative",
     "exponent_maximizer",
     "laplace_sup",
     "zero_mode_log_partition",
@@ -89,13 +88,6 @@ def exponent_eval(f: ExponentFunction, x: float) -> float:
     if x < 0.0:
         raise DomainError("exponent domain is [0, inf)")
     return f.mu * x + f.coefficient * f.nu * math.sqrt(x + 1.0 / f.volume)
-
-
-def exponent_second_derivative(f: ExponentFunction, x: float) -> float:
-    """Analytic g''(x) = -(coefficient*nu/4) * (x + 1/V)^(-3/2)."""
-    if x < 0.0:
-        raise DomainError("exponent domain is [0, inf)")
-    return -0.25 * f.coefficient * f.nu * (x + 1.0 / f.volume) ** -1.5
 
 
 def exponent_maximizer(f: ExponentFunction) -> float:

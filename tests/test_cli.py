@@ -280,6 +280,24 @@ class TestMainExitCodes:
         if code:
             assert json.loads(proc.stderr)["error"] == "DomainError"
 
+    def test_fulldiag_solves_one_block_per_primed_count(self):
+        # D = 482,601: one block per configuration of the four p != 0 modes
+        # (2,401 of order 201) would need ~2.3 GB; the 25 values of N' need
+        # ~24 MB of block eigensolve next to ~58 MB of configuration table.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "fulldiag", "--mu=-0.5",
+             "--nu", "0.1", "--side", "2", "--pmax", "7",
+             "--fock-cutoff", "200,6,6,6,6"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        header, line = proc.stdout.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["dimension"] == "482601"
+        assert row["passed"] == "true"
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["--config", "/nonexistent/path.cfg"]) == 2
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bose_limits.errors import DomainError, ResourceGuardError
 from bose_limits.fockdiag import (DiagonalModel, FockTruncation, add_linear_source,
@@ -332,8 +334,8 @@ class TestTruncationBehavior:
             truncate_lattice(lat, (100000,))
 
     def test_guard_counts_bytes_not_configurations(self):
-        # 26,901 configurations, but only ~41 MB of configuration table and
-        # block eigensolve: accepted.
+        # 26,901 configurations, but only ~1.9 MB of configuration table and
+        # ~3.7 MB of block eigensolve (41 keys of order 61): accepted.
         lat = build_lattice(3, 2.0, 7.0)
         assert truncate_lattice(lat, (60, 20, 20)).dimension == 26_901
 
@@ -445,6 +447,11 @@ def kernel_gauss(dp):
     return math.exp(-float(dp @ dp))
 
 
+def kernel_axis(dp):
+    """Tells the leading p != 0 modes apart, unlike kernel_gauss on one shell."""
+    return math.exp(-0.1 * float(dp[0]) ** 2)
+
+
 # (name, cutoffs, lattice (d, side, p_max), model, beta, nu); D <= ~1000.
 ORACLE_CASES = [
     ("single-mode", (200,), (1, 1.0, 5.0), DiagonalModel(a=0.3, mu=-0.5), 1.0, 0.1),
@@ -454,7 +461,47 @@ ORACLE_CASES = [
     ("nu=0", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 1.0, 0.0),
     ("pair-kernel", (10, 4, 4), (3, 2.0, 7.0),
      DiagonalModel(a=0.5, mu=-0.5, kernel=kernel_gauss), 0.9, 0.15),
+    # Every key but N' = 0 weighs e^(-beta*E(0, b)) < 1e-300 of it.
+    ("cold", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 800.0, 0.1),
 ]
+
+
+def sandwich_oracle(trunc, beta, nu, vol, op_lin, op_sqrt):
+    """Every SandwichReport field from dense eigendecompositions of both operators."""
+    cfg = enumerate_configs(trunc)
+    n0 = cfg.occupations[:, 0].astype(float)
+    at_edge = np.any(cfg.occupations == np.asarray(trunc.cutoffs), axis=1)
+    shifted = np.sqrt((n0 + 1.0) / vol)
+    log_z_lin, rho_lin = dense_state(op_lin, beta)
+    log_z_sqrt, rho_sqrt = dense_state(op_sqrt, beta)
+    pop_lin, pop_sqrt = np.diagonal(rho_lin), np.diagonal(rho_sqrt)
+    diff = op_lin.to_dense() - op_sqrt.to_dense()
+    a0_scaled = np.sum(zero_mode_annihilator(trunc) * rho_lin) / math.sqrt(vol)
+    return {
+        "pressure_linear": log_z_lin / (beta * vol),
+        "pressure_sqrt": log_z_sqrt / (beta * vol),
+        "delta_p": (log_z_sqrt - log_z_lin) / (beta * vol),
+        "lower": np.sum(diff * rho_lin) / vol,
+        "upper": np.sum(diff * rho_sqrt) / vol,
+        "chain_lower": 2.0 * nu * (shifted @ pop_lin - a0_scaled),
+        "chain_upper": 2.0 * nu * (shifted @ pop_sqrt),
+        "jensen_upper": 2.0 * nu * math.sqrt((n0 @ pop_sqrt + 1.0) / vol),
+        "a0_scaled": a0_scaled,
+        "sqrt_density": math.sqrt(n0 @ pop_lin / vol),
+        "shell_weight": at_edge.astype(float) @ pop_lin,
+    }
+
+
+def report_fields(rep):
+    return {
+        "pressure_linear": rep.pressure_linear, "pressure_sqrt": rep.pressure_sqrt,
+        "delta_p": rep.delta_p, "lower": rep.inequality.lower,
+        "upper": rep.inequality.upper, "chain_lower": rep.chain_lower,
+        "chain_upper": rep.chain_upper, "jensen_upper": rep.jensen_upper,
+        "a0_scaled": rep.linear_averages.a0_scaled,
+        "sqrt_density": rep.linear_averages.sqrt_density,
+        "shell_weight": rep.shell_weight,
+    }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
@@ -510,67 +557,81 @@ class TestBlockEigensolveAgainstDenseOracle:
     def test_verify_sandwich(self, case):
         trunc, model, beta, nu, vol, op_lin, op_sqrt = self.setup_ops(case)
         (rep,) = verify_sandwich(model, [trunc], beta, nu, volume=vol)
-        cfg = enumerate_configs(trunc)
-        n0 = cfg.occupations[:, 0].astype(float)
-        at_edge = np.any(cfg.occupations == np.asarray(trunc.cutoffs), axis=1)
-        shifted = np.sqrt((n0 + 1.0) / vol)
-        log_z_lin, rho_lin = dense_state(op_lin, beta)
-        log_z_sqrt, rho_sqrt = dense_state(op_sqrt, beta)
-        pop_lin, pop_sqrt = np.diagonal(rho_lin), np.diagonal(rho_sqrt)
-        diff = op_lin.to_dense() - op_sqrt.to_dense()
-        a0_scaled = np.sum(zero_mode_annihilator(trunc) * rho_lin) / math.sqrt(vol)
-        oracle = {
-            "pressure_linear": log_z_lin / (beta * vol),
-            "pressure_sqrt": log_z_sqrt / (beta * vol),
-            "delta_p": (log_z_sqrt - log_z_lin) / (beta * vol),
-            "lower": np.sum(diff * rho_lin) / vol,
-            "upper": np.sum(diff * rho_sqrt) / vol,
-            "chain_lower": 2.0 * nu * (shifted @ pop_lin - a0_scaled),
-            "chain_upper": 2.0 * nu * (shifted @ pop_sqrt),
-            "jensen_upper": 2.0 * nu * math.sqrt((n0 @ pop_sqrt + 1.0) / vol),
-            "a0_scaled": a0_scaled,
-            "sqrt_density": math.sqrt(n0 @ pop_lin / vol),
-            "shell_weight": at_edge.astype(float) @ pop_lin,
-        }
-        actual = {
-            "pressure_linear": rep.pressure_linear, "pressure_sqrt": rep.pressure_sqrt,
-            "delta_p": rep.delta_p, "lower": rep.inequality.lower,
-            "upper": rep.inequality.upper, "chain_lower": rep.chain_lower,
-            "chain_upper": rep.chain_upper, "jensen_upper": rep.jensen_upper,
-            "a0_scaled": rep.linear_averages.a0_scaled,
-            "sqrt_density": rep.linear_averages.sqrt_density,
-            "shell_weight": rep.shell_weight,
-        }
-        for key, value in oracle.items():
+        actual = report_fields(rep)
+        for key, value in sandwich_oracle(trunc, beta, nu, vol, op_lin, op_sqrt).items():
             assert actual[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
         assert rep.chain_passed
 
 
+# Largest Fock dimension drawn, so that a dense eigh stays cheap.
+DENSE_MAX = 600
+
+
+@st.composite
+def sandwich_inputs(draw):
+    primed = draw(st.lists(st.integers(1, 5), max_size=3))
+    stride = math.prod(c + 1 for c in primed)
+    c0 = draw(st.integers(1, min(20, DENSE_MAX // stride - 1)))
+    nu = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3)))
+    kernel = draw(st.sampled_from([None, kernel_gauss, kernel_axis]))
+    return (c0, *primed), nu, kernel
+
+
+@given(inputs=sandwich_inputs())
+@settings(max_examples=25, deadline=None)
+def test_keyed_sandwich_matches_dense_oracle(inputs):
+    cutoffs, nu, kernel = inputs
+    lat = build_lattice(3, 2.0, 7.0)
+    trunc = truncate_lattice(lat, cutoffs)
+    model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel)
+    beta, vol = 1.0, lat.volume
+    (rep,) = verify_sandwich(model, [trunc], beta, nu, volume=vol)
+    op_lin = add_linear_source(model, trunc, nu, vol)
+    op_sqrt = add_sqrt_source(model, trunc, nu, vol)
+    oracle = sandwich_oracle(trunc, beta, nu, vol, op_lin, op_sqrt)
+    actual = report_fields(rep)
+    for key, value in oracle.items():
+        assert actual[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
 class TestBlockEigensolve:
-    def test_sandwich_never_builds_dense_matrices(self, monkeypatch):
+    @pytest.mark.parametrize("kernel", [None, kernel_gauss],
+                             ids=["mean-field", "pair-kernel"])
+    def test_sandwich_never_builds_dense_matrices(self, monkeypatch, kernel):
         from bose_limits import fockdiag
 
         def refuse(self):
             raise AssertionError("dense operator built")
 
-        orders = []
-        eigh = np.linalg.eigh
+        shapes, enumerated = [], []
+        eigh, enumerate_configs_ = np.linalg.eigh, fockdiag.enumerate_configs
 
         def recording_eigh(a):
-            orders.append(np.shape(a)[-2:])
+            shapes.append(np.shape(a))
             return eigh(a)
+
+        def counting_enumerate(trunc):
+            enumerated.append(trunc.dimension)
+            return enumerate_configs_(trunc)
 
         monkeypatch.setattr(fockdiag.OperatorMatrix, "to_dense", refuse)
         monkeypatch.setattr(fockdiag.np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(fockdiag, "enumerate_configs", counting_enumerate)
         lat = build_lattice(3, 2.0, 7.0)
         trunc = truncate_lattice(lat, (16, 4, 4, 4))
-        assert trunc.dimension == 2125
-        (rep,) = verify_sandwich(DiagonalModel(a=1.2, mu=-0.6), [trunc], 1.1, 0.12,
-                                 volume=lat.volume)
+        assert (trunc.dimension, trunc.zero_mode_stride) == (2125, 125)
+        model = DiagonalModel(a=1.2, mu=-0.6, kernel=kernel)
+        (rep,) = verify_sandwich(model, [trunc], 1.1, 0.12, volume=lat.volume)
         assert rep.chain_passed
         assert rep.shell_weight < 1e-4
-        # One eigendecomposition of the linear-source blocks serves the whole rung.
-        assert orders == [(17, 17)]
+        # One eigendecomposition, of one block per key, serves the whole rung,
+        # and the configurations are enumerated once.
+        assert enumerated == [2125]
+        if kernel is None:
+            assert shapes == [(13, 17, 17)]  # N' = 0, ..., 12
+        else:
+            ((n_keys, order, _),) = shapes
+            assert order == 17 and 13 <= n_keys <= 125
 
     def test_blocks_are_cached_and_read_only(self):
         op = add_linear_source(DiagonalModel(a=1.0, mu=-0.5), two_mode_truncation(),
@@ -583,6 +644,22 @@ class TestBlockEigensolve:
         lat = build_lattice(1, 1.0, 5.0)
         with pytest.raises(ResourceGuardError, match="block eigensolve"):
             truncate_lattice(lat, (19999,))
+
+    def test_pair_kernel_byte_guard(self, monkeypatch):
+        # (200, 6, 6, 6, 6): its 25 values of N' need ~24 MB of blocks, but a
+        # kernel may split them into all 2,401 blocks, ~2.3 GB.  Refused
+        # before any enumeration.
+        from bose_limits import fockdiag
+
+        def refuse(trunc):
+            raise AssertionError("configurations enumerated")
+
+        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
+        lat = build_lattice(3, 2.0, 7.0)
+        trunc = truncate_lattice(lat, (200, 6, 6, 6, 6))
+        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_gauss)
+        with pytest.raises(ResourceGuardError, match="block eigensolve"):
+            add_linear_source(model, trunc, 0.1, lat.volume)
 
     def test_configuration_table_byte_guard(self, monkeypatch):
         # 2^23 configurations of 23 two-level modes: the blocks need ~0.4 GB,

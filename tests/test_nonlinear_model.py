@@ -10,14 +10,18 @@ from scipy.optimize import golden
 from bose_limits.errors import DomainError, NonConvergenceError
 from bose_limits.lattice_ideal import ThermoPoint, build_lattice, pressure_ideal_primed
 from bose_limits.nonlinear_model import (ExponentFunction, exponent_eval,
-                                         exponent_maximizer,
-                                         exponent_second_derivative, laplace_sup,
+                                         exponent_maximizer, laplace_sup,
                                          pressure_sqrt_source,
                                          pressure_sqrt_source_limit,
                                          zero_mode_log_partition,
                                          zero_mode_partial_logsum,
                                          zero_mode_pressure_series, _side_bounds)
 from bose_limits.summation import log_sum_exp
+
+
+def exponent_second_derivative(f, x):
+    """Analytic g''(x) = -(coefficient*nu/4) * (x + 1/V)^(-3/2)."""
+    return -0.25 * f.coefficient * f.nu * (x + 1.0 / f.volume) ** -1.5
 
 
 @pytest.fixture
