@@ -92,8 +92,8 @@ class FockTruncation:
     configuration table and its float copy, ~3*D*m*8 bytes for m modes,
     plus the keyed block eigensolve, ~3*K*(c0+1)^2*8 bytes for K keys.
     Without a pair kernel K = min(stride, sum_(i>=1) c_i + 1); a kernel can
-    split those keys, so `add_linear_source` checks such a model against
-    K = stride before it enumerates anything.
+    split those keys, so `add_linear_source` counts such a model's keys
+    (O(stride*m), no enumeration) and checks it against them first.
     """
 
     modes: np.ndarray = field(repr=False)     # shape (m, d)
@@ -345,13 +345,13 @@ def add_linear_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
     Matrix elements <.., n0+1, ..|H|.., n0, ..> = -nu*sqrt(V)*sqrt(n0+1);
     the phase is fixed to 0 so the matrix stays real symmetric.  For
     nu = 0 the operator is returned in diagonal form.  A pair kernel is
-    checked against the byte ceiling with one key per block.
+    checked on its counted keys against the byte ceiling, before enumeration.
     """
     require(nu >= 0.0, "nu must be nonnegative")
-    if model.kernel is not None:
-        trunc.check_bytes(trunc.zero_mode_stride)
-    diag = diagonal_energies(model, trunc, volume)
     keys = _block_keys(model, trunc)
+    if model.kernel is not None:
+        trunc.check_bytes(int(keys.max()) + 1)
+    diag = diagonal_energies(model, trunc, volume)
     if nu == 0.0:
         return OperatorMatrix(truncation=trunc, diagonal=diag, keys=keys)
     n0 = _zero_mode_occupation(trunc)

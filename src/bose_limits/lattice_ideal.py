@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -460,7 +460,10 @@ def critical_density_limit(beta: float, mu: float, d: int = 3,
 # the terms shrink by a factor of at most |t|/(2 pi) per step in k; that
 # geometric series bounds the truncated tail.  zeta(u) comes from
 # Euler-Maclaurin with exact Bernoulli numbers and the first omitted term as
-# remainder bound (Edwards, Riemann's Zeta Function, 6.4).
+# remainder bound (Edwards, Riemann's Zeta Function, 6.4).  zeta(s-k) depends
+# on the order s alone, and the model uses two orders (d/2, d/2 + 1), so _zeta
+# is memoized.  At s >= _ROBINSON_MAX_ORDER no sigma = s - k < 0 bounds the
+# tail, so polylog sums the defining series there (1-2 terms).
 # ---------------------------------------------------------------------------
 
 # Beyond |t| = 0.5 the defining series needs about 2*log(1/tol) positive
@@ -524,6 +527,7 @@ def _sin_half_pi(x: float) -> float:
     return sign * math.sin(0.5 * math.pi * y)
 
 
+@lru_cache(maxsize=4 * (_ROBINSON_MAX_ORDER + 1))
 def _zeta(sigma: float) -> tuple:
     """(zeta(sigma), error bound) for real sigma != 1, -170 < sigma.
 
@@ -619,10 +623,10 @@ def polylog(s: float, z: float, tol: float = 1e-12) -> float:
 
     The returned value is within tol * max(1, |value|) of Li_s(z).
     * z = 1 (admissible for s > 1): zeta(s) by Euler-Maclaurin.
-    * 1 > z > e^-0.5: Robinson's expansion in t = log z (see above), O(1)
-      terms however close z is to 1.  Where its error bound misses `tol`
-      (s close to an integer, where two poles cancel), the direct series
-      below is tried instead.
+    * 1 > z > e^-0.5, s < 150: Robinson's expansion in t = log z (see
+      above), O(1) terms however close z is to 1.  Where its error bound
+      misses `tol` (s close to an integer, where two poles cancel), the
+      direct series below is tried instead.
     * otherwise the defining series, to the fewest terms K whose geometric
       tail bound z^(K+1) / ((K+1)^s (1-z)) is at most `tol`, counted before
       any term is formed (at most ~71 at |log z| >= 0.5, tol = 1e-15).
@@ -630,12 +634,12 @@ def polylog(s: float, z: float, tol: float = 1e-12) -> float:
     Raises
     ------
     DomainError
-        If z is outside [0, 1] or s <= 0.
+        If z is outside [0, 1] or s is not positive and finite.
     NonConvergenceError
         If z = 1 with s <= 1 (divergent), or no evaluation meets `tol`
         (the direct series would need over MAX_ALLOC_BYTES / 8 terms).
     """
-    require(s > 0.0, "s must be positive")
+    require(0.0 < s < math.inf, "s must be positive and finite")
     require(0.0 <= z <= 1.0, "z must lie in [0, 1]")
     if z == 0.0:
         return 0.0
@@ -643,14 +647,14 @@ def polylog(s: float, z: float, tol: float = 1e-12) -> float:
     if z == 1.0:
         if s <= 1.0:
             raise NonConvergenceError(f"polylog series diverges at z=1 for s={s} <= 1")
-        value, error = _euler_maclaurin_zeta(s)
+        value, error = _zeta(s)
         if error > tol * max(1.0, abs(value)):
             raise NonConvergenceError(
                 f"zeta({s}) error bound {error:.1e} exceeds tol={tol:.1e}")
         return value
 
     t = math.log(z)
-    if t > -_ROBINSON_SWITCH:
+    if t > -_ROBINSON_SWITCH and s < _ROBINSON_MAX_ORDER:
         value, error = _robinson(s, t, tol)
         if error <= tol * max(1.0, abs(value)):
             return value

@@ -646,19 +646,25 @@ class TestBlockEigensolve:
             truncate_lattice(lat, (19999,))
 
     def test_pair_kernel_byte_guard(self, monkeypatch):
-        # (200, 6, 6, 6, 6): its 25 values of N' need ~24 MB of blocks, but a
-        # kernel may split them into all 2,401 blocks, ~2.3 GB.  Refused
-        # before any enumeration.
+        # A kernel may split the 25 values of N' of (200, 6, 6, 6, 6) into all
+        # 2,401 blocks (~2.3 GB), but kernel_gauss makes 33 keys (~32 MB), so
+        # the rung runs.  kernel_axis splits (450, 6, 6, 6, 6) into 133 keys of
+        # order 451 (~650 MB): refused on its counted keys before any enumeration.
         from bose_limits import fockdiag
+
+        lat = build_lattice(3, 2.0, 7.0)
+        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_gauss)
+        (rep,) = verify_sandwich(model, [truncate_lattice(lat, (200, 6, 6, 6, 6))],
+                                 1.0, 0.1, volume=lat.volume)
+        assert rep.chain_passed
 
         def refuse(trunc):
             raise AssertionError("configurations enumerated")
 
         monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
-        lat = build_lattice(3, 2.0, 7.0)
-        trunc = truncate_lattice(lat, (200, 6, 6, 6, 6))
-        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_gauss)
-        with pytest.raises(ResourceGuardError, match="block eigensolve"):
+        trunc = truncate_lattice(lat, (450, 6, 6, 6, 6))
+        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_axis)
+        with pytest.raises(ResourceGuardError, match="for 133 blocks"):
             add_linear_source(model, trunc, 0.1, lat.volume)
 
     def test_configuration_table_byte_guard(self, monkeypatch):

@@ -510,6 +510,8 @@ class TestPolylog:
             polylog(-1.0, 0.5)
         with pytest.raises(DomainError):
             polylog(1.5, 1.5)
+        with pytest.raises(DomainError):
+            polylog(math.inf, 0.5)
 
     def test_deterministic(self):
         assert polylog(1.5, 0.9) == polylog(1.5, 0.9)
@@ -614,6 +616,38 @@ class TestPolylogNearOne:
             return z ** (n + 1) / ((n + 1) ** s * (1.0 - z))
 
         assert tail(k) <= tol < tail(k - 1)
+
+    @pytest.mark.parametrize("s", [172.0, 300.0, 170.5, 200.5])
+    @pytest.mark.parametrize("t", [-0.3, -1e-6])
+    def test_large_order_sums_the_defining_series(self, s, t):
+        # No zeta(s - k) with k <= _ROBINSON_MAX_ORDER is below 0, so Robinson
+        # cannot certify; at integer s >= 172 its t^(m-1)/(m-1)! overflowed.
+        z, tol = math.exp(t), 1e-14
+        with mp.workdps(40):
+            oracle = mp.polylog(s, mp.mpf(z))
+        value = polylog(s, z, tol=tol)
+        assert abs(value - oracle) <= tol * max(1.0, abs(oracle))
+        assert value == lattice_ideal._direct_series(s, t, tol)
+
+    def test_zeta_memo_is_bit_identical(self):
+        points = [(s, t) for s in (0.5, 1.5, 2.0, 2.5, 3.5)
+                  for t in (-0.49, -0.2, -1e-2, -1e-5, -1e-9, -1e-12)]
+        warm = [polylog(s, math.exp(t), tol=1e-14) for s, t in points]
+        cold = []
+        for s, t in points:
+            _zeta.cache_clear()
+            cold.append(polylog(s, math.exp(t), tol=1e-14))
+        assert cold == warm
+
+    def test_zeta_coefficients_reused_across_z(self, monkeypatch):
+        calls = []
+        original = lattice_ideal._euler_maclaurin_zeta
+        monkeypatch.setattr(lattice_ideal, "_euler_maclaurin_zeta",
+                            lambda sigma: calls.append(sigma) or original(sigma))
+        polylog(1.5, math.exp(-1e-3))
+        calls.clear()
+        polylog(1.5, math.exp(-2e-3))
+        assert calls == []
 
     def test_critical_density_close_to_condensation(self):
         beta, mu = 1.0, -1e-7
