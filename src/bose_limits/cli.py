@@ -18,6 +18,7 @@ so byte-level comparisons can drop it.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -100,6 +101,8 @@ class RunConfig:
                 raise DomainError("nu must be nonnegative")
         if self.command != "sweep" and (len(self.beta), len(self.mu), len(self.nu)) != (1, 1, 1):
             raise DomainError(f"command {self.command} takes single beta/mu/nu values")
+        if self.dim < 1:
+            raise DomainError("dim must be >= 1")
         if self.rel_tol <= 0.0:
             raise DomainError("rel_tol must be positive")
         if not self.ladder:
@@ -258,12 +261,15 @@ def _run_pressure(cfg: RunConfig) -> tuple:
 
 def _run_sweep(cfg: RunConfig) -> tuple:
     grid = [(b, m, n) for b in cfg.beta for m in cfg.mu for n in cfg.nu]
-    if cfg.workers > 1:
+    # The pool starts every worker at its first task, so never ask for more
+    # workers than there are rows or cores.
+    workers = min(cfg.workers, len(grid), os.cpu_count() or 1)
+    if workers > 1:
         # One chunk of rows per worker: a row takes well under a millisecond
         # at small sides, less than sending it to a worker on its own.
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_pressure_row, *zip(*grid), [cfg] * len(grid),
-                                 chunksize=math.ceil(len(grid) / cfg.workers)))
+                                 chunksize=math.ceil(len(grid) / workers)))
     else:
         rows = [_pressure_row(b, m, n, cfg) for b, m, n in grid]
     # Emission order is fixed by the input grid, never by scheduling.
@@ -349,7 +355,10 @@ def _run_fulldiag(cfg: RunConfig) -> tuple:
     rows = []
     all_ok = True
     for rep in reports:
-        all_ok = all_ok and rep.chain_passed
+        # The chain certifies the truncated model; the truncation itself is
+        # certified only when the cutoff shell carries at most rel_tol.
+        passed = rep.chain_passed and rep.shell_weight <= cfg.rel_tol
+        all_ok = all_ok and passed
         rows.append({
             "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
             "mf_a": cfg.mf_a, "coefficient": cfg.coefficient,
@@ -362,7 +371,7 @@ def _run_fulldiag(cfg: RunConfig) -> tuple:
             "upper_margin": rep.inequality.upper_margin,
             "a0_scaled": rep.linear_averages.a0_scaled,
             "sqrt_rho0": rep.linear_averages.sqrt_density,
-            "shell_weight": rep.shell_weight, "passed": rep.chain_passed,
+            "shell_weight": rep.shell_weight, "passed": passed,
             "duration_s": time.perf_counter() - start,
         })
     return (0 if all_ok else 1), rows

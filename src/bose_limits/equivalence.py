@@ -23,7 +23,7 @@ from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp,
                             build_lattice, critical_density_finite,
                             critical_density_limit, pressure_ideal_primed)
 from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
-                              pressure_sqrt_source_limit, zero_mode_pressure_series)
+                              pressure_sqrt_source_limit, zero_mode_log_partition)
 from .source_model import (condensate_density_source, pressure_source,
                            zero_mode_depletion)
 
@@ -37,7 +37,6 @@ __all__ = [
     "delta_pressure_closed_form",
     "density_from_pressure",
     "density_limit",
-    "condensate_density_limit",
     "condensate_temperature_spread",
     "fit_rate",
     "pressure_pair",
@@ -153,7 +152,8 @@ def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
     shared sums instead of forming its own.
     """
     primed = pressure_ideal_primed(point, rel_tol=rel_tol)
-    series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
+    series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
+                                     rel_tol=rel_tol, coefficient=coefficient)
     return PressurePair(
         linear=pressure_source(point, primed=primed),
         sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
@@ -186,7 +186,8 @@ def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
     v = point.volume
     zero_lin = -_log1m_exp(beta * mu) / (beta * v)
     if series is None:
-        series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
+        series = zero_mode_log_partition(beta, mu, nu, v, rel_tol=rel_tol,
+                                         coefficient=coefficient)
     return (zero_lin - nu * nu / mu) - series.numeric_log_sum
 
 
@@ -247,16 +248,6 @@ def density_from_pressure(pressure_of_mu: Callable[[float], float],
 def density_limit(beta: float, mu: float, nu: float, d: int = 3) -> float:
     """Infinite-volume particle density nu^2/mu^2 + critical density."""
     return nu * nu / (mu * mu) + critical_density_limit(beta, mu, d)
-
-
-def condensate_density_limit(beta: float, mu: float, nu: float, d: int = 3) -> float:
-    """Infinite-volume condensate density, total minus critical.
-
-    Evaluates to nu^2/mu^2 for either model; beta enters the two terms of
-    the subtraction but drops out of the result.
-    """
-    rho_c = critical_density_limit(beta, mu, d)
-    return density_limit(beta, mu, nu, d) - rho_c
 
 
 def condensate_temperature_spread(mu: float, nu: float, d: int,

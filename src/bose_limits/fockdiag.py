@@ -3,9 +3,8 @@
 A full-diagonal Hamiltonian is a function of the occupation numbers only:
 here sum_p lam(p)*n_p + (a/2V)(N^2 - N) + (1/2V) sum v(p-p') n_p n_p' - mu*N.
 On a finite set of modes with per-mode occupation cutoffs the model lives
-on an explicit configuration list, and Gibbs traces, probabilities and
-expectations are ordinary finite sums.  Two external sources couple to
-the zero mode:
+on an explicit configuration list, and Gibbs traces and expectations are
+ordinary finite sums.  Two external sources couple to the zero mode:
 
   * linear:  -nu*sqrt(V) * (a0 + a0^dagger), which breaks the particle
     number symmetry and makes the operator tridiagonal in the zero-mode
@@ -64,6 +63,7 @@ __all__ = [
     "Configurations",
     "DiagonalModel",
     "OperatorMatrix",
+    "GibbsState",
     "InequalityReport",
     "SandwichReport",
     "ZeroModeAverages",
@@ -73,9 +73,8 @@ __all__ = [
     "add_linear_source",
     "add_sqrt_source",
     "gibbs_trace",
-    "gibbs_probabilities",
     "gibbs_expectation",
-    "bogoliubov_bounds",
+    "zero_mode_annihilator",
     "quasiaverage_fd",
     "boundary_shell_weight",
     "verify_sandwich",
@@ -444,16 +443,6 @@ def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:
     return op.gibbs_state(beta).log_z / (beta * volume)
 
 
-def gibbs_probabilities(op: OperatorMatrix, beta: float) -> np.ndarray:
-    """Configuration probabilities e^(-beta*E) / Z of a diagonal operator."""
-    require(beta > 0.0, "beta must be positive")
-    if op.coupling is not None:
-        raise DomainError("configuration probabilities need a diagonal operator")
-    x = -beta * op.diagonal
-    w = np.exp(x - x.max())
-    return w / stable_sum(w)
-
-
 def gibbs_expectation(observable, op: OperatorMatrix, beta: float) -> float:
     """Thermal average Tr(X e^(-beta*H)) / Tr e^(-beta*H).
 
@@ -498,27 +487,6 @@ class InequalityReport:
     def passed(self) -> bool:
         return (self.lower_margin >= -self.tolerance
                 and self.upper_margin >= -self.tolerance)
-
-
-def bogoliubov_bounds(op_a: OperatorMatrix, op_b: OperatorMatrix, beta: float,
-                      volume: float, tol: float = 1e-9) -> InequalityReport:
-    """Check <(Ha-Hb)/V>_a <= p_b - p_a <= <(Ha-Hb)/V>_b.
-
-    Both operators must live on the same truncation.  The inequality is a
-    theorem (convexity of the pressure along the interpolation), so a
-    failure beyond `tol` indicates an implementation or conditioning
-    problem, never physics.
-    """
-    require(op_a.dimension == op_b.dimension,
-            "operators must share a configuration basis")
-    zero = np.zeros(op_a.dimension)
-    diagonal = op_a.diagonal - op_b.diagonal
-    coupling = ((zero if op_a.coupling is None else op_a.coupling)
-                - (zero if op_b.coupling is None else op_b.coupling))
-    lower = _average(op_a, beta, diagonal, coupling) / volume
-    upper = _average(op_b, beta, diagonal, coupling) / volume
-    delta_p = gibbs_trace(op_b, beta, volume) - gibbs_trace(op_a, beta, volume)
-    return InequalityReport(lower=lower, upper=upper, delta_p=delta_p, tolerance=tol)
 
 
 def zero_mode_annihilator(trunc: FockTruncation) -> np.ndarray:

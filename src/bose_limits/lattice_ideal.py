@@ -33,8 +33,6 @@ __all__ = [
     "ThermoPoint",
     "PressureBreakdown",
     "build_lattice",
-    "dispersion",
-    "occupation",
     "pressure_ideal_primed",
     "pressure_ideal_limit",
     "critical_density_finite",
@@ -262,25 +260,6 @@ def build_lattice(d: int, l: float, p_max: float) -> ModeLattice:
     if not abs(d * math.log(l)) < -math.log(sys.float_info.min):
         raise ResourceGuardError(f"volume {l:.3g}**{d} is outside the float range")
     return ModeLattice(d=d, l=float(l), p_max=float(p_max))
-
-
-def dispersion(p) -> float:
-    """Single-particle energy |p|^2 / 2 of a momentum vector (or batch)."""
-    arr = np.asarray(p, dtype=float)
-    out = 0.5 * (arr * arr).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def occupation(beta: float, mu: float, lam: float) -> float:
-    """Mean occupation (exp(beta*(lam - mu)) - 1)^-1 of a mode with energy lam.
-
-    Requires mu < lam; the occupation is strictly positive and depends only
-    on lam - mu.
-    """
-    require(beta > 0.0, "beta must be positive")
-    if mu >= lam:
-        raise DomainError("occupation requires mu < lambda")
-    return 1.0 / math.expm1(beta * (lam - mu))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "laplace_sup",
     "zero_mode_log_partition",
     "zero_mode_partial_logsum",
-    "zero_mode_pressure_series",
     "pressure_sqrt_source",
     "pressure_sqrt_source_limit",
 ]
@@ -464,13 +463,6 @@ def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,
     return (peak + math.log(stable_sum(np.exp(expo - peak)))) / (beta * volume)
 
 
-def zero_mode_pressure_series(point: ThermoPoint, rel_tol: float = 1e-10,
-                              coefficient: float = 2.0) -> LaplaceResult:
-    """`zero_mode_log_partition` evaluated at a ThermoPoint."""
-    return zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
-                                   rel_tol=rel_tol, coefficient=coefficient)
-
-
 def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
                          coefficient: float = 2.0, primed: PressureBreakdown = None,
                          series: LaplaceResult = None) -> PressureBreakdown:
@@ -480,11 +472,12 @@ def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
     the point's lattice; there is no constant part.  The model has no
     phase parameter, so the result depends on nu only through nu itself.
     A caller that already holds `pressure_ideal_primed(point)` or
-    `zero_mode_pressure_series(point, rel_tol, coefficient)` passes it as
-    `primed` or `series`, so that sum is not formed again.
+    `zero_mode_log_partition` at the point's beta, mu, nu and volume passes
+    it as `primed` or `series`, so that sum is not formed again.
     """
     if series is None:
-        series = zero_mode_pressure_series(point, rel_tol=rel_tol, coefficient=coefficient)
+        series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
+                                         rel_tol=rel_tol, coefficient=coefficient)
     if primed is None:
         primed = pressure_ideal_primed(point)
     return PressureBreakdown(zero_mode=series.numeric_log_sum, primed=primed.primed,

@@ -12,58 +12,19 @@ sum_n e^{beta*mu*n} = (1 - e^{beta*mu})^{-1}; its mu-derivative reproduces
 the depletion density (1/V)*(e^{-beta*mu} - 1)^{-1} term by term.
 """
 
-import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, require
+from .errors import require
 from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
                             _require_stable, pressure_ideal_primed)
 
 __all__ = [
-    "ShiftParameters",
-    "QuasiAverage",
-    "shift_parameters",
     "pressure_source",
-    "quasiaverage",
     "condensate_density_source",
     "zero_mode_depletion",
     "solve_mu_finite",
-    "solve_mu_exact",
     "mu_star",
 ]
-
-
-@dataclass(frozen=True)
-class ShiftParameters:
-    """Zero-mode displacement and the constant it leaves in the Hamiltonian.
-
-    Invariants: |displacement|^2 / V = nu^2/mu^2 and
-    energy_offset = mu * |displacement|^2.
-    """
-
-    displacement: complex   # -(nu/mu) e^{i phi} sqrt(V)
-    energy_offset: float    # nu^2 V / mu
-
-
-@dataclass(frozen=True)
-class QuasiAverage:
-    """Scaled zero-mode average <a0/sqrt(V)> and its squared magnitude."""
-
-    eta: complex
-
-    @property
-    def magnitude_sq(self) -> float:
-        return abs(self.eta) ** 2
-
-
-def shift_parameters(mu: float, nu: float, phi: float, volume: float) -> ShiftParameters:
-    """Displacement -(nu/mu)e^{i phi}sqrt(V) and offset nu^2 V/mu of the shift."""
-    _require_stable(mu)
-    require(nu >= 0.0, "nu must be nonnegative")
-    require(volume > 0.0, "volume must be positive")
-    disp = -(nu / mu) * cmath.exp(1j * phi) * math.sqrt(volume)
-    return ShiftParameters(displacement=disp, energy_offset=nu * nu * volume / mu)
 
 
 def pressure_source(point: ThermoPoint, rel_tol: float = None,
@@ -86,16 +47,6 @@ def pressure_source(point: ThermoPoint, rel_tol: float = None,
     return PressureBreakdown(zero_mode=zero_mode, primed=primed.primed,
                              constant=constant,
                              truncation_bound=primed.truncation_bound)
-
-
-def quasiaverage(point: ThermoPoint) -> QuasiAverage:
-    """<a0/sqrt(V)> = -(nu/mu) e^{i phi}, exact at every volume.
-
-    The displaced field has zero thermal average, so only the shift
-    survives; for nu = 0 the selection rule <a0> = 0 is recovered.
-    """
-    _require_stable(point.mu)
-    return QuasiAverage(eta=-(point.nu / point.mu) * cmath.exp(1j * point.phi))
 
 
 def condensate_density_source(mu: float, nu: float) -> float:
@@ -127,40 +78,6 @@ def solve_mu_finite(beta: float, volume: float, rho0: float, nu: float) -> float
     a = beta * volume * rho0
     disc = 1.0 + (2.0 * beta * volume * nu) ** 2 * rho0
     return -(1.0 + math.sqrt(disc)) / (2.0 * a)
-
-
-def solve_mu_exact(beta: float, volume: float, rho0: float, nu: float) -> float:
-    """Root of nu^2/mu^2 + (1/V)(e^{-beta*mu}-1)^{-1} = rho0 on (-inf, 0).
-
-    Cross-check for `solve_mu_finite`; the left side is the exact
-    finite-volume zero-mode density of this model and is strictly
-    increasing in mu, so the root is unique and bracketable.
-    """
-    require(beta > 0.0 and volume > 0.0, "beta and volume must be positive")
-    require(rho0 > 0.0, "rho0 must be positive")
-    require(nu > 0.0, "nu must be positive for the exact solver")
-
-    def f(mu):
-        return nu * nu / (mu * mu) + zero_mode_depletion(beta, mu, volume) - rho0
-
-    hi = -1e-12
-    lo = solve_mu_finite(beta, volume, rho0, nu)
-    while f(lo) > 0.0:
-        lo *= 2.0
-        if lo < -1e12:
-            raise DomainError("failed to bracket the chemical potential")
-    if f(hi) <= 0.0:
-        raise DomainError("failed to bracket the chemical potential")
-    # Bisection keeps f(lo) <= 0 < f(hi) until the bracket is within
-    # 2*(1e-15 + 8.9e-16*|mu|); adjacent doubles always are, so it ends.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * (1e-15 + 8.9e-16 * abs(mid)):
-            return mid
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
 
 
 def mu_star(rho0: float, nu: float) -> float:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["stable_sum", "log_sum_exp"]
+__all__ = ["stable_sum"]
 
 
 def stable_sum(terms) -> float:
@@ -22,13 +22,3 @@ def stable_sum(terms) -> float:
     """
     return math.fsum(memoryview(np.ascontiguousarray(terms, dtype=float).ravel()))
 
-
-def log_sum_exp(exponents) -> float:
-    """log(sum(exp(x))) without overflow; the inner sum uses `stable_sum`."""
-    arr = np.asarray(exponents, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of an empty sequence")
-    m = float(arr.max())
-    if math.isinf(m):
-        return m
-    return m + math.log(stable_sum(np.exp(arr - m)))

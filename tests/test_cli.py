@@ -11,6 +11,7 @@ import pytest
 
 import bose_limits
 
+from bose_limits import cli
 from bose_limits.cli import RunConfig, emit_csv, emit_json, main, parse_config, run
 from bose_limits.equivalence import pressure_pair
 from bose_limits.errors import DomainError
@@ -226,11 +227,59 @@ class TestRun:
 
     def test_fulldiag_row(self):
         cfg = parse_config(["--command", "fulldiag", "--mu", "-0.5", "--nu", "0.1",
-                            "--side", "2", "--pmax", "7", "--fock-cutoff", "14,6"])
+                            "--side", "2", "--pmax", "7", "--fock-cutoff", "20,8"])
         code, rows = run(cfg)
         assert code == 0
         assert rows[0]["passed"] is True
         assert rows[0]["lower"] <= rows[0]["delta_p"] <= rows[0]["upper"]
+
+    @pytest.mark.parametrize("args", [["--fock-cutoff", "3,1"],
+                                      ["--fock-cutoff", "20,8", "--mf-a=-5"]],
+                             ids=["small-cutoff", "attractive"])
+    def test_fulldiag_fails_an_uncertified_truncation(self, args):
+        # The chain holds on any truncation; these put 8% and ~100% of the
+        # Gibbs weight on the cutoff shell, so the truncated model is not
+        # the model and the row must not pass.
+        cfg = parse_config(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1",
+                            "--side", "2", "--pmax", "7", *args])
+        code, (row,) = run(cfg)
+        assert code == 1
+        assert row["passed"] is False
+        assert row["shell_weight"] > cfg.rel_tol
+        assert row["lower"] <= row["delta_p"] <= row["upper"]
+
+    @pytest.mark.parametrize("workers,mus,cpus,pool", [
+        (6, "-0.5", 8, None), (64, "-1,-0.9,-0.8,-0.7", 8, (4, 1)),
+        (64, "-1,-0.9,-0.8,-0.7", 2, (2, 2)), (2, "-1,-0.9,-0.8,-0.7", 2, (2, 2)),
+    ], ids=["one-row", "rows-bound", "cores-bound", "as-asked"])
+    def test_sweep_pool_size_is_bounded_by_rows_and_cores(self, monkeypatch, workers,
+                                                          mus, cpus, pool):
+        # A fake pool records its size and runs the rows inline, so no
+        # process is started whatever --workers asks for.
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                made.append((self.max_workers, chunksize))
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = parse_config(["--command", "sweep", f"--mu={mus}", "--nu", "0.1",
+                            "--side", "4", "--pmax", "2", "--workers", str(workers)])
+        code, rows = run(cfg)
+        assert code == 0
+        assert len(rows) == len(cfg.mu)
+        assert made == ([] if pool is None else [pool])
 
 
 class TestMainExitCodes:
@@ -264,11 +313,13 @@ class TestMainExitCodes:
         assert err["error"] == "ResourceGuardError"
         assert "block eigensolve" in err["message"]
 
-    @pytest.mark.parametrize("args,code", [(["--side", "200"], 0),
+    @pytest.mark.parametrize("args,code", [(["--side", "200"], 1),
                                            (["--side", "2", "--pmax", "1"], 2)])
     def test_fulldiag_takes_its_modes_without_the_shell_table(self, args, code):
         # Side 200 holds ~1e8 modes within the default cutoff, of which the
-        # run uses 2; at side 2, p_max = 1 holds only the zero mode.
+        # run uses 2; at side 2, p_max = 1 holds only the zero mode.  At side
+        # 200, n0 ~ nu^2 V/mu^2 = 3.2e5 lies far beyond the cutoff 14, so the
+        # row is computed but its shell weight (0.085) fails it.
         src = str(Path(bose_limits.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -277,8 +328,11 @@ class TestMainExitCodes:
              "--nu", "0.1", "--fock-cutoff", "14,6", *args],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == code, proc.stderr
-        if code:
+        if code == 2:
             assert json.loads(proc.stderr)["error"] == "DomainError"
+        else:
+            header, line = proc.stdout.splitlines()
+            assert dict(zip(header.split(","), line.split(",")))["passed"] == "false"
 
     def test_fulldiag_solves_one_block_per_primed_count(self):
         # D = 482,601: one block per configuration of the four p != 0 modes
@@ -504,6 +558,24 @@ class TestModuleEntryPoint:
         record = json.loads(line)
         assert record["error"] == "DomainError"
         assert "ladder" in record["message"]
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dim_below_one_exits_2(self, dim):
+        # laplace forms side**dim without building a lattice, so the config
+        # itself refuses d < 1: V = 1 or 1e-4 would otherwise pass.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", "laplace",
+             "--mu=-0.5", "--nu", "0.1", f"--dim={dim}", "--ladder", "10,100"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "DomainError"
+        assert "dim" in record["message"]
 
     def test_overlong_theta_series_exits_3(self):
         # mu -> 0- on a side of 1e6 would need ~3e12 theta-series terms.

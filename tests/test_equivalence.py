@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from bose_limits.errors import NonConvergenceError, StepSizeError
-from bose_limits.equivalence import (ConvergenceLadder, condensate_density_limit,
-                                     condensate_temperature_spread, delta_pressure,
+from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_spread,
+                                     delta_pressure,
                                      delta_pressure_closed_form, density_from_pressure,
                                      density_limit, fit_rate, pressure_pair,
                                      verify_equivalence)
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
                                        critical_density_limit, pressure_ideal_limit)
-from bose_limits.source_model import (condensate_density_source, pressure_source,
-                                      zero_mode_depletion)
+from bose_limits.source_model import pressure_source, zero_mode_depletion
 
 
 def mp_pressure_gap(beta, mu, nu, volume, n_terms):
@@ -238,18 +237,6 @@ class TestDensityFromPressure:
 
 
 class TestCondensateLimit:
-    def test_value(self):
-        assert condensate_density_limit(1.0, -0.5, 0.1, 3) == pytest.approx(
-            0.04, rel=1e-13)
-
-    def test_nu_zero(self):
-        assert condensate_density_limit(1.0, -0.5, 0.0, 3) == 0.0
-
-    def test_equals_linear_source_condensate(self):
-        for mu, nu in [(-0.5, 0.1), (-1.2, 0.3), (-0.1, 0.1)]:
-            assert condensate_density_limit(1.0, mu, nu, 3) == pytest.approx(
-                condensate_density_source(mu, nu), rel=1e-12)
-
     def test_temperature_spread(self):
         values, spread = condensate_temperature_spread(
             -0.5, 0.1, 3, (0.5, 1.0, 2.0), h=1e-5)

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from bose_limits.errors import DomainError, ResourceGuardError
 from bose_limits.fockdiag import (DiagonalModel, FockTruncation, add_linear_source,
-                                  add_sqrt_source, bogoliubov_bounds,
-                                  boundary_shell_weight, diagonal_energies,
-                                  enumerate_configs, gibbs_expectation,
-                                  gibbs_probabilities, gibbs_trace,
-                                  quasiaverage_fd, truncate_lattice, verify_sandwich,
+                                  add_sqrt_source, boundary_shell_weight,
+                                  diagonal_energies, enumerate_configs,
+                                  gibbs_expectation, gibbs_trace, quasiaverage_fd,
+                                  truncate_lattice, verify_sandwich,
                                   zero_mode_annihilator)
 from bose_limits.lattice_ideal import build_lattice
 from bose_limits.nonlinear_model import zero_mode_partial_logsum
@@ -213,13 +212,6 @@ class TestGibbsExpectation:
         ones = np.ones(op.dimension)
         assert gibbs_expectation(ones, op, 1.0) == pytest.approx(1.0, rel=1e-14)
 
-    def test_probabilities_normalized(self):
-        op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5),
-                             two_mode_truncation((10, 5)), 0.1, 8.0)
-        probs = gibbs_probabilities(op, 1.0)
-        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-14)
-        assert np.all(probs >= 0.0)
-
     def test_zero_temperature_limit(self):
         trunc = single_mode_truncation(10)
         op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5), trunc, 0.1, 1.0)
@@ -234,35 +226,6 @@ class TestGibbsExpectation:
         # displaced thermal occupation: nu^2/mu^2 + depletion
         expected = 0.04 + 1.0 / math.expm1(0.5)
         assert gibbs_expectation(n0, op, 1.0) == pytest.approx(expected, abs=1e-6)
-
-
-class TestBogoliubovBounds:
-    def test_equal_operators(self):
-        op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5),
-                             single_mode_truncation(12), 0.1, 1.0)
-        rep = bogoliubov_bounds(op, op, 1.0, 1.0)
-        assert rep.lower == rep.upper == rep.delta_p == 0.0
-        assert rep.passed
-
-    @pytest.mark.parametrize("beta,mu,nu", [(0.5, -2.0, 0.05), (1.0, -0.5, 0.1),
-                                            (2.0, -1.0, 0.2)])
-    def test_sandwich_holds(self, beta, mu, nu):
-        trunc = two_mode_truncation((12, 5))
-        model = DiagonalModel(a=1.0, mu=mu)
-        op_lin = add_linear_source(model, trunc, nu, 8.0)
-        op_sqrt = add_sqrt_source(model, trunc, nu, 8.0)
-        rep = bogoliubov_bounds(op_lin, op_sqrt, beta, 8.0)
-        assert rep.passed
-        assert rep.lower >= -1e-12  # difference operator is positive
-
-    def test_orientation_sign(self):
-        # with the linear operator first, both bounds and delta_p are >= 0
-        trunc = single_mode_truncation(20)
-        model = DiagonalModel(a=1.0, mu=-0.5)
-        op_lin = add_linear_source(model, trunc, 0.1, 1.0)
-        op_sqrt = add_sqrt_source(model, trunc, 0.1, 1.0)
-        rep = bogoliubov_bounds(op_lin, op_sqrt, 1.0, 1.0)
-        assert 0.0 <= rep.lower <= rep.delta_p <= rep.upper
 
 
 class TestJensenGap:
@@ -542,17 +505,6 @@ class TestBlockEigensolveAgainstDenseOracle:
         assert_close(res.a0_scaled,
                      np.sum(zero_mode_annihilator(trunc) * rho) / math.sqrt(vol))
         assert_close(res.sqrt_density, math.sqrt(n0 @ np.diagonal(rho) / vol))
-
-    def test_bogoliubov_bounds(self, case):
-        _, _, beta, _, vol, op_lin, op_sqrt = self.setup_ops(case)
-        diff = op_lin.to_dense() - op_sqrt.to_dense()
-        log_z_lin, rho_lin = dense_state(op_lin, beta)
-        log_z_sqrt, rho_sqrt = dense_state(op_sqrt, beta)
-        rep = bogoliubov_bounds(op_lin, op_sqrt, beta, vol)
-        assert_close(rep.lower, np.sum(diff * rho_lin) / vol)
-        assert_close(rep.upper, np.sum(diff * rho_sqrt) / vol)
-        assert_close(rep.delta_p, (log_z_sqrt - log_z_lin) / (beta * vol))
-        assert rep.passed
 
     def test_verify_sandwich(self, case):
         trunc, model, beta, nu, vol, op_lin, op_sqrt = self.setup_ops(case)

@@ -13,8 +13,8 @@ from bose_limits import lattice_ideal
 from bose_limits.errors import DomainError, NonConvergenceError, ResourceGuardError
 from bose_limits.lattice_ideal import (ModeLattice, PressureBreakdown, ThermoPoint,
                                        build_lattice, critical_density_finite,
-                                       critical_density_limit, dispersion,
-                                       occupation, polylog, pressure_ideal_limit,
+                                       critical_density_limit, polylog,
+                                       pressure_ideal_limit,
                                        pressure_ideal_primed, _theta_power_m1,
                                        _theta_series, _zeta)
 from bose_limits.summation import stable_sum
@@ -29,7 +29,6 @@ TWO_PI = 2.0 * math.pi
 ORACLE_ROUNDING = 1e-15
 
 # mpmath oracles, frozen at 40 digits
-OCC_BETA1_MU_M1 = 0.58197670686932642439          # 1/(e - 1)
 ZETA_3_HALVES = 2.6123753486854883433
 RHO_C_MU0 = 0.16586920931302220587                # zeta(3/2) / (2 pi)^{3/2}
 P_ID_LIMIT_B1_MM1 = 0.025126210220070685716       # polylog(5/2, 1/e) / (2 pi)^{3/2}
@@ -45,6 +44,11 @@ POLYLOG_GRID = {
     (2.5, 0.5): 0.55499727871751229321,
     (2.5, 0.9): 1.1390030252021567548,
 }
+
+
+def occupation(beta, mu, lam):
+    """Mean occupation (e^(beta*(lam - mu)) - 1)^-1 of a mode at energy lam > mu."""
+    return 1.0 / math.expm1(beta * (lam - mu))
 
 
 def all_modes(lat):
@@ -289,39 +293,6 @@ class TestThetaSeries:
         point = ThermoPoint(beta=1.0, mu=-0.5, lattice=build_lattice(d, l, 10.0))
         with pytest.raises(ResourceGuardError, match="float range"):
             pressure_ideal_primed(point)
-
-
-class TestDispersion:
-    def test_zero(self):
-        assert dispersion([0.0, 0.0, 0.0]) == 0.0
-
-    def test_unit_vector(self):
-        assert dispersion([1.0, 0.0, 0.0]) == 0.5
-
-    def test_lattice_spacing(self):
-        assert dispersion([TWO_PI / TWO_PI, 0.0, 0.0]) == 0.5
-
-
-class TestOccupation:
-    def test_closed_form(self):
-        assert occupation(1.0, -1.0, 0.0) == pytest.approx(OCC_BETA1_MU_M1, rel=1e-15)
-
-    def test_deep_mu_vanishes(self):
-        assert occupation(1.0, -50.0, 0.0) < 1e-20
-
-    def test_depends_only_on_gap(self):
-        assert occupation(1.0, -0.5, 0.5) == occupation(1.0, -1.0, 0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            occupation(1.0, 0.5, 0.5)
-
-    @given(beta=st.floats(0.1, 5.0), gap=st.floats(0.01, 20.0))
-    @settings(max_examples=50, deadline=None)
-    def test_positive_and_monotone(self, beta, gap):
-        val = occupation(beta, -gap, 0.0)
-        assert val > 0.0
-        assert occupation(beta, -gap * 1.5, 0.0) < val
 
 
 class TestPressureIdealPrimed:

@@ -14,9 +14,14 @@ from bose_limits.nonlinear_model import (ExponentFunction, exponent_eval,
                                          pressure_sqrt_source,
                                          pressure_sqrt_source_limit,
                                          zero_mode_log_partition,
-                                         zero_mode_partial_logsum,
-                                         zero_mode_pressure_series, _side_bounds)
-from bose_limits.summation import log_sum_exp
+                                         zero_mode_partial_logsum, _side_bounds)
+from bose_limits.summation import stable_sum
+
+
+def log_sum_exp(exponents):
+    """log(sum(exp(x))) without overflow; the inner sum uses `stable_sum`."""
+    m = float(np.max(exponents))
+    return m + math.log(stable_sum(np.exp(exponents - m)))
 
 
 def exponent_second_derivative(f, x):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from hypothesis import strategies as st
 from bose_limits.errors import DomainError
 from bose_limits.lattice_ideal import ThermoPoint, build_lattice, pressure_ideal_primed
 from bose_limits.source_model import (condensate_density_source, mu_star,
-                                      pressure_source, quasiaverage,
-                                      shift_parameters, solve_mu_exact,
-                                      solve_mu_finite, zero_mode_depletion)
+                                      pressure_source, solve_mu_finite,
+                                      zero_mode_depletion)
 
 TWO_PI = 2.0 * math.pi
 INV_E_MINUS_1 = 0.58197670686932642439
@@ -23,31 +21,33 @@ def zero_mode_lattice():
     return build_lattice(3, TWO_PI, 0.5)
 
 
-class TestShiftParameters:
-    def test_nu_zero(self):
-        sp = shift_parameters(-0.5, 0.0, 0.0, 100.0)
-        assert sp.displacement == 0.0
-        assert sp.energy_offset == 0.0
+def solve_mu_exact(beta, volume, rho0, nu):
+    """Root of nu^2/mu^2 + (1/V)(e^{-beta*mu}-1)^{-1} = rho0 on (-inf, 0).
 
-    def test_worked_example(self):
-        sp = shift_parameters(-0.5, 0.1, 0.0, 100.0)
-        assert sp.displacement.real == pytest.approx(2.0, rel=1e-15)
-        assert sp.displacement.imag == 0.0
-        assert sp.energy_offset == pytest.approx(-2.0, rel=1e-15)
+    The oracle for `solve_mu_finite`: the left side is the exact
+    finite-volume zero-mode density of the linear-source model and is
+    strictly increasing in mu, so the root is unique and bracketable.
+    """
 
-    def test_offset_sign(self):
-        sp = shift_parameters(-1.0, 1.0, 0.0, 1.0)
-        assert sp.energy_offset == pytest.approx(-1.0, rel=1e-15)
+    def f(mu):
+        return nu * nu / (mu * mu) + zero_mode_depletion(beta, mu, volume) - rho0
 
-    def test_invariants(self):
-        mu, nu, phi, vol = -0.7, 0.3, 1.1, 50.0
-        sp = shift_parameters(mu, nu, phi, vol)
-        assert abs(sp.displacement) ** 2 / vol == pytest.approx(nu * nu / mu ** 2, rel=1e-12)
-        assert sp.energy_offset == pytest.approx(mu * abs(sp.displacement) ** 2, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            shift_parameters(0.0, 0.1, 0.0, 1.0)
+    hi = -1e-12
+    lo = solve_mu_finite(beta, volume, rho0, nu)
+    while f(lo) > 0.0:
+        lo *= 2.0
+        assert lo >= -1e12, "failed to bracket the chemical potential"
+    assert f(hi) > 0.0, "failed to bracket the chemical potential"
+    # Bisection keeps f(lo) <= 0 < f(hi) until the bracket is within
+    # 2*(1e-15 + 8.9e-16*|mu|); adjacent doubles always are, so it ends.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * (1e-15 + 8.9e-16 * abs(mid)):
+            return mid
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 class TestPressureSource:
@@ -105,36 +105,6 @@ class TestPressureSource:
                                 lattice=zero_mode_lattice)
             totals.add(pressure_source(point).total)
         assert len(totals) == 1
-
-
-class TestQuasiaverage:
-    def test_selection_rule_restored(self, zero_mode_lattice):
-        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.0, lattice=zero_mode_lattice)
-        assert quasiaverage(point).eta == 0.0
-
-    def test_worked_example(self, zero_mode_lattice):
-        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=zero_mode_lattice)
-        qa = quasiaverage(point)
-        assert qa.eta.real == pytest.approx(0.2, rel=1e-15)
-        assert qa.magnitude_sq == pytest.approx(0.04, rel=1e-14)
-
-    def test_pure_phase(self, zero_mode_lattice):
-        base = quasiaverage(ThermoPoint(beta=1.0, mu=-0.5, nu=0.1,
-                                        lattice=zero_mode_lattice))
-        rotated = quasiaverage(ThermoPoint(beta=1.0, mu=-0.5, nu=0.1,
-                                           phi=math.pi / 2.0,
-                                           lattice=zero_mode_lattice))
-        assert rotated.eta.real == pytest.approx(0.0, abs=1e-16)
-        assert rotated.eta.imag == pytest.approx(0.2, rel=1e-15)
-        assert rotated.eta / base.eta == pytest.approx(cmath.exp(1j * math.pi / 2.0),
-                                                       rel=1e-14)
-
-    @given(mu=st.floats(-3.0, -0.05), nu=st.floats(0.0, 1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_magnitude_equals_condensate(self, zero_mode_lattice, mu, nu):
-        point = ThermoPoint(beta=1.0, mu=mu, nu=nu, lattice=zero_mode_lattice)
-        assert quasiaverage(point).magnitude_sq == pytest.approx(
-            condensate_density_source(mu, nu), rel=1e-13, abs=1e-300)
 
 
 class TestCondensateDensity:

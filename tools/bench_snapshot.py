@@ -41,7 +41,7 @@ README_COMMANDS = {
     "laplace": ["--command", "laplace", "--mu=-0.5", "--nu", "0.1", "--dim", "1",
                 "--ladder", "100,1000,10000"],
     "fulldiag": ["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1", "--side", "2",
-                 "--pmax", "7", "--fock-cutoff", "14,6"],
+                 "--pmax", "7", "--fock-cutoff", "20,8"],
     "sweep": ["--command", "sweep", "--beta", "0.5,1", "--mu=-1,-0.5", "--nu", "0.1,0.2",
               "--side", "8", "--workers", "2"],
 }
