@@ -212,6 +212,20 @@ class TestGibbsExpectation:
         ones = np.ones(op.dimension)
         assert gibbs_expectation(ones, op, 1.0) == pytest.approx(1.0, rel=1e-14)
 
+    def test_probabilities_normalized(self):
+        op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5),
+                             two_mode_truncation((10, 5)), 0.1, 8.0)
+        state = op.gibbs_state(1.0)
+        probs = state.weights / state.z
+        assert math.fsum(probs.ravel()) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(probs >= 0.0)
+        # each key's eigenvectors are orthonormal, so its populations carry
+        # its whole weight, and its blocks share it out completely
+        np.testing.assert_allclose(state.populations.sum(axis=1),
+                                   state.weights.sum(axis=1), rtol=1e-14)
+        for group in op.key_groups[1]:
+            assert math.fsum(state.share[group]) == pytest.approx(1.0, abs=1e-14)
+
     def test_zero_temperature_limit(self):
         trunc = single_mode_truncation(10)
         op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5), trunc, 0.1, 1.0)
@@ -226,6 +240,35 @@ class TestGibbsExpectation:
         # displaced thermal occupation: nu^2/mu^2 + depletion
         expected = 0.04 + 1.0 / math.expm1(0.5)
         assert gibbs_expectation(n0, op, 1.0) == pytest.approx(expected, abs=1e-6)
+
+
+class TestBogoliubovBounds:
+    """The sandwich's Bogoliubov bounds <H_lin - H_sqrt>/V in either state."""
+
+    def test_equal_operators(self):
+        # nu = 0: both sources vanish, so the two operators coincide
+        (rep,) = verify_sandwich(DiagonalModel(a=1.0, mu=-0.5),
+                                 [single_mode_truncation(12)], 1.0, 0.0, volume=1.0)
+        ineq = rep.inequality
+        assert ineq.lower == ineq.upper == ineq.delta_p == 0.0
+        assert ineq.lower_margin == ineq.upper_margin == 0.0
+        assert ineq.passed
+
+    @pytest.mark.parametrize("beta,mu,nu", [(0.5, -2.0, 0.05), (1.0, -0.5, 0.1),
+                                            (2.0, -1.0, 0.2)])
+    def test_sandwich_holds(self, beta, mu, nu):
+        (rep,) = verify_sandwich(DiagonalModel(a=1.0, mu=mu),
+                                 [two_mode_truncation((12, 5))], beta, nu, volume=8.0)
+        assert rep.inequality.passed
+        assert rep.inequality.lower >= -1e-12  # difference operator is positive
+
+    def test_orientation_sign(self):
+        # delta_p = p_sqrt - p_linear, so both bounds and delta_p are >= 0
+        (rep,) = verify_sandwich(DiagonalModel(a=1.0, mu=-0.5),
+                                 [single_mode_truncation(20)], 1.0, 0.1, volume=1.0)
+        ineq = rep.inequality
+        assert 0.0 <= ineq.lower <= ineq.delta_p <= ineq.upper
+        assert ineq.lower_margin > 0.0 and ineq.upper_margin > 0.0
 
 
 class TestJensenGap:
@@ -505,6 +548,21 @@ class TestBlockEigensolveAgainstDenseOracle:
         assert_close(res.a0_scaled,
                      np.sum(zero_mode_annihilator(trunc) * rho) / math.sqrt(vol))
         assert_close(res.sqrt_density, math.sqrt(n0 @ np.diagonal(rho) / vol))
+
+    def test_bogoliubov_bounds(self, case):
+        trunc, model, beta, nu, vol, op_lin, op_sqrt = self.setup_ops(case)
+        oracle = sandwich_oracle(trunc, beta, nu, vol, op_lin, op_sqrt)
+        lower_margin = oracle["delta_p"] - oracle["lower"]
+        upper_margin = oracle["upper"] - oracle["delta_p"]
+        # Bogoliubov's inequality on the dense matrices themselves
+        assert lower_margin >= -1e-12 and upper_margin >= -1e-12
+        (rep,) = verify_sandwich(model, [trunc], beta, nu, volume=vol)
+        # a margin is a difference, so its error is that of its larger term
+        scale = 1e-12 * max(abs(oracle["delta_p"]), abs(oracle["lower"]),
+                            abs(oracle["upper"])) + 1e-15
+        assert abs(rep.inequality.lower_margin - lower_margin) <= scale
+        assert abs(rep.inequality.upper_margin - upper_margin) <= scale
+        assert rep.inequality.passed
 
     def test_verify_sandwich(self, case):
         trunc, model, beta, nu, vol, op_lin, op_sqrt = self.setup_ops(case)

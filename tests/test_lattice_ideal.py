@@ -295,6 +295,30 @@ class TestThetaSeries:
             pressure_ideal_primed(point)
 
 
+class TestDispersion:
+    """Mode energies |p|^2 / 2 at momenta p = (2 pi / L) n."""
+
+    def test_zero(self):
+        modes, energies = build_lattice(3, TWO_PI, 2.0).leading_modes(1)
+        assert np.all(modes[0] == 0.0) and energies[0] == 0.0
+
+    def test_unit_vector(self):
+        lat = build_lattice(3, TWO_PI, 2.0)
+        assert lat.nonzero_energies[0] == 0.5
+        modes, energies = lat.leading_modes(7)
+        assert np.all(energies[1:] == 0.5)
+        np.testing.assert_array_equal(energies, 0.5 * (modes * modes).sum(axis=1))
+
+    def test_lattice_spacing(self):
+        # halving the side doubles the spacing and quadruples every energy
+        wide, narrow = build_lattice(2, TWO_PI, 3.0), build_lattice(2, math.pi, 3.0)
+        assert narrow.nonzero_energies[0] == 2.0
+        np.testing.assert_array_equal(
+            wide.nonzero_energies[:narrow.shells.size - 1] * 4.0,
+            narrow.nonzero_energies)
+        np.testing.assert_array_equal(wide.shells[:narrow.shells.size], narrow.shells)
+
+
 class TestPressureIdealPrimed:
     def test_d1_matches_brute_force_at_double_cutoff(self):
         lat = build_lattice(1, TWO_PI, 10.0)
