@@ -30,8 +30,7 @@ from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
 from .lattice_ideal import ThermoPoint, _require_stable, build_lattice
-from .nonlinear_model import (ExponentFunction, exponent_eval, laplace_sup,
-                              zero_mode_log_partition)
+from .nonlinear_model import ExponentFunction, exponent_eval, zero_mode_log_partition
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
 
@@ -39,7 +38,7 @@ COMMANDS = ("pressure", "equivalence", "laplace", "fulldiag", "sweep")
 
 _COLUMNS = {
     "pressure": [
-        "command", "beta", "mu", "nu", "phi", "dim", "side", "volume", "pmax",
+        "command", "beta", "mu", "nu", "dim", "side", "volume", "pmax",
         "p_linear_zero_mode", "p_linear_primed", "p_linear_constant",
         "p_linear_total", "p_linear_bound",
         "p_sqrt_zero_mode", "p_sqrt_primed", "p_sqrt_total", "p_sqrt_bound",
@@ -73,7 +72,6 @@ class RunConfig:
     beta: tuple = (1.0,)
     mu: tuple = ()
     nu: tuple = (0.0,)
-    phi: float = 0.0
     dim: int = 3
     side: float = 16.0
     ladder: tuple = (8, 16, 32, 64)
@@ -101,6 +99,9 @@ class RunConfig:
                 raise DomainError("nu must be nonnegative")
         if self.command != "sweep" and (len(self.beta), len(self.mu), len(self.nu)) != (1, 1, 1):
             raise DomainError(f"command {self.command} takes single beta/mu/nu values")
+        if self.command == "equivalence" and self.coefficient != 2.0:
+            # Its ladder and condensate checks hold the two models at c = 2.
+            raise DomainError("equivalence compares the models at coefficient 2 only")
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
         if self.rel_tol <= 0.0:
@@ -145,7 +146,7 @@ def _list_of(convert):
 # config-file line gives; the keys are RunConfig's fields.  Floats are finite.
 _CONVERTERS = {
     "command": str, "beta": _list_of(_finite), "mu": _list_of(_finite),
-    "nu": _list_of(_finite), "phi": _finite, "dim": int, "side": _finite,
+    "nu": _list_of(_finite), "dim": int, "side": _finite,
     "ladder": _list_of(int), "pmax": _finite, "fock_cutoff": _list_of(int),
     "coefficient": _finite, "mf_a": _finite, "rel_tol": _finite, "workers": int,
     "out": str, "format": str,
@@ -236,12 +237,12 @@ def emit_json(rows: Sequence[dict], stream, columns: Sequence[str]) -> None:
 def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
     start = time.perf_counter()
     lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
-    point = ThermoPoint(beta=beta, mu=mu, nu=nu, phi=cfg.phi, lattice=lattice)
+    point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
     pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient)
     p_lin, p_sqrt = pair.linear, pair.sqrt
     return {
         "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
-        "phi": cfg.phi, "dim": cfg.dim, "side": cfg.side,
+        "dim": cfg.dim, "side": cfg.side,
         "volume": lattice.volume, "pmax": cfg.pmax,
         "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
         "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
@@ -272,7 +273,7 @@ def _run_sweep(cfg: RunConfig) -> tuple:
                                  chunksize=math.ceil(len(grid) / workers)))
     else:
         rows = [_pressure_row(b, m, n, cfg) for b, m, n in grid]
-    # Emission order is fixed by the input grid, never by scheduling.
+    # Rows are emitted sorted by (beta, mu, nu), never in scheduling order.
     rows.sort(key=lambda r: (r["beta"], r["mu"], r["nu"]))
     code = 0 if all(r["passed"] for r in rows) else 1
     return code, rows
@@ -321,7 +322,6 @@ def _run_laplace(cfg: RunConfig) -> tuple:
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=cfg.rel_tol,
                                       coefficient=cfg.coefficient)
         f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)
-        sup = laplace_sup(f)
         # The sum is at least its largest term and at most terms_used times
         # e^(beta*V*sup); by concavity the largest term sits next to V*x*.
         peak = volume * res.maximizer
@@ -329,12 +329,12 @@ def _run_laplace(cfg: RunConfig) -> tuple:
                        for n in {math.floor(peak), math.ceil(peak)})
         gap_bound = math.log(res.terms_used) / (beta * volume)
         ok = (term_max - res.tail_bound <= res.numeric_log_sum
-              <= sup + gap_bound + res.tail_bound)
+              <= res.sup_value + gap_bound + res.tail_bound)
         all_ok = all_ok and ok
         rows.append({
             "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
             "dim": cfg.dim, "side": side, "volume": volume,
-            "maximizer": res.maximizer, "sup_value": sup,
+            "maximizer": res.maximizer, "sup_value": res.sup_value,
             "numeric_log_sum": res.numeric_log_sum, "gap": res.gap,
             "gap_bound": gap_bound, "terms_used": res.terms_used,
             "tail_bound": res.tail_bound, "method": res.method, "passed": ok,

@@ -43,12 +43,18 @@ __all__ = [
     "verify_equivalence",
 ]
 
+# Pass thresholds of `verify_equivalence` and `density_from_pressure`.
+RATE_THRESHOLD = 0.9
+CONDENSATE_TOL = 1e-4
+ONESIDED_TOL = 1e-3
+CONVEXITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ConvergenceLadder:
     """A quantity evaluated on increasing box sides, with an optional rate fit.
 
-    `fitted_rate` is the exponent r in |value - limit_ref| ~ C * V^(-r),
+    `fitted_rate` is the exponent r in |value| ~ C * V^(-r),
     fitted in log-log coordinates over V = side^d; it is populated only
     when at least three rungs exist.
     """
@@ -56,7 +62,6 @@ class ConvergenceLadder:
     d: int
     sides: tuple
     values: tuple
-    limit_ref: float
     fitted_rate: Optional[float] = None
     fit_residual: Optional[float] = None
 
@@ -72,7 +77,7 @@ class ConvergenceLadder:
 
     @property
     def gaps(self) -> tuple:
-        return tuple(abs(v - self.limit_ref) for v in self.values)
+        return tuple(abs(v) for v in self.values)
 
 
 class RateFit(NamedTuple):
@@ -86,11 +91,9 @@ class DensityReport:
 
     rho_total: float
     rho_c: float
-    method: str  # "analytic" or "finite-difference"
 
     def __post_init__(self):
         require(self.rho_c >= 0.0, "rho_c must be nonnegative")
-        require(self.method in ("analytic", "finite-difference"), "unknown method")
 
     @property
     def rho_0(self) -> float:
@@ -147,7 +150,7 @@ def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
                   coefficient: float = 2.0) -> PressurePair:
     """Both pressures from one p != 0 mode sum and one zero-mode series.
 
-    The breakdowns are `pressure_source(point, rel_tol)` and
+    The breakdowns are `pressure_source(point)` and
     `pressure_sqrt_source(point, rel_tol, coefficient)`, each handed the
     shared sums instead of forming its own.
     """
@@ -163,7 +166,7 @@ def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
                                                coefficient=coefficient, series=series))
 
 
-def delta_pressure(point: ThermoPoint, rel_tol: float = 1e-10) -> float:
+def delta_pressure(point: ThermoPoint) -> float:
     """Finite-volume pressure difference, linear source minus sqrt source.
 
     Both models share one p != 0 sum on the point's lattice, so it cancels
@@ -171,7 +174,7 @@ def delta_pressure(point: ThermoPoint, rel_tol: float = 1e-10) -> float:
     `delta_pressure_closed_form` to near machine precision.  Negative for
     nu > 0 at finite volume; tends to 0 as V grows.
     """
-    return pressure_pair(point, rel_tol=rel_tol).delta
+    return pressure_pair(point).delta
 
 
 def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
@@ -194,9 +197,7 @@ def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
 def density_from_pressure(pressure_of_mu: Callable[[float], float],
                           point: ThermoPoint,
                           h: float = None,
-                          rho_c_of_mu: Callable[[float], float] = None,
-                          onesided_tol: float = 1e-3,
-                          convexity_tol: float = 1e-10) -> DensityReport:
+                          rho_c_of_mu: Callable[[float], float] = None) -> DensityReport:
     """Particle density as a central mu-derivative of a pressure evaluator.
 
     Parameters
@@ -208,7 +209,7 @@ def density_from_pressure(pressure_of_mu: Callable[[float], float],
     h : float, optional
         Step; defaults to max(1e-5, |mu| * 1e-4).  A second evaluation at
         h/2 is not performed here; instead the two one-sided differences
-        must agree within `onesided_tol`, which bounds h * p'' directly.
+        must agree within ONESIDED_TOL, which bounds h * p'' directly.
     rho_c_of_mu : callable, optional
         mu -> critical density matched to the evaluator (finite or limit).
         Defaults to 0, in which case rho_0 equals rho_total.
@@ -217,7 +218,7 @@ def density_from_pressure(pressure_of_mu: Callable[[float], float],
     ------
     StepSizeError
         If mu + h >= 0, the one-sided differences disagree by more than
-        `onesided_tol`, or the three-point stencil violates convexity.
+        ONESIDED_TOL, or the three-point stencil violates convexity.
     """
     mu = point.mu
     if h is None:
@@ -231,18 +232,18 @@ def density_from_pressure(pressure_of_mu: Callable[[float], float],
     p_plus = pressure_of_mu(mu + h)
 
     second = p_plus + p_minus - 2.0 * p_center
-    if second < -convexity_tol * max(1.0, abs(p_center)):
+    if second < -CONVEXITY_TOL * max(1.0, abs(p_center)):
         raise StepSizeError(f"pressure stencil is not convex in mu (D2={second:.3e})")
     d_plus = (p_plus - p_center) / h
     d_minus = (p_center - p_minus) / h
-    if abs(d_plus - d_minus) > onesided_tol:
+    if abs(d_plus - d_minus) > ONESIDED_TOL:
         raise StepSizeError(
             f"one-sided differences disagree by {abs(d_plus - d_minus):.3e}; "
             "reduce the step h")
 
     rho_total = (p_plus - p_minus) / (2.0 * h)
     rho_c = rho_c_of_mu(mu) if rho_c_of_mu is not None else 0.0
-    return DensityReport(rho_total=rho_total, rho_c=rho_c, method="finite-difference")
+    return DensityReport(rho_total=rho_total, rho_c=rho_c)
 
 
 def density_limit(beta: float, mu: float, nu: float, d: int = 3) -> float:
@@ -271,7 +272,7 @@ def condensate_temperature_spread(mu: float, nu: float, d: int,
 
 
 def fit_rate(ladder: ConvergenceLadder) -> RateFit:
-    """Least-squares decay exponent of log|value - limit_ref| against log V.
+    """Least-squares decay exponent of log|value| against log V.
 
     Requires at least three rungs with strictly positive gaps; an
     underflowing gap makes the fit degenerate and raises.
@@ -307,19 +308,18 @@ class EquivalenceResult:
 
 def verify_equivalence(beta: float, mu: float, nu: float, d: int,
                        sides: Sequence[int], p_max: float = 10.0,
-                       rel_tol: float = 1e-10, rate_threshold: float = 0.9,
-                       condensate_tol: float = 1e-4) -> EquivalenceResult:
+                       rel_tol: float = 1e-10) -> EquivalenceResult:
     """Pressure-gap ladder plus condensate comparison for both models.
 
     The ladder holds delta_pressure on each side, from one `pressure_pair`
-    per side; the fitted decay rate in
-    V must reach `rate_threshold` for the result to pass.  The condensate
-    densities rho - rho' at the largest side are analytic, as the p != 0
-    parts cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu) - 1)) for the linear
-    source, <n0>/V from the last rung's zero-mode series weights for the
-    square-root source.  Their difference plus the occupation bound over V must stay
-    within `condensate_tol`.  For nu = 0 the gap vanishes identically and
-    the rate fit is skipped.
+    per side; the fitted decay rate in V must reach RATE_THRESHOLD for the
+    result to pass.  The condensate densities rho - rho' at the largest
+    side are analytic, as the p != 0 parts cancel: nu^2/mu^2 +
+    1/(V*(e^(-beta*mu) - 1)) for the linear source, <n0>/V from the last
+    rung's zero-mode series weights for the square-root source.  Their
+    difference plus the occupation bound over V must stay within
+    CONDENSATE_TOL.  For nu = 0 the gap vanishes identically and the rate
+    fit is skipped.
 
     Raises NonConvergenceError if the gap ladder is not strictly
     decreasing in magnitude (nu > 0).
@@ -336,8 +336,7 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
         values.append(pair.delta)
         durations.append(time.perf_counter() - start)
 
-    ladder = ConvergenceLadder(d=d, sides=tuple(sides), values=tuple(values),
-                               limit_ref=0.0)
+    ladder = ConvergenceLadder(d=d, sides=tuple(sides), values=tuple(values))
     if nu > 0.0:
         gaps = ladder.gaps
         if not all(b < a for a, b in zip(gaps, gaps[1:])):
@@ -352,15 +351,15 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     rho0_lin = condensate_density_source(mu, nu) + zero_mode_depletion(beta, mu, volume)
     series = pair.series
     rho0_sqrt = series.mean_occupation / volume
-    dens_lin = DensityReport(rho_total=rho0_lin + rho_c, rho_c=rho_c, method="analytic")
-    dens_sqrt = DensityReport(rho_total=rho0_sqrt + rho_c, rho_c=rho_c, method="analytic")
+    dens_lin = DensityReport(rho_total=rho0_lin + rho_c, rho_c=rho_c)
+    dens_sqrt = DensityReport(rho_total=rho0_sqrt + rho_c, rho_c=rho_c)
 
     condensates_agree = (abs(rho0_lin - rho0_sqrt) + series.occupation_bound / volume
-                         <= condensate_tol)
+                         <= CONDENSATE_TOL)
     if nu == 0.0:
         passed = all(v == 0.0 for v in values) and condensates_agree
     else:
-        rate_ok = ladder.fitted_rate is None or ladder.fitted_rate >= rate_threshold
+        rate_ok = ladder.fitted_rate is None or ladder.fitted_rate >= RATE_THRESHOLD
         passed = rate_ok and condensates_agree
     return EquivalenceResult(ladder=ladder, density_linear=dens_lin,
                              density_sqrt=dens_sqrt,

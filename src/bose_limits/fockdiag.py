@@ -80,6 +80,9 @@ __all__ = [
     "verify_sandwich",
 ]
 
+# Slack of every inequality in the sandwich chain, absolute.
+SANDWICH_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class FockTruncation:
@@ -152,13 +155,11 @@ class Configurations:
     """All occupation configurations of a truncation, mixed-radix ordered.
 
     Row i of `occupations` is the configuration whose mixed-radix digits
-    (zero mode most significant) encode i; N is the total occupation and
-    N_primed excludes the zero mode.
+    (zero mode most significant) encode i; N is the total occupation.
     """
 
     occupations: np.ndarray   # (dimension, n_modes) integers
     total: np.ndarray         # N(omega)
-    total_primed: np.ndarray  # N'(omega)
 
 
 def enumerate_configs(trunc: FockTruncation) -> Configurations:
@@ -166,9 +167,7 @@ def enumerate_configs(trunc: FockTruncation) -> Configurations:
     grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in radices],
                         indexing="ij")
     occ = np.stack([g.ravel() for g in grids], axis=1)
-    total = occ.sum(axis=1)
-    return Configurations(occupations=occ, total=total,
-                          total_primed=total - occ[:, 0])
+    return Configurations(occupations=occ, total=occ.sum(axis=1))
 
 
 def _zero_mode_occupation(trunc: FockTruncation) -> np.ndarray:
@@ -251,15 +250,14 @@ def _block_keys(model: DiagonalModel, trunc: FockTruncation) -> np.ndarray:
 class OperatorMatrix:
     """A real symmetric operator in the configuration basis.
 
-    Either purely diagonal or diagonal plus a coupling between
-    configurations that differ by one boson in the zero mode
-    (`sparsity` is "diagonal" or "zero-mode-coupled").  `coupling[i]`
-    is the matrix element between configuration i and i + stride, stored
-    only where the zero-mode occupation of i is below its cutoff.  Zero-mode
-    blocks b (configurations j*stride + b) with equal `keys[b]` differ only
-    by the shift diagonal[b], their n0 = 0 energy.  Gibbs quantities use
-    `blocks` and `gibbs_state`, computed on first use; `to_dense` is a test
-    oracle.
+    Either purely diagonal (`coupling` None) or diagonal plus a coupling
+    between configurations that differ by one boson in the zero mode.
+    `coupling[i]` is the matrix element between configuration i and
+    i + stride, stored only where the zero-mode occupation of i is below
+    its cutoff.  Zero-mode blocks b (configurations j*stride + b) with
+    equal `keys[b]` differ only by the shift diagonal[b], their n0 = 0
+    energy.  Gibbs quantities use `blocks` and `gibbs_state`, computed on
+    first use; `to_dense` is a test oracle.
     """
 
     truncation: FockTruncation
@@ -276,10 +274,6 @@ class OperatorMatrix:
     @property
     def dimension(self) -> int:
         return self.diagonal.shape[0]
-
-    @property
-    def sparsity(self) -> str:
-        return "diagonal" if self.coupling is None else "zero-mode-coupled"
 
     @cached_property
     def key_groups(self):
@@ -473,7 +467,6 @@ class InequalityReport:
     lower: float
     upper: float
     delta_p: float
-    tolerance: float
 
     @property
     def lower_margin(self) -> float:
@@ -485,8 +478,8 @@ class InequalityReport:
 
     @property
     def passed(self) -> bool:
-        return (self.lower_margin >= -self.tolerance
-                and self.upper_margin >= -self.tolerance)
+        return (self.lower_margin >= -SANDWICH_TOL
+                and self.upper_margin >= -SANDWICH_TOL)
 
 
 def zero_mode_annihilator(trunc: FockTruncation) -> np.ndarray:
@@ -505,14 +498,10 @@ def zero_mode_annihilator(trunc: FockTruncation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZeroModeAverages:
-    """<a0/sqrt(V)> and sqrt(<n0>/V) in one state, with their mismatch."""
+    """<a0/sqrt(V)> and sqrt(<n0>/V) in one state."""
 
     a0_scaled: float
     sqrt_density: float
-
-    @property
-    def difference(self) -> float:
-        return self.sqrt_density - self.a0_scaled
 
 
 def quasiaverage_fd(op: OperatorMatrix, beta: float, volume: float) -> ZeroModeAverages:
@@ -570,7 +559,6 @@ class SandwichReport:
     jensen_upper: float
     linear_averages: ZeroModeAverages
     shell_weight: float
-    tolerance: float
 
     @property
     def delta_p(self) -> float:
@@ -578,15 +566,14 @@ class SandwichReport:
 
     @property
     def chain_passed(self) -> bool:
-        t = self.tolerance
-        return (self.chain_lower >= -t
+        return (self.chain_lower >= -SANDWICH_TOL
                 and self.inequality.passed
-                and self.chain_upper <= self.jensen_upper + t)
+                and self.chain_upper <= self.jensen_upper + SANDWICH_TOL)
 
 
 def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
                     beta: float, nu: float, volume: float = 1.0,
-                    coefficient: float = 2.0, tol: float = 1e-9) -> list:
+                    coefficient: float = 2.0) -> list:
     """Evaluate the two-sided pressure-difference chain on each truncation.
 
     For every truncation the linear-source and square-root-source
@@ -594,7 +581,8 @@ def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
 
         0 <= chain_lower <= delta_p <= chain_upper <= jensen_upper
 
-    is evaluated, with delta_p = p_sqrt - p_linear.  The identity
+    is evaluated, with delta_p = p_sqrt - p_linear and each inequality
+    allowed SANDWICH_TOL of slack.  The identity
     chain_upper = <(H_lin - H_sqrt)/V> in the diagonal state holds because
     the linear part averages to zero there (selection rule).  Every sum is
     taken over the keys of the zero-mode blocks, never over configurations.
@@ -618,11 +606,11 @@ def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
         # H_lin - H_sqrt depends on n0 alone, so its two Bogoliubov bounds
         # are the chain's ends.
         ineq = InequalityReport(lower=chain_lower, upper=chain_upper,
-                                delta_p=p_sqrt - p_lin, tolerance=tol)
+                                delta_p=p_sqrt - p_lin)
         reports.append(SandwichReport(
             cutoffs=trunc.cutoffs, dimension=trunc.dimension, volume=volume,
             pressure_linear=p_lin, pressure_sqrt=p_sqrt,
             inequality=ineq, chain_lower=chain_lower, chain_upper=chain_upper,
             jensen_upper=jensen_upper, linear_averages=averages,
-            shell_weight=boundary_shell_weight(op_lin, beta), tolerance=tol))
+            shell_weight=boundary_shell_weight(op_lin, beta)))
     return reports

@@ -134,18 +134,16 @@ class ModeLattice:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """A grand-canonical evaluation point (beta, mu, nu, phi) on a lattice."""
+    """A grand-canonical point (beta, mu, nu) on a lattice; the source phase is 0."""
 
     beta: float
     mu: float
     nu: float = 0.0
-    phi: float = 0.0
     lattice: ModeLattice = None
 
     def __post_init__(self):
         require(self.beta > 0.0, "beta must be positive")
         require(self.nu >= 0.0, "nu must be nonnegative")
-        require(0.0 <= self.phi < 2.0 * math.pi, "phi must lie in [0, 2*pi)")
 
     @property
     def volume(self) -> float:
@@ -400,12 +398,12 @@ def pressure_ideal_limit(beta: float, mu: float, d: int = 3,
     return polylog(d / 2.0 + 1.0, z, tol=tol) * (2.0 * math.pi * beta) ** (-d / 2.0) / beta
 
 
-def critical_density_finite(point: ThermoPoint, rel_tol: float = None) -> float:
+def critical_density_finite(point: ThermoPoint) -> float:
     """Thermal density of all p != 0 modes at finite volume, by the theta series.
 
     Raises as `_theta_series` does.
     """
-    return _theta_series(point, 0, rel_tol)[0]
+    return _theta_series(point, 0)[0]
 
 
 def critical_density_limit(beta: float, mu: float, d: int = 3,

@@ -132,7 +132,6 @@ class LaplaceResult:
     maximizer: float
     sup_value: float
     numeric_log_sum: float
-    gap: float
     terms_used: int
     tail_bound: float
     mean_occupation: float
@@ -142,7 +141,10 @@ class LaplaceResult:
     def __post_init__(self):
         require(self.maximizer >= 0.0, "maximizer must be >= 0")
         require(self.terms_used >= 1, "terms_used must be >= 1")
-        require(self.gap >= 0.0, "gap must be >= 0")
+
+    @property
+    def gap(self) -> float:
+        return abs(self.numeric_log_sum - self.sup_value)
 
 
 def _series_exponents(beta: float, f: ExponentFunction, n_max: int) -> np.ndarray:
@@ -167,15 +169,15 @@ def _window_exponents(beta: float, f: ExponentFunction, n_star: int,
     return _exponent_offset(beta, f, n_star, np.arange(lo, hi + 1, dtype=float), np.sqrt)
 
 
-def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
-                 weighted: bool = False) -> tuple:
+def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int) -> tuple:
     """Bounds on the terms left and right of [max(0, n* - half), n* + half].
 
-    Both are relative to e^(e(n*)).  Concavity makes the exponent step
-    across an edge an upper bound on every later step, so a dropped side is
-    at most first / (1 - r), r = e^step; the left side has only n* - half
-    terms, so it is also at most that many times its first term.  `weighted`
-    adds two bounds on the sums of |n - n*| times the terms.  On either
+    Returns (left, right, left weighted, right weighted), all relative to
+    e^(e(n*)).  Concavity makes the exponent step across an edge an upper
+    bound on every later step, so a dropped side is at most
+    first / (1 - r), r = e^step; the left side has only n* - half terms, so
+    it is also at most that many times its first term.  The weighted
+    bounds are on the sums of |n - n*| times the terms.  On either
     side |n - n*| runs half+1, half+2, ..., so the arithmetico-geometric
     series first * ((half+1)/(1-r) + r/(1-r)^2) bounds it; on the left,
     n* times the left bound does too, as |n - n*| <= n*.
@@ -203,7 +205,7 @@ def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int,
             plain, left_weighted = geometric(first, step)
             left = min(left, plain)
         left_weighted = min(left_weighted, n_star * left)
-    return (left, right, left_weighted, right_weighted) if weighted else (left, right)
+    return left, right, left_weighted, right_weighted
 
 
 def _remainder_bound(k2: float, k3: float, k4: float, integral: float,
@@ -305,7 +307,7 @@ def _closed_form_sums(beta: float, f: ExponentFunction, n_star: int, half: int,
     if closed is None:
         return None
     total, moment, total_error, moment_error = closed
-    left, _, left_w, _ = _side_bounds(beta, f, n_star, half, weighted=True)
+    left, _, left_w, _ = _side_bounds(beta, f, n_star, half)
     mean = moment / total
     error = left + total_error
     # sum (n - <n0>) t_n moves by the moment's error plus <n0> times the
@@ -330,7 +332,7 @@ def _window_sums(beta: float, f: ExponentFunction, n_star: int, half: int) -> tu
     # temporaries then reuse its pages instead of faulting in new ones.
     moment = float(np.dot(np.arange(lo - n_star, half + 1, dtype=float), window))
     scaled = stable_sum(window)
-    left, right, left_w, right_w = _side_bounds(beta, f, n_star, half, weighted=True)
+    left, right, left_w, right_w = _side_bounds(beta, f, n_star, half)
     tail = left + right
     # Dropping the sides moves <n0> by at most (weighted tails + |offset| *
     # tail) / scaled.  Inside, |n - n*| <= half: the dot product rounds by
@@ -379,7 +381,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
             # Subnormal beta*mu: the count exceeds the float range, not int's.
             needed = Fraction(math.log(rel_tol) + log_norm) / Fraction(beta * mu)
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
-                             gap=abs(value), terms_used=max(1, math.ceil(needed)),
+                             terms_used=max(1, math.ceil(needed)),
                              tail_bound=0.0,
                              mean_occupation=1.0 / math.expm1(-beta * mu),
                              occupation_bound=0.0)
@@ -397,7 +399,8 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         # j = 0..w, s the chord slope from n* to n* + w.
         s = _exponent_offset(beta, f, n_star, float(n_star + w), math.sqrt) / max(w, 1)
         floor = w + 1.0 if s == 0.0 else math.expm1((w + 1) * s) / math.expm1(s)
-        return sum(_side_bounds(beta, f, n_star, w)) <= 0.5 * rel_tol * floor
+        left, right = _side_bounds(beta, f, n_star, w)[:2]
+        return left + right <= 0.5 * rel_tol * floor
 
     # Grow from 8 sigma (sigma^-2 = |e''(n*)|), then bisect; the floor is
     # not monotone in w, so only the upper end is kept certified.  Past the
@@ -441,7 +444,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     rounding = _EPS * ((abs(linear) + root + abs(log_sum) + 4.0) / (beta * volume)
                        + abs(value))
     return LaplaceResult(maximizer=x_star, sup_value=sup, numeric_log_sum=value,
-                         gap=abs(value - sup), terms_used=terms_used,
+                         terms_used=terms_used,
                          tail_bound=log_error / (beta * volume) + rounding,
                          mean_occupation=mean, occupation_bound=occupation_bound,
                          method=method)

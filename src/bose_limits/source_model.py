@@ -5,6 +5,7 @@ exactly by displacing the zero mode by -(nu/mu)*e^{i phi}*sqrt(V), which
 leaves a free mode at energy -mu plus the extensive constant nu^2*V/mu.
 All finite-volume quantities of this model therefore have closed forms,
 and the displaced-field averages give the condensate amplitude directly.
+The pressure does not depend on phi, so the package fixes phi = 0.
 
 The zero-mode pressure is -(1/(beta*V))*log(1 - e^{beta*mu}), the positive
 sign being fixed by the partition sum of the displaced mode,
@@ -27,20 +28,20 @@ __all__ = [
 ]
 
 
-def pressure_source(point: ThermoPoint, rel_tol: float = None,
+def pressure_source(point: ThermoPoint,
                     primed: PressureBreakdown = None) -> PressureBreakdown:
     """Exact finite-volume pressure of the linear-source model.
 
     zero_mode = -(1/(beta*V))*log(1 - e^{beta*mu}), constant = -nu^2/mu,
     primed = ideal-gas pressure of the p != 0 modes on the point's lattice.
     Both non-primed parts are nonnegative for mu < 0, nu >= 0.  A caller
-    that already holds `pressure_ideal_primed(point)` passes it as `primed`
-    (`rel_tol` is then unused), so the sum is not formed again.
+    that already holds `pressure_ideal_primed(point)` passes it as `primed`,
+    so the sum is not formed again.
     """
     beta, mu, nu = point.beta, point.mu, point.nu
     _require_stable(mu)
     if primed is None:
-        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
+        primed = pressure_ideal_primed(point)
     v = point.volume
     zero_mode = -_log1m_exp(beta * mu) / (beta * v)
     constant = -nu * nu / mu

@@ -31,7 +31,6 @@ class TestParseConfig:
         cfg = parse_config(["--command", "pressure", "--mu", "-0.5"])
         assert cfg.beta == (1.0,)
         assert cfg.dim == 3
-        assert cfg.phi == 0.0
         assert cfg.coefficient == 2.0
 
     def test_rejects_unstable_mu(self):
@@ -404,7 +403,7 @@ class TestFlagErrors:
     @pytest.mark.parametrize("flag,value", [
         ("--rel-tol", "nan"), ("--mu", "nan"), ("--beta", "inf"), ("--mu", "-inf"),
         ("--nu", "inf"), ("--coefficient", "inf"), ("--side", "inf"), ("--pmax", "inf"),
-        ("--phi", "nan"), ("--mf-a", "-inf"), ("--nu", "0.1,nan"),
+        ("--mf-a", "-inf"), ("--nu", "0.1,nan"),
     ])
     def test_non_finite_numbers_exit_2_at_parse(self, flag, value, capsys):
         args = ["--command", "pressure", "--mu=-0.5", "--nu", "0.1", f"{flag}={value}"]
@@ -415,6 +414,35 @@ class TestFlagErrors:
         assert record["error"] == "DomainError"
         key = flag[2:].replace("-", "_")
         assert record["message"] == f"could not parse {key}={value!r}"
+
+    def test_pressure_and_sweep_header_has_no_phi(self, capsys):
+        # The pressure does not depend on the source phase, which is fixed at 0.
+        header = ("command,beta,mu,nu,dim,side,volume,pmax,p_linear_zero_mode,"
+                  "p_linear_primed,p_linear_constant,p_linear_total,p_linear_bound,"
+                  "p_sqrt_zero_mode,p_sqrt_primed,p_sqrt_total,p_sqrt_bound,delta_p,"
+                  "identity_rel_err,passed,duration_s")
+        for command in ("pressure", "sweep"):
+            assert main(["--command", command, "--mu=-0.5", "--nu", "0.1",
+                         "--side", "4"]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == header
+        assert main(["--command", "pressure", "--mu=-0.5", "--phi", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "unrecognized arguments: --phi 0"}
+
+    @pytest.mark.parametrize("coefficient", ["3", "1.5"])
+    def test_equivalence_refuses_coefficient_other_than_2(self, coefficient, capsys):
+        args = ["--command", "equivalence", "--mu=-0.5", "--nu", "0.1",
+                "--ladder", "4,6,8", "--pmax", "8"]
+        assert main(args + ["--coefficient", coefficient]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "DomainError",
+            "message": "equivalence compares the models at coefficient 2 only"}
+        assert main(args + ["--coefficient", "2"]) in (0, 1)
+        assert capsys.readouterr().out.count("\n") == 5
 
     def test_nan_mu_outside_stability_domain(self):
         with pytest.raises(DomainError, match="stability domain"):

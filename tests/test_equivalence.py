@@ -13,7 +13,8 @@ from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_s
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
                                        critical_density_limit, pressure_ideal_limit)
-from bose_limits.source_model import pressure_source, zero_mode_depletion
+from bose_limits.source_model import (condensate_density_source, pressure_source,
+                                      zero_mode_depletion)
 
 
 def mp_pressure_gap(beta, mu, nu, volume, n_terms):
@@ -198,7 +199,6 @@ class TestDensityFromPressure:
             point, h=1e-4,
             rho_c_of_mu=lambda m: critical_density_limit(beta, m, 3, tol=1e-14))
         assert report.rho_0 == pytest.approx(0.04, abs=1e-6)
-        assert report.method == "finite-difference"
 
     def test_depletion_derivative_identity(self):
         beta, vol = 1.0, 100.0
@@ -248,26 +248,24 @@ class TestCondensateLimit:
 class TestFitRate:
     def test_exact_inverse_volume(self):
         sides = (8, 16, 32, 64)
-        values = tuple(3.0 + 2.5 / float(s) ** 3 for s in sides)
-        ladder = ConvergenceLadder(d=3, sides=sides, values=values, limit_ref=3.0)
+        values = tuple(2.5 / float(s) ** 3 for s in sides)
+        ladder = ConvergenceLadder(d=3, sides=sides, values=values)
         fit = fit_rate(ladder)
         assert fit.rate == pytest.approx(1.0, abs=1e-6)
 
     def test_square_root_law(self):
         sides = (8, 16, 32, 64)
         values = tuple(1.0 / math.sqrt(float(s) ** 3) for s in sides)
-        ladder = ConvergenceLadder(d=3, sides=sides, values=values, limit_ref=0.0)
+        ladder = ConvergenceLadder(d=3, sides=sides, values=values)
         assert fit_rate(ladder).rate == pytest.approx(0.5, abs=1e-6)
 
     def test_degenerate_gap(self):
-        ladder = ConvergenceLadder(d=3, sides=(8, 16, 32), values=(1.0, 1.0, 1.0),
-                                   limit_ref=1.0)
+        ladder = ConvergenceLadder(d=3, sides=(8, 16, 32), values=(0.0, 0.0, 0.0))
         with pytest.raises(NonConvergenceError):
             fit_rate(ladder)
 
     def test_needs_three_points(self):
-        ladder = ConvergenceLadder(d=3, sides=(8, 16), values=(1.0, 0.5),
-                                   limit_ref=0.0)
+        ladder = ConvergenceLadder(d=3, sides=(8, 16), values=(1.0, 0.5))
         with pytest.raises(Exception):
             fit_rate(ladder)
 
@@ -338,8 +336,6 @@ class TestAnalyticCondensates:
                                        at(mu), h=1e-5, rho_c_of_mu=rho_c)
         fd_sqrt = density_from_pressure(lambda m: pressure_sqrt_source(at(m)).total,
                                         at(mu), h=1e-5, rho_c_of_mu=rho_c)
-        assert result.density_linear.method == "analytic"
-        assert result.density_sqrt.method == "analytic"
         assert result.density_linear.rho_c == result.density_sqrt.rho_c == rho_c(mu)
         assert result.density_linear.rho_0 == pytest.approx(fd_lin.rho_0, abs=1e-9)
         assert result.density_sqrt.rho_0 == pytest.approx(fd_sqrt.rho_0, abs=1e-9)
@@ -352,7 +348,9 @@ class TestAnalyticCondensates:
 
         monkeypatch.setattr(equivalence, "density_from_pressure", refuse)
         result = equivalence.verify_equivalence(1.0, -0.5, 0.1, 3, (8, 16), p_max=8.0)
-        assert result.density_linear.method == "analytic"
+        assert result.density_linear.rho_0 == pytest.approx(
+            condensate_density_source(-0.5, 0.1) + zero_mode_depletion(1.0, -0.5, 16.0 ** 3),
+            rel=1e-14)
 
     def test_nu_zero_condensates_equal(self):
         result = verify_equivalence(1.3, -0.6, 0.0, 3, (4, 8, 12), p_max=8.0)
@@ -360,7 +358,8 @@ class TestAnalyticCondensates:
         assert result.density_linear.rho_0 > 0.0
         assert result.passed
 
-    def test_occupation_bound_gates_passed(self):
+    def test_occupation_bound_gates_passed(self, monkeypatch):
+        import bose_limits.equivalence as equivalence
         from bose_limits.nonlinear_model import zero_mode_log_partition
 
         beta, mu, nu, sides = 1.0, -0.5, 0.1, (8, 16)
@@ -370,9 +369,8 @@ class TestAnalyticCondensates:
         slack = zero_mode_log_partition(beta, mu, nu, volume).occupation_bound / volume
         assert slack > 0.0
         for factor, expected in ((0.5, False), (2.0, True)):
-            tol = diff + factor * slack
-            result = verify_equivalence(beta, mu, nu, 3, sides, p_max=8.0,
-                                        condensate_tol=tol)
+            monkeypatch.setattr(equivalence, "CONDENSATE_TOL", diff + factor * slack)
+            result = verify_equivalence(beta, mu, nu, 3, sides, p_max=8.0)
             assert result.passed is expected
 
 
@@ -409,5 +407,5 @@ class TestDerivativeConvergence:
 
             rho = (p(mu + h) - p(mu - h)) / (2.0 * h)
             gaps.append(abs(rho - target))
-        ladder = ConvergenceLadder(d=3, sides=sides, values=tuple(gaps), limit_ref=0.0)
+        ladder = ConvergenceLadder(d=3, sides=sides, values=tuple(gaps))
         assert fit_rate(ladder).rate >= 0.9

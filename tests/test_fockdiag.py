@@ -56,8 +56,7 @@ class TestEnumerateConfigs:
         oracle = list(itertools.product(range(4), range(3), range(3)))
         assert cfg.occupations.tolist() == [list(t) for t in oracle]
         assert len(cfg.occupations) == 36
-        np.testing.assert_array_equal(cfg.total_primed,
-                                      cfg.total - cfg.occupations[:, 0])
+        np.testing.assert_array_equal(cfg.total, cfg.occupations.sum(axis=1))
 
 
 class TestDiagonalEnergies:
@@ -120,7 +119,7 @@ class TestOperatorConstruction:
     def test_linear_nu_zero_is_diagonal(self):
         trunc = single_mode_truncation(5)
         op = add_linear_source(DiagonalModel(a=0.0, mu=-0.5), trunc, 0.0, 1.0)
-        assert op.sparsity == "diagonal"
+        assert op.coupling is None
 
     def test_linear_two_by_two(self):
         trunc = single_mode_truncation(1)

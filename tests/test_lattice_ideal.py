@@ -255,7 +255,9 @@ class TestThetaSeries:
         res = pressure_ideal_primed(point, rel_tol=1e-14)
         # The zero mode's share, log(1 - e^(beta*mu))/(beta*V), is ~1e-12.
         assert res.primed == pytest.approx(pressure_ideal_limit(1.0, -0.5, 3), rel=1e-9)
-        assert critical_density_finite(point, rel_tol=1e-14) == pytest.approx(
+        # The density's own series certifies 1e-14 too.
+        density = lattice_ideal._theta_series(point, 0, rel_tol=1e-14)[0]
+        assert density == critical_density_finite(point) == pytest.approx(
             critical_density_limit(1.0, -0.5, 3, tol=1e-14), rel=1e-9)
 
     def test_long_series_refused_before_allocating(self):
@@ -384,8 +386,6 @@ class TestPressureIdealPrimed:
         assert pressure_ideal_primed(point, rel_tol=1e-12).truncation_bound > 0.0
         with pytest.raises(NonConvergenceError):
             pressure_ideal_primed(point, rel_tol=1e-17)
-        with pytest.raises(NonConvergenceError):
-            critical_density_finite(point, rel_tol=1e-17)
 
     def test_deterministic(self):
         lat = build_lattice(3, 8.0, 6.0)

@@ -212,7 +212,7 @@ class TestZeroModeWindow:
         n = np.arange(0, 4 * n_star, dtype=float)
         terms = np.exp(beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
                                * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0))))
-        left, right = _side_bounds(beta, f, n_star, half)
+        left, right = _side_bounds(beta, f, n_star, half)[:2]
         assert terms[n < n_star - half].sum() <= left
         assert terms[n > n_star + half].sum() <= right
 
@@ -337,7 +337,7 @@ class TestMeanOccupation:
         terms = np.abs(n - n_star) * np.exp(
             beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
                     * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0))))
-        left, right = _side_bounds(beta, f, n_star, half, weighted=True)[2:]
+        left, right = _side_bounds(beta, f, n_star, half)[2:]
         assert terms[n < n_star - half].sum() <= left
         assert terms[n > n_star + half].sum() <= right
 
@@ -354,7 +354,7 @@ class TestMeanOccupation:
         brute = np.sum((n_star - n) * np.exp(
             beta * (mu * (n - n_star) + 2.0 * nu * np.sqrt(vol)
                     * (np.sqrt(n + 1.0) - math.sqrt(n_star + 1.0)))))
-        left, _, left_weighted, _ = _side_bounds(beta, f, n_star, holds, weighted=True)
+        left, _, left_weighted, _ = _side_bounds(beta, f, n_star, holds)
         assert brute <= left_weighted <= 1.1 * brute
         assert left_weighted < 0.1 * n_star * left
 

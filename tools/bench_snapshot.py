@@ -18,7 +18,9 @@ names, units and directions come from the change's BENCHMARK.json.
 
 For information only, outside the gain rule, `end_to_end_info` also holds
 each side's wall time of the five README commands (the median of 5 fresh
-interpreters each, with their exit codes) and of one Tier-1 test run.
+interpreters each, with their exit codes) and of the Tier-1 test run (the
+median of 2).  Every such run is paired with the other side's run of the
+same command, alternating which side goes first.
 """
 
 import argparse
@@ -32,6 +34,7 @@ import time
 SECONDS = 20
 SIDES = ("parent", "change")
 README_RUNS = 5
+TIER1_RUNS = 2
 # The five commands of the README's "Command line" section.
 README_COMMANDS = {
     "pressure": ["--command", "pressure", "--beta", "1", "--mu=-0.5", "--nu", "0.1",
@@ -82,16 +85,30 @@ def _timed(root, args):
     return time.perf_counter() - start, proc
 
 
-def end_to_end_info(root):
-    """Wall times of the README commands and of one Tier-1 run in `root`."""
+def end_to_end_info(roots):
+    """Wall times of the README commands and of the Tier-1 run in each of `roots`.
+
+    Each run of a command in one checkout is followed by the same run in
+    the other, and the side that goes first alternates from one run of the
+    command to the next, so drift in the machine's load falls on both alike.
+    """
+    jobs = [(name, ["-m", "bose_limits.cli", *argv])
+            for _ in range(README_RUNS) for name, argv in README_COMMANDS.items()]
+    jobs += [("tier1", TIER1)] * TIER1_RUNS
+    runs = {side: {} for side in SIDES}
+    for name, args in jobs:
+        done = runs[SIDES[0]].setdefault(name, [])
+        for side in (SIDES if len(done) % 2 == 0 else SIDES[::-1]):
+            runs[side].setdefault(name, []).append(_timed(roots[side], args))
     out = {}
-    for name, argv in README_COMMANDS.items():
-        runs = [_timed(root, ["-m", "bose_limits.cli", *argv]) for _ in range(README_RUNS)]
-        out[name] = {"median_s": statistics.median(t for t, _ in runs),
-                     "exit_codes": sorted({p.returncode for _, p in runs})}
-    wall, proc = _timed(root, TIER1)
-    lines = proc.stdout.strip().splitlines()
-    out["tier1"] = {"wall_s": wall, "summary": lines[-1] if lines else ""}
+    for side, by_name in runs.items():
+        tier1 = by_name.pop("tier1")
+        out[side] = {name: {"median_s": statistics.median(t for t, _ in timed),
+                            "exit_codes": sorted({p.returncode for _, p in timed})}
+                     for name, timed in by_name.items()}
+        lines = tier1[-1][1].stdout.strip().splitlines()
+        out[side]["tier1"] = {"wall_s": statistics.median(t for t, _ in tier1),
+                              "summary": lines[-1] if lines else ""}
     return out
 
 
@@ -139,7 +156,7 @@ def snapshot(parent_root, change_root, seeds):
             env, pair[side] = run_benchmark(roots[side], seed)
             environments.append(env)
         pairs.append(pair)
-    info = {side: end_to_end_info(roots[side]) for side in SIDES}
+    info = end_to_end_info(roots)
     return {
         "command": (f"python3 perfbench/run.py --workload all --seed S "
                     f"--seconds {SECONDS} --trace 0"),
