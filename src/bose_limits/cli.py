@@ -6,7 +6,7 @@ pressure     both model pressures with breakdowns and bounds at one point
 equivalence  pressure-gap ladder, rate fit, condensate comparison
 laplace      zero-mode series against its Laplace-principle supremum
 fulldiag     exact-diagonalization sandwich for a mean-field diagonal model
-sweep        pressure rows over a (beta, mu, nu) grid, optionally parallel
+sweep        pressure rows over a (beta, mu, nu) grid, sharing each beta's p != 0 sums
 
 Exit codes: 0 all checks passed, 1 checks ran but failed, 2 invalid input,
 3 non-convergence or resource guard.  Output is CSV (default) or JSON
@@ -16,12 +16,11 @@ so byte-level comparisons can drop it.
 """
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +28,8 @@ from .equivalence import pressure_pair, verify_equivalence
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
-from .lattice_ideal import ThermoPoint, _require_stable, build_lattice
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable, _theta_series,
+                            build_lattice)
 from .nonlinear_model import ExponentFunction, exponent_eval, zero_mode_log_partition
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
@@ -80,7 +80,7 @@ class RunConfig:
     coefficient: float = 2.0
     mf_a: float = 1.0
     rel_tol: float = 1e-10
-    workers: int = 1
+    workers: int = 1        # validated, no effect: sweep runs in one process
     out: str = "-"
     format: str = "csv"
 
@@ -234,46 +234,40 @@ def emit_json(rows: Sequence[dict], stream, columns: Sequence[str]) -> None:
         stream.write(json.dumps(obj) + "\n")
 
 
-def _pressure_row(beta: float, mu: float, nu: float, cfg: RunConfig) -> dict:
-    start = time.perf_counter()
-    lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
-    point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
-    pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient)
-    p_lin, p_sqrt = pair.linear, pair.sqrt
-    return {
-        "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
-        "dim": cfg.dim, "side": cfg.side,
-        "volume": lattice.volume, "pmax": cfg.pmax,
-        "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
-        "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
-        "p_linear_bound": p_lin.truncation_bound,
-        "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
-        "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
-        "delta_p": pair.delta, "identity_rel_err": pair.identity_rel_err,
-        "passed": pair.passed(cfg.rel_tol),
-        "duration_s": time.perf_counter() - start,
-    }
-
-
 def _run_pressure(cfg: RunConfig) -> tuple:
-    row = _pressure_row(cfg.beta[0], cfg.mu[0], cfg.nu[0], cfg)
-    return (0 if row["passed"] else 1), [row]
+    """Pressure rows over the (beta, mu, nu) grid (one point for `pressure`), in-process.
 
-
-def _run_sweep(cfg: RunConfig) -> tuple:
-    grid = [(b, m, n) for b in cfg.beta for m in cfg.mu for n in cfg.nu]
-    # The pool starts every worker at its first task, so never ask for more
-    # workers than there are rows or cores.
-    workers = min(cfg.workers, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        # One chunk of rows per worker: a row takes well under a millisecond
-        # at small sides, less than sending it to a worker on its own.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_pressure_row, *zip(*grid), [cfg] * len(grid),
-                                 chunksize=math.ceil(len(grid) / workers)))
-    else:
-        rows = [_pressure_row(b, m, n, cfg) for b, m, n in grid]
-    # Rows are emitted sorted by (beta, mu, nu), never in scheduling order.
+    p' does not depend on nu, nor its theta factors on mu: one pass per
+    beta gives every mu's p', which its nu rows share.  Each row's
+    `duration_s` adds an even share of that pass to its own time.
+    """
+    rows = []
+    for beta in cfg.beta:
+        start = time.perf_counter()
+        lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
+        sums = _theta_series(beta, lattice, cfg.mu, 1, cfg.rel_tol)
+        share = (time.perf_counter() - start) / (len(cfg.mu) * len(cfg.nu))
+        for mu, nu in itertools.product(cfg.mu, cfg.nu):
+            start = time.perf_counter() - share
+            point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
+            primed = PressureBreakdown(zero_mode=0.0, primed=sums[mu][0], constant=0.0,
+                                       truncation_bound=sums[mu][1])
+            pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient,
+                                 primed=primed)
+            p_lin, p_sqrt = pair.linear, pair.sqrt
+            rows.append({
+                "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
+                "dim": cfg.dim, "side": cfg.side, "volume": lattice.volume, "pmax": cfg.pmax,
+                "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
+                "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
+                "p_linear_bound": p_lin.truncation_bound,
+                "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
+                "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
+                "delta_p": pair.delta, "identity_rel_err": pair.identity_rel_err,
+                "passed": pair.passed(cfg.rel_tol),
+                "duration_s": time.perf_counter() - start,
+            })
+    # Rows are emitted sorted by (beta, mu, nu), never in grid order.
     rows.sort(key=lambda r: (r["beta"], r["mu"], r["nu"]))
     code = 0 if all(r["passed"] for r in rows) else 1
     return code, rows
@@ -382,7 +376,7 @@ _RUNNERS = {
     "equivalence": _run_equivalence,
     "laplace": _run_laplace,
     "fulldiag": _run_fulldiag,
-    "sweep": _run_sweep,
+    "sweep": _run_pressure,
 }
 
 
@@ -408,18 +402,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, rows = run(config)
         _write_rows(config, rows)
         return code
-    except (NonConvergenceError, ResourceGuardError) as exc:
+    except (BoseLimitsError, OSError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 3
-    except BoseLimitsError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
+        return 3 if isinstance(exc, (NonConvergenceError, ResourceGuardError)) else 2
 
 
 if __name__ == "__main__":

@@ -147,14 +147,15 @@ class PressurePair(NamedTuple):
 
 
 def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
-                  coefficient: float = 2.0) -> PressurePair:
+                  coefficient: float = 2.0, primed: PressureBreakdown = None) -> PressurePair:
     """Both pressures from one p != 0 mode sum and one zero-mode series.
 
-    The breakdowns are `pressure_source(point)` and
-    `pressure_sqrt_source(point, rel_tol, coefficient)`, each handed the
-    shared sums instead of forming its own.
+    The breakdowns are `pressure_source` and `pressure_sqrt_source`, each
+    handed the shared sums; `primed` is `pressure_ideal_primed(point,
+    rel_tol)`, formed here unless the caller holds it.
     """
-    primed = pressure_ideal_primed(point, rel_tol=rel_tol)
+    if primed is None:
+        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
                                      rel_tol=rel_tol, coefficient=coefficient)
     return PressurePair(

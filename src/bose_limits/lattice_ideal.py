@@ -293,6 +293,8 @@ _THETA_DUAL_TAIL = 2.0 * math.exp(-25.0 * math.pi) / -math.expm1(-11.0 * math.pi
 _J_TAIL = 1e-17       # the j-series tail relative to its first term
 _J_CHUNK = 4096       # j-terms evaluated per array pass
 _J_BYTES = 8          # kept per term of a series: one double
+# A chunk's peak: per term, 14 doubles in `_theta_power_m1`, j and one mu's 5.
+_J_PASS_BYTES = 20 * 8 * _J_CHUNK
 
 
 def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
@@ -328,52 +330,63 @@ def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
             np.concatenate((abs_dual / dual, rel_direct)))
 
 
-def _theta_series(point: ThermoPoint, power: int, rel_tol: float = None) -> tuple:
-    """(S_power / (beta^power * V), certified bound) on the point's box.
+def _theta_series(beta: float, lattice: ModeLattice, mus, power: int,
+                  rel_tol: float = None) -> dict:
+    """{mu: (S_power / (beta^power * V), certified bound)} for each mu of `mus`.
 
-    Raises ResourceGuardError, before forming any term, if the series
-    needs more than MAX_ALLOC_BYTES / _J_BYTES terms or theta(t_1)^d is
+    Each chunk of theta factors, which do not depend on mu, forms every
+    mu's terms in it; a mu gets the value and bound it has on its own.
+    Raises ResourceGuardError, before forming any term, if all the terms
+    and a chunk's temporaries exceed MAX_ALLOC_BYTES or theta(t_1)^d is
     beyond the float range, and NonConvergenceError if `rel_tol` is given
-    and the bound exceeds rel_tol times the value.
+    and a bound exceeds rel_tol times its value.
     """
-    beta, mu, d, l = point.beta, point.mu, point.lattice.d, point.lattice.l
-    _require_stable(mu)
-    bm = beta * mu
+    mus, d, l = list(dict.fromkeys(mus)), lattice.d, lattice.l
+    for mu in mus:
+        _require_stable(mu)
     step = 2.0 * math.pi / l
     h = 0.5 * beta * step * step
     # theta(t) <= 1 + sqrt(pi/t), the sum against its integral.
     log_theta_max = d * math.log1p(math.sqrt(math.pi / h)) if h > 0.0 else math.inf
     if not log_theta_max < 600.0:
         raise ResourceGuardError(f"theta(t)^d at side {l:.3g} is beyond the float range")
-    log_q = bm - h
-    one_minus_q = -math.expm1(log_q)
-    terms = (math.log(_J_TAIL) + math.log(one_minus_q)) / log_q
-    if not _J_BYTES * terms <= MAX_ALLOC_BYTES:
+    log_q = [beta * mu - h for mu in mus]
+    terms = [(math.log(_J_TAIL) + math.log(-math.expm1(x))) / x for x in log_q]
+    # A series keeps 1 + ceil(terms) <= terms + 2 doubles.
+    if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES <= MAX_ALLOC_BYTES:
+        more = f" (with {len(mus) - 1} more mu)" if len(mus) > 1 else ""
         raise ResourceGuardError(
-            f"the theta series needs ~{terms:.3g} terms at beta*mu = {bm:.3g} and "
-            f"side {l:.3g}, above the ceiling of {MAX_ALLOC_BYTES} bytes")
-    count = 1 + math.ceil(terms)
-    a, rounding = np.empty(count), 0.0
-    for start in range(0, count, _J_CHUNK):
-        j = np.arange(start + 1, min(start + _J_CHUNK, count) + 1, dtype=float)
+            f"the theta series needs ~{math.fsum(terms):.3g} terms at beta*mu = "
+            f"{beta * max(mus):.3g}{more} and side {l:.3g}, above the ceiling of "
+            f"{MAX_ALLOC_BYTES} bytes")
+    series = [np.empty(1 + math.ceil(t)) for t in terms]
+    rounding, last_rel = [0.0] * len(mus), [None] * len(mus)
+    longest = max(a.size for a in series)
+    for start in range(0, longest, _J_CHUNK):
+        j = np.arange(start + 1, min(start + _J_CHUNK, longest) + 1, dtype=float)
         g, rel_g = _theta_power_m1(j * h, d)
-        x = j * bm
-        chunk = a[start:start + j.size]
-        chunk[:] = np.exp(x) * g / j ** power
-        # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
-        rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g
-        rounding += float(chunk @ rel)
-    total = stable_sum(a)
-    ratio = math.exp(log_q) / one_minus_q
-    tail = float(a[-1] * (1.0 + rel[-1])) * ratio * (1.0 + _U * (7.0 * -log_q + 10.0))
-    underflow = (count + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
-    scale = beta ** power * point.volume
-    value = total / scale
-    # The volume, its product with beta and the quotient: 3 roundings.
-    bound = (_U * total + rounding + tail + underflow) / scale + 3.0 * _U * value
-    if rel_tol is not None and bound > rel_tol * max(value, 1e-300):
-        raise NonConvergenceError(f"theta series bound {bound:.3e} exceeds rel_tol * value")
-    return value, bound
+        for i, a in enumerate(series):
+            chunk = a[start:start + j.size]
+            if n := chunk.size:
+                x = j[:n] * (beta * mus[i])
+                chunk[:] = np.exp(x) * g[:n] / j[:n] ** power
+                # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
+                rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g[:n]
+                rounding[i] += float(chunk @ rel)
+                last_rel[i] = rel[-1]
+    scale, out = beta ** power * lattice.volume, {}
+    for mu, a, x, r, last in zip(mus, series, log_q, rounding, last_rel):
+        total = stable_sum(a)
+        ratio = math.exp(x) / -math.expm1(x)
+        tail = float(a[-1] * (1.0 + last)) * ratio * (1.0 + _U * (7.0 * -x + 10.0))
+        underflow = (a.size + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
+        value = total / scale
+        # The volume, its product with beta and the quotient: 3 roundings.
+        bound = (_U * total + r + tail + underflow) / scale + 3.0 * _U * value
+        if rel_tol is not None and bound > rel_tol * max(value, 1e-300):
+            raise NonConvergenceError(f"theta series bound {bound:.3e} exceeds rel_tol * value")
+        out[mu] = (value, bound)
+    return out
 
 
 def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> PressureBreakdown:
@@ -384,7 +397,7 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     not enter.  The zero-mode and constant parts of the returned breakdown
     are zero.  Raises as `_theta_series` does.
     """
-    primed, bound = _theta_series(point, 1, rel_tol)
+    primed, bound = _theta_series(point.beta, point.lattice, (point.mu,), 1, rel_tol)[point.mu]
     return PressureBreakdown(zero_mode=0.0, primed=primed, constant=0.0,
                              truncation_bound=bound)
 
@@ -403,7 +416,7 @@ def critical_density_finite(point: ThermoPoint) -> float:
 
     Raises as `_theta_series` does.
     """
-    return _theta_series(point, 0)[0]
+    return _theta_series(point.beta, point.lattice, (point.mu,), 0)[point.mu][0]
 
 
 def critical_density_limit(beta: float, mu: float, d: int = 3,

@@ -474,7 +474,7 @@ def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
     zero_mode comes from the series, primed from the ideal-gas modes on
     the point's lattice; there is no constant part.  The model has no
     phase parameter, so the result depends on nu only through nu itself.
-    A caller that already holds `pressure_ideal_primed(point)` or
+    A caller that already holds `pressure_ideal_primed(point, rel_tol)` or
     `zero_mode_log_partition` at the point's beta, mu, nu and volume passes
     it as `primed` or `series`, so that sum is not formed again.
     """
@@ -482,7 +482,7 @@ def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
         series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
                                          rel_tol=rel_tol, coefficient=coefficient)
     if primed is None:
-        primed = pressure_ideal_primed(point)
+        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     return PressureBreakdown(zero_mode=series.numeric_log_sum, primed=primed.primed,
                              constant=0.0,
                              truncation_bound=primed.truncation_bound + series.tail_bound)

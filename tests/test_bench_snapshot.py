@@ -1,4 +1,4 @@
-"""The benchmark snapshot pairs the two checkouts' informational timings."""
+"""The benchmark snapshot pairs the two checkouts' timings and judges the metrics."""
 
 import importlib.util
 import types
@@ -43,3 +43,32 @@ def test_end_to_end_info_alternates_sides(monkeypatch):
         assert set(info[side]) == set(snap.README_COMMANDS) | {"tier1"}
         assert all(info[side][name]["exit_codes"] == [0] for name in snap.README_COMMANDS)
         assert info[side]["tier1"]["summary"].startswith(f"{root} ")
+
+
+def _pairs(name, parent, change):
+    return [{"parent": {name: a}, "change": {name: b}} for a, b in zip(parent, change)]
+
+
+def test_summary_verdict_follows_the_no_regression_rule():
+    snap = _load()
+    metrics = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+               {"name": "certified_ratio", "better": "higher", "bound": 0.05}]
+    tight = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
+    wide = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]   # IQR 0.35 > 0.25
+
+    def judged(parent, change, metric="sweep.wall_s"):
+        return snap.summarize(_pairs(metric, parent, change), metrics)[metric]["verdict"]
+
+    assert judged(tight, [0.5 * v for v in tight]) == "better"
+    assert judged(tight, [1.2 * v for v in tight]) == "no_worse"
+    assert judged(tight, [1.3 * v for v in tight]) == "worse"
+    # Ten times faster, but in only eight pairs of ten: no gain.
+    assert judged(tight, [0.1 * v for v in tight[:8]] + tight[8:]) == "no_worse"
+    assert judged(wide, [1.2 * v for v in wide]) == "unresolved"
+    assert judged(wide, [0.5 * v for v in wide]) == "unresolved"
+    # Every change run below every parent run resolves the spread.
+    assert judged(wide, [0.5] * 10) == "better"
+    # Higher is better: a ratio that falls by more than 5% is worse.
+    assert judged([1.0] * 10, [0.9] * 10, "fock.certified_ratio") == "worse"
+    assert judged([1.0] * 10, [0.97] * 10, "fock.certified_ratio") == "no_worse"
+    assert judged([1.0] * 10, [1.0] * 10, "fock.certified_ratio") == "no_worse"

@@ -247,39 +247,6 @@ class TestRun:
         assert row["shell_weight"] > cfg.rel_tol
         assert row["lower"] <= row["delta_p"] <= row["upper"]
 
-    @pytest.mark.parametrize("workers,mus,cpus,pool", [
-        (6, "-0.5", 8, None), (64, "-1,-0.9,-0.8,-0.7", 8, (4, 1)),
-        (64, "-1,-0.9,-0.8,-0.7", 2, (2, 2)), (2, "-1,-0.9,-0.8,-0.7", 2, (2, 2)),
-    ], ids=["one-row", "rows-bound", "cores-bound", "as-asked"])
-    def test_sweep_pool_size_is_bounded_by_rows_and_cores(self, monkeypatch, workers,
-                                                          mus, cpus, pool):
-        # A fake pool records its size and runs the rows inline, so no
-        # process is started whatever --workers asks for.
-        made = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                made.append((self.max_workers, chunksize))
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        cfg = parse_config(["--command", "sweep", f"--mu={mus}", "--nu", "0.1",
-                            "--side", "4", "--pmax", "2", "--workers", str(workers)])
-        code, rows = run(cfg)
-        assert code == 0
-        assert len(rows) == len(cfg.mu)
-        assert made == ([] if pool is None else [pool])
-
 
 class TestMainExitCodes:
     def test_invalid_input_exits_2(self, capsys):
@@ -486,16 +453,107 @@ class TestDeterminism:
             outputs.append(strip_duration(out.read_text()))
         assert outputs[0] == outputs[1]
 
-    def test_sweep_worker_count_invariance(self, tmp_path):
+    def test_sweep_worker_count_invariance(self, monkeypatch, tmp_path):
+        # No --workers value starts a process.
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
         base = ["--command", "sweep", "--mu", "-1.0,-0.5", "--beta", "0.5,1.0",
                 "--nu", "0.1,0.2", "--side", "6", "--pmax", "6"]
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("2", "1"):
             out = tmp_path / f"sweep_{workers}.csv"
             code = main(base + ["--workers", workers, "--out", str(out)])
             assert code == 0
             outputs.append(strip_duration(out.read_text()))
         assert outputs[0] == outputs[1]
+
+
+class TestSweepInOneProcess:
+    """`sweep` forms each beta's p != 0 sums in one pass, in its own process."""
+
+    @staticmethod
+    def rows_by_point(capsys, argv):
+        """{(beta, mu, nu) text: the row without `command` and `duration_s`}."""
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.startswith("command,") and header.endswith(",duration_s")
+        cells = [line.split(",") for line in lines]
+        return {tuple(c[1:4]): c[1:-1] for c in cells}
+
+    def test_rows_equal_the_pressure_rows(self, capsys):
+        # Under one beta the three mu need different j-counts, and at
+        # mu = -1e-3 the series spans over ten chunks of _J_CHUNK terms.
+        from bose_limits import lattice_ideal
+
+        step_sq = (2.0 * math.pi / 1000.0) ** 2
+        for beta in (0.5, 1.0):
+            log_q = beta * (-1e-3 - 0.5 * step_sq)
+            terms = math.log(lattice_ideal._J_TAIL * -math.expm1(log_q)) / log_q
+            assert terms > 10 * lattice_ideal._J_CHUNK
+        grid = ["--beta", "0.5,1", "--mu=-1e-3,-0.05,-0.5", "--nu", "0,0.1",
+                "--side", "1000"]
+        sweep = self.rows_by_point(capsys, ["--command", "sweep", *grid])
+        assert len(sweep) == 12
+        for beta, mu, nu in sweep:
+            single = self.rows_by_point(capsys, [
+                "--command", "pressure", f"--beta={beta}", f"--mu={mu}", f"--nu={nu}",
+                "--side", "1000"])
+            assert single == {(beta, mu, nu): sweep[beta, mu, nu]}
+
+    def test_shuffled_and_repeated_mu_give_the_same_rows(self, capsys):
+        base = ["--command", "sweep", "--nu", "0.1", "--side", "1000"]
+        ordered = self.rows_by_point(capsys, base + ["--mu=-1e-3,-0.05,-0.5"])
+        shuffled = self.rows_by_point(capsys, base + ["--mu=-0.5,-1e-3,-0.05,-1e-3"])
+        assert shuffled == ordered
+
+    def test_rows_of_a_beta_share_its_theta_time(self, monkeypatch):
+        import time
+
+        original = cli._theta_series
+
+        def slow(*args, **kwargs):
+            time.sleep(0.04)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_theta_series", slow)
+        code, rows = run(parse_config(["--command", "sweep", "--beta", "0.5,1",
+                                       "--mu=-1,-0.5", "--nu", "0.1,0.2", "--side", "8"]))
+        assert code == 0 and len(rows) == 8
+        # Each beta's pass slept 40 ms and has four rows.
+        assert all(row["duration_s"] >= 0.01 for row in rows)
+
+    def test_grid_over_the_byte_ceiling_exits_3_before_allocating(self, tmp_path, capsys):
+        # At side 1e4 either mu alone needs ~4.4e7 terms, 0.35 GB, under
+        # the 2^29-byte ceiling; the two together are over it.
+        import tracemalloc
+
+        from bose_limits import lattice_ideal
+        from bose_limits.errors import MAX_ALLOC_BYTES
+
+        log_q = -1e-6 - 0.5 * (2.0 * math.pi / 1e4) ** 2
+        terms = math.log(lattice_ideal._J_TAIL * -math.expm1(log_q)) / log_q
+        assert 8 * (terms + 2) + lattice_ideal._J_PASS_BYTES \
+            < MAX_ALLOC_BYTES < 2 * 8 * terms
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = main(["--command", "sweep", "--mu=-1e-6,-1.1e-6", "--nu", "0.1",
+                         "--side", "1e4", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ResourceGuardError"
+        assert "theta series" in record["message"] and "1 more mu" in record["message"]
+        assert peak < 2 ** 20
 
 
 class TestModuleEntryPoint:

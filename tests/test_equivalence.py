@@ -180,14 +180,26 @@ class TestOneSumPerPoint:
         assert len(result.rung_durations) == len(sides)
 
     def test_once_per_pressure_row(self, monkeypatch):
-        from bose_limits.cli import _pressure_row, parse_config
+        from bose_limits.cli import parse_config, run
 
         cfg = parse_config(["--command", "pressure", "--mu=-0.5", "--nu", "0.1",
                             "--side", "6", "--pmax", "6", "--coefficient", "3"])
         primed, series = self.counters(monkeypatch)
-        row = _pressure_row(1.0, -0.5, 0.1, cfg)
-        assert len(primed) == len(series) == 1
-        assert row["passed"] is True
+        theta = self.count_calls(monkeypatch, "bose_limits.lattice_ideal", "_theta_series")
+        code, (row,) = run(cfg)
+        assert (len(theta), len(primed), len(series)) == (1, 0, 1)
+        assert code == 0 and row["passed"] is True
+
+    def test_sweep_sums_theta_once_per_beta(self, monkeypatch):
+        from bose_limits.cli import parse_config, run
+
+        cfg = parse_config(["--command", "sweep", "--beta", "0.5,1", "--mu=-1,-0.5,-0.25",
+                            "--nu", "0.1,0.2", "--side", "6", "--pmax", "6"])
+        primed, series = self.counters(monkeypatch)
+        theta = self.count_calls(monkeypatch, "bose_limits.lattice_ideal", "_theta_series")
+        code, rows = run(cfg)
+        assert code == 0 and len(rows) == 12
+        assert (len(theta), len(primed), len(series)) == (2, 0, 12)
 
 
 class TestDensityFromPressure:

@@ -228,12 +228,12 @@ class TestThetaSeries:
         point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, 1.0))
         exact = [_exact_theta_series(beta, mu, d, l, power) for power in (0, 1)]
         for power in (0, 1):
-            value, bound = _theta_series(point, power)
+            value, bound = _theta_series(beta, point.lattice, (mu,), power)[mu]
             assert abs(value - exact[power]) <= bound <= 1e-14 * value
         # Stopped early, the j-tail dominates the certificate.
         monkeypatch.setattr(lattice_ideal, "_J_TAIL", 1e-6)
         for power in (0, 1):
-            value, bound = _theta_series(point, power)
+            value, bound = _theta_series(beta, point.lattice, (mu,), power)[mu]
             assert 1e-13 * value < abs(value - exact[power]) <= bound
 
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -1e-3),
@@ -245,7 +245,7 @@ class TestThetaSeries:
         shell, cutoff = shell_primed_pressure(point)
         assert abs(theta.primed - shell) <= (cutoff + theta.truncation_bound
                                              + ORACLE_ROUNDING * shell)
-        density, density_bound = _theta_series(point, 0)
+        density, density_bound = _theta_series(beta, point.lattice, (mu,), 0)[mu]
         assert density == critical_density_finite(point)
         shell, cutoff = shell_critical_density(point)
         assert abs(density - shell) <= cutoff + density_bound + ORACLE_ROUNDING * shell
@@ -256,7 +256,8 @@ class TestThetaSeries:
         # The zero mode's share, log(1 - e^(beta*mu))/(beta*V), is ~1e-12.
         assert res.primed == pytest.approx(pressure_ideal_limit(1.0, -0.5, 3), rel=1e-9)
         # The density's own series certifies 1e-14 too.
-        density = lattice_ideal._theta_series(point, 0, rel_tol=1e-14)[0]
+        density = lattice_ideal._theta_series(1.0, point.lattice, (-0.5,), 0,
+                                              rel_tol=1e-14)[-0.5][0]
         assert density == critical_density_finite(point) == pytest.approx(
             critical_density_limit(1.0, -0.5, 3, tol=1e-14), rel=1e-9)
 

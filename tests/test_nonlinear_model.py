@@ -536,6 +536,23 @@ class TestPressureSqrtSource:
             pressure_sqrt_source(ThermoPoint(beta=1.0, mu=0.0, nu=0.1,
                                              lattice=lattice_d3_l16))
 
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-15, 1e-17])
+    def test_refuses_as_its_p_prime_sum_does(self, rel_tol):
+        # The theta bound is 2.9e-15 of p' here, so p' refuses from rel_tol
+        # 1e-15 on, and the model's pressure must refuse with it.
+        point = ThermoPoint(beta=1.0, mu=-0.1, nu=0.1, lattice=build_lattice(3, 8.0, 10.0))
+
+        def outcome(fn):
+            try:
+                fn(point, rel_tol=rel_tol)
+            except NonConvergenceError as exc:
+                return str(exc)
+            return None
+
+        refusal = outcome(pressure_ideal_primed)
+        assert outcome(pressure_sqrt_source) == refusal
+        assert (refusal is None) == (rel_tol >= 1e-14)
+
 
 class TestLimitPressure:
     def test_constant_part(self):

@@ -12,9 +12,10 @@ first.  Both checkouts must hold committed trees: the file records each
 side's commit and the hash of its `src` tree.  The output holds every
 pair's end-to-end metrics and, per workload and metric, each side's median
 and quartiles, the number of pairs the change won (ties count for
-neither) and whether the gain rule holds: at least nine wins in ten and a
-median difference larger than the parent's interquartile range.  Metric
-names, units and directions come from the change's BENCHMARK.json.
+neither), whether the gain rule holds (at least nine wins in ten and a
+median difference larger than the parent's interquartile range) and a
+verdict under the no-regression rule (see `verdict`).  Metric names,
+units, directions and bounds come from the change's BENCHMARK.json.
 
 For information only, outside the gain rule, `end_to_end_info` also holds
 each side's wall time of the five README commands (the median of 5 fresh
@@ -122,23 +123,44 @@ def _spread(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def verdict(parent, change, sign, bound, gain):
+    """`better`, `no_worse`, `worse` or `unresolved` for one metric.
+
+    `sign` is 1 where lower is better and -1 where higher is.  The change
+    is `worse` when its median is beyond the parent's median by more than
+    `bound` times it, and `better` when the gain rule holds (`gain`).  The
+    runs are too spread to tell (`unresolved`) when the parent's
+    interquartile range exceeds that bound, unless every change run beats
+    every parent run.
+    """
+    p, c = _spread(parent), _spread(change)
+    allowed = bound * abs(p["median"])
+    separated = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p["q3"] - p["q1"] > allowed and not separated:
+        return "unresolved"
+    if sign * (c["median"] - p["median"]) > allowed:
+        return "worse"
+    return "better" if gain else "no_worse"
+
+
 def summarize(pairs, metrics):
-    """Per-metric medians, quartiles, wins and the gain rule over `pairs`."""
-    better = {m["name"]: m["better"] for m in metrics}
+    """Per-metric medians, quartiles, wins, the gain rule and the verdict over `pairs`."""
+    spec = {m["name"]: m for m in metrics}
     out = {}
     for name in pairs[0]["parent"]:
-        direction = better[name.split(".", 1)[1]]
+        metric = spec[name.split(".", 1)[1]]
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (a - b) > 0.0 for a, b in zip(parent, change))
         p, c = _spread(parent), _spread(change)
+        gain = (10 * wins >= 9 * len(pairs)
+                and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"])
         out[name] = {
-            "better": direction, "parent": p, "change": c,
+            "better": metric["better"], "parent": p, "change": c,
             "ratio_of_medians": c["median"] / p["median"] if p["median"] else None,
-            "change_wins": wins, "pairs": len(pairs),
-            "gain_rule_met": (10 * wins >= 9 * len(pairs)
-                              and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
+            "change_wins": wins, "pairs": len(pairs), "gain_rule_met": gain,
+            "verdict": verdict(parent, change, sign, metric["bound"], gain),
         }
     return out
 
@@ -191,7 +213,7 @@ def main(argv=None):
     for name, s in result["summary"].items():
         print(f"{name:28s} parent {s['parent']['median']:.6g}  change "
               f"{s['change']['median']:.6g}  wins {s['change_wins']}/{s['pairs']}"
-              f"{'  gain' if s['gain_rule_met'] else ''}")
+              f"  {s['verdict']}{'  gain' if s['gain_rule_met'] else ''}")
     for side, info in result["end_to_end_info"].items():
         print(side, " ".join(f"{name} {v['median_s']:.3f}s" for name, v in info.items()
                              if name != "tier1"),
