@@ -28,8 +28,8 @@ from .equivalence import pressure_pair, verify_equivalence
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _require_stable, _theta_series,
-                            build_lattice)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp, _require_stable,
+                            _theta_series, build_lattice)
 from .nonlinear_model import ExponentFunction, exponent_eval, zero_mode_log_partition
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
@@ -172,6 +172,12 @@ def _attach_values(argv):
     return out
 
 
+# Built once: building it costs more than a parse, and parsing leaves it unchanged.
+_PARSER = argparse.ArgumentParser(prog="bose-limits", exit_on_error=False)
+for _flag in _FLAGS:
+    _PARSER.add_argument(_flag)
+
+
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Build a RunConfig from flags, with optional --config file underlay.
 
@@ -179,11 +185,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     unknown flags and unparsable values raise DomainError naming the
     offending key.
     """
-    parser = argparse.ArgumentParser(prog="bose-limits", exit_on_error=False)
-    for flag in _FLAGS:
-        parser.add_argument(flag)
     try:
-        ns, extra = parser.parse_known_args(_attach_values(argv))
+        ns, extra = _PARSER.parse_known_args(_attach_values(argv))
     except argparse.ArgumentError as exc:
         raise DomainError(str(exc)) from exc
     if extra:
@@ -318,11 +321,16 @@ def _run_laplace(cfg: RunConfig) -> tuple:
         f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)
         # The sum is at least its largest term and at most terms_used times
         # e^(beta*V*sup); by concavity the largest term sits next to V*x*.
+        # A geometric series (nu = 0) has sup 0 and the exact log-sum
+        # -log(1 - e^(beta*mu)), which bounds it from both sides.
         peak = volume * res.maximizer
-        term_max = max(exponent_eval(f, n / volume)
-                       for n in {math.floor(peak), math.ceil(peak)})
+        lower = max(exponent_eval(f, n / volume)
+                    for n in {math.floor(peak), math.ceil(peak)})
         gap_bound = math.log(res.terms_used) / (beta * volume)
-        ok = (term_max - res.tail_bound <= res.numeric_log_sum
+        if res.method == "geometric":
+            gap_bound = -_log1m_exp(beta * mu) / (beta * volume)
+            lower = res.sup_value + gap_bound
+        ok = (lower - res.tail_bound <= res.numeric_log_sum
               <= res.sup_value + gap_bound + res.tail_bound)
         all_ok = all_ok and ok
         rows.append({

@@ -12,22 +12,24 @@ principle.  This module evaluates the exponent family, its maximizer and
 supremum, and the series itself with a certified geometric tail bound.
 
 Series window: the term exponent e(n) = beta*V*g(n/V) is concave in n and
-peaks at n* = round(V*x_star) with width sigma = 1/sqrt(|e''(n*)|), so
-almost all of the mass lies within O(sqrt(V)) occupations of n*.  The
-window is [max(0, n* - W), n* + W].  By concavity, each side outside it is
-bounded by a geometric series whose first term is the first dropped term
-and whose ratio is e^Delta, Delta the exponent step across that window
-edge.  W is chosen from scalar probes before any term is formed (grow from
-8*sigma, then bisect): both bounds must be below rel_tol/2 times the
-geometric series under the chord of the exponent from n* to n* + W, a
-floor on the window sum.
+peaks at n* = round(V*x_star).  In s = sqrt(n + 1) the terms are exactly a
+Gaussian, e^(-a (s - s0)^2) up to a constant factor (a = -beta*mu), so
+the points where they fall by log(2/rel_tol) below the peak are known in
+closed form.  The window [max(0, n* - W), n* + W] reaches the right one,
+the farther from n*.  By concavity, each side outside it is bounded by a
+geometric series whose first term is the first dropped term and whose
+ratio is e^Delta, Delta the exponent step across that window edge.  One
+scalar check decides W before any term is formed: both bounds must be
+below rel_tol/2 times the geometric series under the chord of the
+exponent from n* to n* + W, a floor on the window sum.  If it misses, W
+doubles.
 
-Closed form: from the window's left edge on, the series is
-Euler-Maclaurin of order 4 over an integral that is a closed form in exp
-and erfc, with a remainder bound made of O(1) scalars; the left side keeps
-its geometric bound.  That costs O(1) at any V and is used whenever the
-left bound, the remainder and the rounding fit rel_tol/2 of the sum, which
-holds for wide peaks (sigma >~ 200 at rel_tol = 1e-10).  Narrower peaks sum
+Closed form: from the left point on, the series is the trapezoidal rule
+over an integral that is a closed form in exp and erfc, and its remainder
+is bounded on a strip of the complex plane (Abel-Plana), where it falls
+exponentially in the Laplace width; the left side keeps its geometric
+bound.  That costs O(1) at any V and is used whenever the left bound, the
+remainder and the rounding fit rel_tol/2 of the sum.  Narrower peaks sum
 the window's terms.  Exponents are formed relative to e(n*) without
 cancellation, and sums relative to the peak term; beta*V*g exceeds the
 floating-point exponent range long before the physics gets large.
@@ -126,7 +128,10 @@ class LaplaceResult:
     reported tail bound, because every term is at most e^(beta*V*sup).
     mean_occupation is <n0> under the series weights, the mu-derivative of
     V*numeric_log_sum; occupation_bound bounds its absolute error.  method
-    names the path that certified them, "closed_form" or "window".
+    names the path that certified them: "closed_form" (trapezoidal rule) or
+    "window" for nu > 0, and "geometric" for nu = 0, whose value is the
+    exact log-sum -log(1 - e^(beta*mu))/(beta*V) and whose terms_used
+    counts the terms a direct sum would need.
     """
 
     maximizer: float
@@ -208,40 +213,29 @@ def _side_bounds(beta: float, f: ExponentFunction, n_star: int, half: int) -> tu
     return left, right, left_weighted, right_weighted
 
 
-def _remainder_bound(k2: float, k3: float, k4: float, integral: float,
-                     peak: float) -> tuple:
-    """Two parts of a bound on the integral of |G''''| over [A, inf), G = e^k.
-
-    Needs k'(A) >= 0, k'' < 0 < k''' and |k''|, k''', |k''''| nonincreasing
-    on [A, inf), with k2, k3, k4 their magnitudes at A; `integral` is the
-    integral of G over [A, inf) and `peak` is at least sup G.  In
-    G'''' = (k'''' + 4k'k''' + 3k''^2 + 6k'^2 k'' + k'^4) G, integrating by
-    parts gives int k'^2 G <= k2 int G and int k'^4 G <= 3 k2 int k'^2 G
-    (the boundary terms at A are <= 0), so all but the k'k''' term lie
-    within (12 k2^2 + k4) int G; int |k'| G = int |G'| <= 2 sup G bounds
-    that term by 8 k3 sup G.
-    """
-    return (12.0 * k2 * k2 + k4) * integral, 8.0 * k3 * peak
-
-
-def _euler_maclaurin(beta: float, f: ExponentFunction, n_star: int, half: int):
-    """Sums of t_n and n*t_n over n >= n* - half by Euler-Maclaurin, or None.
+def _trapezoid(beta: float, f: ExponentFunction, n_star: int, half: int):
+    """Sums of t_n and n*t_n over n >= max(0, n* - half) by the trapezoidal rule, or None.
 
     With m = n + 1 the terms are F(m) = e^h(m), h(m) = -a(m - 1) + b*sqrt(m),
-    a = -beta*mu and b = beta*c*nu*sqrt(V).  From A = n* - half + 1 on,
-    sum F = int_A^inf F + F(A)/2 - F'(A)/12 + F'''(A)/720 + R with
-    |R| <= int |F''''| / 720.  The integral is a closed form in exp and
-    erfc: with s = sqrt(m) = u + s0, s0 = b/(2a), it is
+    a = -beta*mu and b = beta*c*nu*sqrt(V).  From A = max(1, n* - half + 1)
+    on, sum F = int_A^inf F + F(A)/2 + R.  The integral is a closed form in
+    exp and erfc: with s = sqrt(m) = u + s0, s0 = b/(2a), it is
     2 e^(h_max) int_{u0}^inf (u + s0) e^(-a u^2) du, u0 = sqrt(A) - s0 < 0,
-    and every part is positive.  The moment takes the same expansion of
-    (m - 1)F = e^(h + log(m - 1)).  Returns (sum, moment, sum error,
-    moment error), relative to t_{n*}; each error bounds the remainder plus
-    rounding.  None unless n* - half >= 1 and A lies left of the continuous
-    peak s0^2, where the remainder bound holds.
+    and every part is positive.  By Abel-Plana on the strip |Im m| <= d, R
+    is an integral over the edge m = A + iy, 0 < y < d, against
+    1/(e^(2 pi y) - 1), plus integrals over the lines Im m = +-d against at
+    most 1/(e^(2 pi d) - 1).  Re sqrt(x + iy) <= sqrt(x) + y^2/(8 x^1.5)
+    gives |F(x + iy)| <= F(x) e^(k y^2) for x >= A, k = b/(8 A^1.5), and
+    |h'(A + iy)| <= |h'(A)| + 2k|y|.  At d = pi/k, where k y^2 <= pi y, the
+    lines contribute at most int F / sinh(pi d) and the edge at most
+    F(A) (|h'(A)|/4 + 0.28 k), from int y^j / (2 sinh(pi y)) dy = 1/8,
+    7 zeta(3)/(4 pi^3) and 1/16 for j = 1, 2, 3.  The moment is the same
+    rule for m F, whose modulus carries |m| <= x + d, less the sum.
+    Returns (sum, moment, sum error, moment error), relative to t_{n*};
+    each error bounds R plus rounding.  None unless A lies left of the
+    continuous peak s0^2.
     """
-    lo = n_star - half
-    if lo < 1:
-        return None
+    lo = max(0, n_star - half)
     a = -beta * f.mu
     b = beta * f.coefficient * f.nu * math.sqrt(f.volume)
     edge = lo + 1.0
@@ -252,58 +246,50 @@ def _euler_maclaurin(beta: float, f: ExponentFunction, n_star: int, half: int):
     # log(sup F / F(n* + 1)) = a*(sqrt(n* + 1) - s0)^2, without cancellation.
     delta = (n_star + 1.0 - s0 * s0) / (math.sqrt(n_star + 1.0) + s0)
     c = a * delta * delta
-    peak = math.exp(c)
     # j_k = e^c * int_{u0}^inf u^k e^(-a u^2) du.  Only j2 has a negative
     # part, at most half of its positive one.
     gauss = math.exp(c - a * u0 * u0)
-    j0 = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * u0) * peak
+    j0 = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * u0) * math.exp(c)
     j1 = gauss / (2.0 * a)
     j2 = (u0 * gauss + j0) / (2.0 * a)
     j3 = (a * u0 * u0 + 1.0) * gauss / (2.0 * a * a)
     integral = 2.0 * (j1 + s0 * j0)
     integral_moment = 2.0 * (j3 + 3.0 * s0 * j2 + (3.0 * s0 * s0 - 1.0) * j1
                              + s0 * (s0 * s0 - 1.0) * j0)
-    # h' > 0 and the magnitudes of h'', h''', h'''' at A; h'(A) is
-    # -a*u0/sqrt(A), which has no cancellation.
-    h1 = -a * u0 / math.sqrt(edge)
-    h2 = b / (4.0 * edge ** 1.5)
-    h3 = 3.0 * b / (8.0 * edge ** 2.5)
-    h4 = 15.0 * b / (16.0 * edge ** 3.5)
     t = math.exp(_exponent_offset(beta, f, n_star, float(lo), math.sqrt))
-    d1 = h1 * t
-    d2 = (h1 * h1 - h2) * t
-    d3 = (h3 - 3.0 * h1 * h2 + h1 ** 3) * t
     w = float(lo)  # the weight m - 1 at A
-    total = integral + 0.5 * t - d1 / 12.0 + d3 / 720.0
-    moment = (integral_moment + 0.5 * w * t - (t + w * d1) / 12.0
-              + (3.0 * d2 + w * d3) / 720.0)
-    # log(m - 1) adds -1/w^2, 2/w^3 and -6/w^4 to h'', h''' and h''''; and
-    # sup (m - 1)F <= sup F * (s0 + 1/(a*s0))^2, the peak of s^2 e^(-a(s - s0)^2).
-    remainder = sum(_remainder_bound(h2, h3, h4, integral, peak)) / 720.0
-    remainder_moment = sum(_remainder_bound(
-        h2 + w ** -2, h3 + 2.0 * w ** -3, h4 + 6.0 * w ** -4, integral_moment,
-        peak * (s0 + 1.0 / (a * s0)) ** 2)) / 720.0
+    total = integral + 0.5 * t
+    moment = integral_moment + 0.5 * w * t
+    # h'(A) = -a*u0/sqrt(A) > 0, without cancellation; 1/sinh(pi d) for
+    # d = pi/k, formed without overflow.
+    slope = -a * u0 / math.sqrt(edge)
+    k = b / (8.0 * edge ** 1.5)
+    d = math.pi / k
+    strip = 2.0 * math.exp(-math.pi * d) / -math.expm1(-2.0 * math.pi * d)
+    remainder = integral * strip + t * (0.25 * slope + 0.28 * k)
+    # The rule for m F adds its own: int m F = integral_moment + integral.
+    remainder_moment = (remainder + (integral_moment + (1.0 + d) * integral) * strip
+                        + t * (0.25 * (1.0 + edge * slope) + 0.14 * (slope + 2.0 * k * edge)
+                               + 0.25 * k))
     # Rounding: a few ulps per operation and the exponents' absolute errors,
     # plus u0's error of ~2 ulps of s0, which moves an integral by its
     # integrand at A times 2*sqrt(A) <= 2*s0 per unit of u0.
     rho = _EPS * (64.0 + 8.0 * (a + c + a * u0 * u0))
-    rounding = rho * (integral + t + abs(d1) + abs(d3)) + 8.0 * _EPS * s0 * s0 * t
-    rounding_moment = (rho * (integral_moment + w * t + abs(t + w * d1)
-                              + abs(3.0 * d2 + w * d3))
-                       + 8.0 * _EPS * s0 * s0 * w * t)
+    rounding = rho * (integral + t) + 8.0 * _EPS * s0 * s0 * t
+    rounding_moment = rho * (integral_moment + w * t) + 8.0 * _EPS * s0 * s0 * w * t
     return total, moment, remainder + rounding, remainder_moment + rounding_moment
 
 
 def _closed_form_sums(beta: float, f: ExponentFunction, n_star: int, half: int,
                       rel_tol: float):
-    """Series sum and <n0> from `_euler_maclaurin`, or None if they miss rel_tol.
+    """Series sum and <n0> from `_trapezoid`, or None if they miss rel_tol.
 
     Returns (sum relative to t_{n*}, bound on |log(series / sum)|, <n0>,
     bound on its error).  The side left of the window is dropped and
     bounded by `_side_bounds`; the right one is inside the integral.  Both
     the sum's and the moment's errors must fit rel_tol/2 of their values.
     """
-    closed = _euler_maclaurin(beta, f, n_star, half)
+    closed = _trapezoid(beta, f, n_star, half)
     if closed is None:
         return None
     total, moment, total_error, moment_error = closed
@@ -352,13 +338,13 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     """Zero-mode pressure (1/(beta*V)) log sum_n e^(beta*V*g(n/V)) with tail bound.
 
     For nu = 0 the series is geometric and is returned in closed form
-    (tail bound zero).  Otherwise the half-width W of a window around the
-    Laplace peak is chosen first (see the module docstring), and
-    `terms_used` is that window's length.  The series is then evaluated by
-    Euler-Maclaurin over the closed-form integral from the window's left
-    edge on (`method` "closed_form") when its error fits rel_tol/2 of the
-    sum, and otherwise summed over the window ("window").  `tail_bound`
-    maps the bounded parts (the dropped sides, or the left side and the
+    (`method` "geometric", tail bound zero).  Otherwise the half-width W
+    of a window around the Laplace peak is chosen first (see the module
+    docstring), and `terms_used` is that window's length.  The series is
+    then evaluated by the trapezoidal rule over the closed-form integral
+    (`method` "closed_form") when its error fits rel_tol/2 of the sum, and
+    otherwise summed over the window ("window").  `tail_bound` maps the
+    bounded parts (the dropped sides, or the left side and the
     remainder), plus rounding, to pressure units.  `mean_occupation` <n0>
     comes from the same sums weighted by n, and `occupation_bound` bounds
     its error.  For nu = 0 it is 1/(e^(-beta*mu) - 1), exactly.
@@ -384,7 +370,7 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
                              terms_used=max(1, math.ceil(needed)),
                              tail_bound=0.0,
                              mean_occupation=1.0 / math.expm1(-beta * mu),
-                             occupation_bound=0.0)
+                             occupation_bound=0.0, method="geometric")
 
     x_star = exponent_maximizer(f)
     peak = volume * x_star
@@ -402,30 +388,27 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         left, right = _side_bounds(beta, f, n_star, w)[:2]
         return left + right <= 0.5 * rel_tol * floor
 
-    # Grow from 8 sigma (sigma^-2 = |e''(n*)|), then bisect; the floor is
-    # not monotone in w, so only the upper end is kept certified.  Past the
-    # window ceiling only the closed form, which needs n* - W >= 1, can use
-    # the half-width, so the growth stops at the larger of the two.
-    curvature = beta * coefficient * nu * math.sqrt(volume) / (4.0 * (n_star + 1.0) ** 1.5)
-    max_half = (DEFAULT_MAX_SERIES_TERMS - 1) // 2
-    limit = max(max_half, n_star)
-    half = int(min(max_half, 8.0 / math.sqrt(curvature) + 1.0)) if curvature > 0.0 \
-        else max_half
-    fails = -1
+    # One step: in s = sqrt(n + 1) the terms are e^(-a (s - s0)^2) up to a
+    # factor, a = -beta*mu and s0 = c*nu*sqrt(V)/(2|mu|), so they fall by
+    # L = log(2/rel_tol) below that Gaussian's top at s = s0 +- r,
+    # r = sqrt(L/a).  The window reaches the right point, and doubles up to
+    # its ceiling (or to n*, past which only the closed form runs) if its
+    # sides miss.  The closed form cuts at the left point, or at n = 0.
+    s0 = coefficient * nu * math.sqrt(volume) / (-2.0 * mu)
+    r = math.sqrt(math.log(2.0 / rel_tol) / (-beta * mu)) if beta * mu < 0.0 else math.inf
+    right = (s0 + r) * (s0 + r) - (n_star + 1.0)
+    cut = (s0 - r) * (s0 - r) if r < s0 else 0.0
+    left = min(n_star, max(0, math.ceil(n_star + 1.0 - cut)))
+    limit = max((DEFAULT_MAX_SERIES_TERMS - 1) // 2, n_star)
+    half = max(0, math.ceil(right)) if right < math.inf else limit
     while not certified(half):
         if half >= limit:
             raise NonConvergenceError(
                 f"zero-mode series needs more than {DEFAULT_MAX_SERIES_TERMS} terms")
-        fails, half = half, min(2 * half, limit)
-    while half - fails > 1:
-        w = (fails + half) // 2
-        if certified(w):
-            half = w
-        else:
-            fails = w
+        half = min(2 * half + 1, limit)
     terms_used = n_star + half - max(0, n_star - half) + 1
     method = "closed_form"
-    sums = _closed_form_sums(beta, f, n_star, half, rel_tol)
+    sums = _closed_form_sums(beta, f, n_star, left, rel_tol)
     if sums is None:
         if terms_used > DEFAULT_MAX_SERIES_TERMS:
             raise NonConvergenceError(

@@ -64,6 +64,17 @@ class TestParseConfig:
         with pytest.raises(DomainError):
             parse_config(["--command", "pressure", "--mu", "-0.5,-1.0"])
 
+    def test_parser_is_built_once(self, monkeypatch):
+        import argparse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_config built a parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        assert parse_config(["--command", "pressure", "--mu=-0.5"]).mu == (-0.5,)
+        with pytest.raises(DomainError, match="unrecognized arguments: --bogus"):
+            parse_config(["--command", "pressure", "--mu=-0.5", "--bogus"])
+
 
 class TestEmit:
     def test_zero_rows_header_only(self):
@@ -196,12 +207,37 @@ class TestRun:
         assert [r["method"] for r in rows] == ["window", "closed_form"]
         assert all(list(r)[-1] == "duration_s" for r in rows)
 
+    def test_laplace_nu_zero_rows_pass(self):
+        # At beta*mu = -30 one term certifies, and log(1) = 0 leaves no room
+        # for the exact value's e^-30/V: the geometric path's own bound does.
+        code, rows = run(parse_config(["--command", "laplace", "--mu=-30", "--nu", "0",
+                                       "--dim", "1", "--ladder", "2,4,8"]))
+        assert code == 0
+        assert [r["method"] for r in rows] == ["geometric"] * 3
+        assert [r["terms_used"] for r in rows] == [1, 1, 1]
+        assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("mu", [-30.0, -0.5, -1e-6])
+    @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
+    def test_laplace_nu_zero_moved_value_fails(self, monkeypatch, mu, factor):
+        exact = cli.zero_mode_log_partition
+
+        def moved(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            return dataclasses.replace(res, numeric_log_sum=res.numeric_log_sum * factor)
+
+        monkeypatch.setattr(cli, "zero_mode_log_partition", moved)
+        code, rows = run(parse_config(["--command", "laplace", f"--mu={mu}", "--nu", "0",
+                                       "--dim", "1", "--ladder", "8"]))
+        assert code == 1
+        assert [r["passed"] for r in rows] == [False]
+
     @pytest.mark.parametrize("beta,mu,nu,dim,side", [
-        (1.0, -50.0, 19.687, 1, 10),
+        (1.0, -50.0, 19.0, 1, 10),
         (1.0, -100.0, 50.0, 1, 10),
         (1.0, -100.0, 30.0, 3, 3),
         (1.0, -300.0, 50.0, 2, 10),
-        (1.0, -300.0, 80.0, 3, 3),
+        (1.0, -300.0, 75.0, 3, 3),
         (1.0, -300.0, 100.0, 1, 10),
     ])
     def test_laplace_narrow_peak_passes(self, beta, mu, nu, dim, side):
@@ -249,6 +285,16 @@ class TestRun:
 
 
 class TestMainExitCodes:
+    def test_wide_peak_certifies(self, capsys):
+        # n* = 5.4e6 < sigma = 1e7: the window would need ~2e8 terms, past
+        # its ceiling, and the closed form runs from the first term.
+        assert main(["--command", "pressure", "--mu=-1.3604235088190296e-07",
+                     "--beta=0.7572334913542031", "--nu=0.00017730487039401067",
+                     "--dim=1", "--side=3.1822426292332526",
+                     "--rel-tol=7.069928165641368e-07"]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), line.split(",")))["passed"] == "true"
+
     def test_invalid_input_exits_2(self, capsys):
         assert main(["--command", "pressure", "--mu", "0.5"]) == 2
         err = json.loads(capsys.readouterr().err)

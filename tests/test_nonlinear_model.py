@@ -9,7 +9,8 @@ from scipy.optimize import golden
 
 from bose_limits.errors import DomainError, NonConvergenceError
 from bose_limits.lattice_ideal import ThermoPoint, build_lattice, pressure_ideal_primed
-from bose_limits.nonlinear_model import (ExponentFunction, exponent_eval,
+from bose_limits.nonlinear_model import (DEFAULT_MAX_SERIES_TERMS, ExponentFunction,
+                                         exponent_eval,
                                          exponent_maximizer, laplace_sup,
                                          pressure_sqrt_source,
                                          pressure_sqrt_source_limit,
@@ -34,7 +35,7 @@ def window_only(monkeypatch):
     """Sum every nu > 0 series over its window, as for a narrow peak."""
     from bose_limits import nonlinear_model
 
-    monkeypatch.setattr(nonlinear_model, "_euler_maclaurin", lambda *args: None)
+    monkeypatch.setattr(nonlinear_model, "_trapezoid", lambda *args: None)
 
 
 class TestExponentFunction:
@@ -297,9 +298,10 @@ class TestMeanOccupation:
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-6])
     def test_bound_covers_both_dropped_sides(self, volume, rel_tol, window_only):
         # No cancellation between the two sides is assumed: the window's
-        # bound covers the |n - n*|-weighted mass of both, relative to the
-        # window sum.  At rel_tol = 1e-6 the left side's mass exceeds the
-        # bound's slack.
+        # bound covers the mass of both and their |n - n*|-weighted mass,
+        # relative to the window sum.  At rel_tol = 1e-6 and V >= 1e5 the
+        # left side holds 2e-9 to 2e-8 of the sum, more than the slack of
+        # the right side's bound.
         beta, mu, nu = 1.0, -0.5, 0.1
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
         assert res.method == "window"
@@ -309,6 +311,8 @@ class TestMeanOccupation:
         n = np.arange(int(math.ceil(volume * (4.0 * nu / mu) ** 2)) + 64, dtype=float)
         exponents = beta * (mu * n + 2.0 * nu * np.sqrt(volume * (n + 1.0)))
         terms = np.exp(exponents - exponents.max())
+        full = (exponents.max() + math.log(math.fsum(terms))) / (beta * volume)
+        assert abs(full - res.numeric_log_sum) <= res.tail_bound
         inside = np.abs(n - n_star) <= half
         weighted = math.fsum(np.abs(n - n_star)[~inside] * terms[~inside])
         assert weighted / math.fsum(terms[inside]) <= res.occupation_bound
@@ -384,32 +388,86 @@ class TestMeanOccupation:
         assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * lengths[0] + 65536
 
 
-def _terms_from(beta, mu, nu, volume, n_star, lo, count):
-    """Occupations lo, lo+1, ... and their terms relative to t_{n*}."""
-    n = np.arange(lo, lo + count, dtype=float)
-    root_sum = np.sqrt(n + 1.0) + math.sqrt(n_star + 1.0)
-    return n, np.exp(beta * (n - n_star) * (mu + 2.0 * nu * math.sqrt(volume) / root_sum))
+def _mpmath_series(beta, mu, nu, volume, dps=40):
+    """(log-sum in pressure units, <n0>) of the series by a 40-digit mpmath sum.
 
-
-def _sqrt_model_derivatives(a, b, m, moment):
-    """h = -a(m - 1) + b*sqrt(m) and its derivatives 1..4 at m; plus
-    log(m - 1) when `moment`, the exponent of (m - 1) e^h."""
-    k = [-a * (m - 1.0) + b * np.sqrt(m), -a + b / (2.0 * np.sqrt(m)),
-         -b / (4.0 * m ** 1.5), 3.0 * b / (8.0 * m ** 2.5), -15.0 * b / (16.0 * m ** 3.5)]
-    if moment:
-        w = m - 1.0
-        k = [k[0] + np.log(w), k[1] + 1.0 / w, k[2] - w ** -2, k[3] + 2.0 * w ** -3,
-             k[4] - 6.0 * w ** -4]
-    return k
+    With m = n + 1 the terms are e^(-a (sqrt(m) - s0)^2) times a constant,
+    so every term outside sqrt(m) in s0 +- sqrt(100/a) is below e^-100 of
+    the peak; those are left out, 1e-40 of the sum at most here.
+    """
+    with mp.workdps(dps):
+        a = -mp.mpf(beta) * mp.mpf(mu)
+        s0 = mp.mpf(nu) * mp.sqrt(mp.mpf(volume)) / -mp.mpf(mu)
+        reach = mp.sqrt(100 / a)
+        lo = max(1, int(mp.floor((s0 - reach) ** 2))) if s0 > reach else 1
+        total = moment = mp.mpf(0)
+        for m in range(lo, int(mp.ceil((s0 + reach) ** 2)) + 1):
+            term = mp.exp(-a * (mp.sqrt(m) - s0) ** 2)
+            total += term
+            moment += (m - 1) * term
+        log_sum = a * (s0 * s0 + 1) + mp.log(total)
+        return log_sum / (mp.mpf(beta) * mp.mpf(volume)), moment / total
 
 
 class TestClosedForm:
     def test_method_follows_the_peak_width(self):
-        # The series workload's points: sigma = 40 and 126 at V = 1e4 and
-        # 1e5 stay on the window; from V = 1e6 on the closed form certifies.
-        methods = [zero_mode_log_partition(1.0, -0.5, 0.1, v).method
-                   for v in (1e4, 1e5, 1e6, 1e7, 1e8)]
-        assert methods == ["window"] * 2 + ["closed_form"] * 3
+        # beta 1, mu -0.5, nu 0.1 at rel_tol 1e-10: the closed form takes over
+        # between V = 1e3 (n* = 39, sigma = 13) and 1.8e3 (n* = 70,
+        # sigma = 17), and holds the series workload's V = 1e4..1e8.  At
+        # rel_tol 1e-14 its own rounding, ~300 ulps, never fits.
+        volumes = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+        methods = [zero_mode_log_partition(1.0, -0.5, 0.1, v).method for v in volumes]
+        assert methods == ["window"] + ["closed_form"] * 5
+        methods = [zero_mode_log_partition(1.0, -0.5, 0.1, v, rel_tol=1e-14).method
+                   for v in volumes]
+        assert methods == ["window"] * 6
+
+    @pytest.mark.parametrize("mu, nu, volume, rel_tol", [(-0.62, 0.39, 150.0, 1e-10),
+                                                         (-0.44, 0.4, 50.0, 1e-6)])
+    def test_strip_bound_decides_the_reach(self, mu, nu, volume, rel_tol):
+        # The cut is at A = 2 and 1: the strip part, int F / sinh(pi^2/k), is
+        # 2.8 and 3.5 times rel_tol/2 of the sum, while the left side, the
+        # edge and the rounding together are below a fifth of it.
+        assert zero_mode_log_partition(1.0, mu, nu, volume, rel_tol=rel_tol).method == "window"
+
+    @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
+           log_volume=st.floats(0.0, 6.0), rel_tol=st.sampled_from([1e-6, 1e-10, 1e-14]))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_values_hold_against_mpmath(self, beta, mu, nu, log_volume, rel_tol):
+        volume = 10.0 ** log_volume
+        # Points whose 40-digit sum would take more than ~1 s are skipped.
+        assume(nu * math.sqrt(volume) * 40.0 / (-mu * math.sqrt(-beta * mu)) <= 30_000)
+        res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        value, mean = _mpmath_series(beta, mu, nu, volume)
+        assert abs(res.numeric_log_sum - value) <= res.tail_bound
+        assert abs(res.mean_occupation - mean) <= res.occupation_bound
+
+    def test_wide_peak_certifies_from_the_first_term(self):
+        # n* = 5.4e6 lies inside the Laplace width sigma = 1e7, so the terms
+        # reach below rel_tol only ~2e8 occupations out, beyond the window
+        # ceiling.  The closed form runs from A = 1 with no left side, and
+        # there its edge term carries most of the bound.
+        beta, mu, nu = 0.7572334913542031, -1.3604235088190296e-07, 0.00017730487039401067
+        volume, rel_tol = 3.1822426292332526, 7.069928165641368e-07
+        res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
+        assert res.method == "closed_form"
+        assert res.terms_used > DEFAULT_MAX_SERIES_TERMS
+        with mp.workdps(40):
+            a = -mp.mpf(beta) * mp.mpf(mu)
+            s0 = mp.mpf(nu) * mp.sqrt(mp.mpf(volume)) / -mp.mpf(mu)
+
+            def term(m):
+                return mp.exp(-a * (mp.sqrt(m) - s0) ** 2)
+
+            def weighted(m):
+                return (m - 1) * term(m)
+
+            sums = [mp.sumem(g, [1, mp.inf], integral=mp.quad(g, [1, s0 * s0, mp.inf]))
+                    for g in (term, weighted)]
+            value = (a * (s0 * s0 + 1) + mp.log(sums[0])) / (mp.mpf(beta) * mp.mpf(volume))
+            mean = sums[1] / sums[0]
+        assert abs(res.numeric_log_sum - value) <= res.tail_bound
+        assert abs(res.mean_occupation - mean) <= res.occupation_bound
 
     @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (0.8, -0.3, 0.06),
                                               (0.5, -2.0, 0.5)])
@@ -424,63 +482,6 @@ class TestClosedForm:
         brute = _brute_mean_occupation(beta, mu, nu, volume)
         assert abs(res.mean_occupation - brute) <= res.occupation_bound
 
-    @pytest.mark.parametrize("half", [10, 20, 40])
-    def test_expansion_is_exact_to_fourth_order(self, half):
-        # With the left edge within one width of the peak, the sums differ
-        # from brute force by far less than their F'''/720 terms.
-        from bose_limits.nonlinear_model import _euler_maclaurin
-
-        beta, mu, nu, vol = 1.0, -0.5, 0.1, 1e4
-        f = ExponentFunction(mu=mu, nu=nu, volume=vol)
-        n_star = round(vol * exponent_maximizer(f))
-        lo = n_star - half
-        n, terms = _terms_from(beta, mu, nu, vol, n_star, lo, 20 * n_star)
-        total, moment, total_error, moment_error = _euler_maclaurin(beta, f, n_star, half)
-        _, h1, h2, h3, _ = _sqrt_model_derivatives(-beta * mu, 2.0 * beta * nu * math.sqrt(vol),
-                                                   lo + 1.0, False)
-        d2 = (h2 + h1 * h1) * terms[0]
-        d3 = (h3 + 3.0 * h1 * h2 + h1 ** 3) * terms[0]
-        assert abs(total - math.fsum(terms)) <= 1e-3 * abs(d3) / 720.0 <= total_error
-        assert (abs(moment - math.fsum(n * terms))
-                <= 1e-3 * abs(3.0 * d2 + lo * d3) / 720.0 <= moment_error)
-
-    @pytest.mark.parametrize("moment", [False, True])
-    @pytest.mark.parametrize("a, s0, edge", [(0.5, 20.0, 360.0), (0.5, 20.0, 400.0),
-                                             (3.0, 1.5, 2.0), (10.0, 10.0, 100.0),
-                                             (0.1, 3.0, 3.0), (1.0, 2.0, 2.0)])
-    def test_remainder_bound_parts_hold(self, a, s0, edge, moment):
-        # Each part of the bound on int |G''''| covers its part of the
-        # termwise majorant, by quadrature; the bound on sup (m - 1)F holds.
-        from scipy.integrate import quad
-
-        from bose_limits.nonlinear_model import _remainder_bound
-
-        b = 2.0 * a * s0
-        top = a + b * b / (4.0 * a)
-
-        def g(m):
-            return np.exp(_sqrt_model_derivatives(a, b, m, moment)[0] - top)
-
-        def majorant(m, skew):
-            _, k1, k2, k3, k4 = _sqrt_model_derivatives(a, b, m, moment)
-            if skew:
-                return 4.0 * abs(k1 * k3) * g(m)
-            return (abs(k4) + 3.0 * k2 * k2 + 6.0 * k1 * k1 * abs(k2) + k1 ** 4) * g(m)
-
-        end = max(4.0 * s0 * s0, edge) + 400.0 / a
-        kinks = [s0 * s0] if edge < s0 * s0 else None
-        integral = quad(g, edge, end, points=kinks, limit=200)[0]
-        grid = np.linspace(edge, end, 200001)
-        peak = 1.0
-        if moment:
-            peak = (s0 + 1.0 / (a * s0)) ** 2
-            assert g(grid).max() <= peak
-        _, k1, k2, k3, k4 = _sqrt_model_derivatives(a, b, edge, moment)
-        assert k1 >= 0.0
-        curvature, skew = _remainder_bound(abs(k2), k3, abs(k4), integral, peak)
-        assert quad(majorant, edge, end, args=(False,), points=kinks, limit=200)[0] <= curvature
-        assert quad(majorant, edge, end, args=(True,), points=kinks, limit=200)[0] <= skew
-
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
            log_volume=st.floats(5.0, 9.0), rel_tol=st.sampled_from([1e-6, 1e-10]))
     @settings(max_examples=40, deadline=None)
@@ -491,7 +492,7 @@ class TestClosedForm:
         closed = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
         assume(closed.method == "closed_form" and closed.terms_used <= 1_000_000)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nonlinear_model, "_euler_maclaurin", lambda *args: None)
+            patch.setattr(nonlinear_model, "_trapezoid", lambda *args: None)
             window = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=rel_tol)
         assert window.method == "window"
         assert window.terms_used == closed.terms_used
