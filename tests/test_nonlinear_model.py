@@ -10,12 +10,12 @@ from scipy.optimize import golden
 from bose_limits.errors import DomainError, NonConvergenceError
 from bose_limits.lattice_ideal import ThermoPoint, build_lattice, pressure_ideal_primed
 from bose_limits.nonlinear_model import (DEFAULT_MAX_SERIES_TERMS, ExponentFunction,
-                                         exponent_eval,
-                                         exponent_maximizer, laplace_sup,
+                                         exponent_eval, exponent_maximizer, laplace_sup,
                                          pressure_sqrt_source,
                                          pressure_sqrt_source_limit,
                                          zero_mode_log_partition,
-                                         zero_mode_partial_logsum, _side_bounds)
+                                         zero_mode_partial_logsum, _side_bounds,
+                                         _trapezoid)
 from bose_limits.summation import stable_sum
 
 
@@ -388,14 +388,14 @@ class TestMeanOccupation:
         assert peak <= nonlinear_model.SERIES_BYTES_PER_TERM * lengths[0] + 65536
 
 
-def _mpmath_series(beta, mu, nu, volume, dps=40):
+def _mpmath_series(beta, mu, nu, volume):
     """(log-sum in pressure units, <n0>) of the series by a 40-digit mpmath sum.
 
     With m = n + 1 the terms are e^(-a (sqrt(m) - s0)^2) times a constant,
     so every term outside sqrt(m) in s0 +- sqrt(100/a) is below e^-100 of
     the peak; those are left out, 1e-40 of the sum at most here.
     """
-    with mp.workdps(dps):
+    with mp.workdps(40):
         a = -mp.mpf(beta) * mp.mpf(mu)
         s0 = mp.mpf(nu) * mp.sqrt(mp.mpf(volume)) / -mp.mpf(mu)
         reach = mp.sqrt(100 / a)
@@ -427,7 +427,10 @@ class TestClosedForm:
     def test_strip_bound_decides_the_reach(self, mu, nu, volume, rel_tol):
         # The cut is at A = 2 and 1: the strip part, int F / sinh(pi^2/k), is
         # 2.8 and 3.5 times rel_tol/2 of the sum, while the left side, the
-        # edge and the rounding together are below a fifth of it.
+        # edge and the rounding together stay below a fifth of rel_tol/2.
+        # The true remainder is far smaller, so only this pins the strip
+        # bound's size: a tenth of it would hand both points to the closed
+        # form.
         assert zero_mode_log_partition(1.0, mu, nu, volume, rel_tol=rel_tol).method == "window"
 
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -0.2), nu=st.floats(0.05, 0.5),
@@ -441,6 +444,30 @@ class TestClosedForm:
         value, mean = _mpmath_series(beta, mu, nu, volume)
         assert abs(res.numeric_log_sum - value) <= res.tail_bound
         assert abs(res.mean_occupation - mean) <= res.occupation_bound
+
+    @pytest.mark.parametrize("a, s0, edge", [(0.5, 20.0, 360.0), (0.5, 20.0, 300.0),
+                                             (3.0, 1.5, 2.0), (10.0, 10.0, 90.0),
+                                             (0.1, 3.0, 3.0), (1.0, 2.0, 1.0), (0.2, 5.0, 1.0)])
+    def test_trapezoid_errors_hold(self, a, s0, edge):
+        # The sums from A on, without the left side, against 40-digit sums
+        # of every term from A to e^-100 below the peak.
+        volume = 1e4
+        f = ExponentFunction(mu=-a, nu=a * s0 / math.sqrt(volume), volume=volume)
+        n_star = round(volume * exponent_maximizer(f))
+        total, moment, total_error, moment_error = _trapezoid(
+            1.0, f, n_star, n_star + 1 - int(edge))
+        with mp.workdps(40):
+            exact_s0 = mp.mpf(f.nu) * mp.sqrt(volume) / a
+
+            def exponent(m):
+                return -a * (mp.sqrt(m) - exact_s0) ** 2
+
+            terms = [(m - 1, mp.exp(exponent(m) - exponent(n_star + 1)))
+                     for m in range(int(edge), int((s0 + math.sqrt(100.0 / a)) ** 2) + 2)]
+            exact = mp.fsum(t for _, t in terms)
+            exact_moment = mp.fsum(n * t for n, t in terms)
+        assert abs(total - exact) <= total_error
+        assert abs(moment - exact_moment) <= moment_error
 
     def test_wide_peak_certifies_from_the_first_term(self):
         # n* = 5.4e6 lies inside the Laplace width sigma = 1e7, so the terms
