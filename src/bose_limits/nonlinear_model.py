@@ -285,8 +285,8 @@ def _closed_form_sums(beta: float, f: ExponentFunction, n_star: int, half: int,
     """Series sum and <n0> from `_trapezoid`, or None if they miss rel_tol.
 
     Returns (sum relative to t_{n*}, bound on |log(series / sum)|, <n0>,
-    bound on its error).  The side left of the window is dropped and
-    bounded by `_side_bounds`; the right one is inside the integral.  Both
+    bound on its error).  The terms left of n* - half are dropped and
+    bounded by `_side_bounds`; all others are in the trapezoidal sums.  Both
     the sum's and the moment's errors must fit rel_tol/2 of their values.
     """
     closed = _trapezoid(beta, f, n_star, half)
@@ -366,10 +366,13 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
         if math.isinf(needed):
             # Subnormal beta*mu: the count exceeds the float range, not int's.
             needed = Fraction(math.log(rel_tol) + log_norm) / Fraction(beta * mu)
+        # <n0> = 1/(e^x - 1), x = -beta*mu: e^-x to the last bit from x = 700
+        # on, where e^x nears overflow.
+        x = -beta * mu
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
                              terms_used=max(1, math.ceil(needed)),
                              tail_bound=0.0,
-                             mean_occupation=1.0 / math.expm1(-beta * mu),
+                             mean_occupation=1.0 / math.expm1(x) if x < 700.0 else math.exp(-x),
                              occupation_bound=0.0, method="geometric")
 
     x_star = exponent_maximizer(f)
@@ -395,7 +398,8 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     # its ceiling (or to n*, past which only the closed form runs) if its
     # sides miss.  The closed form cuts at the left point, or at n = 0.
     s0 = coefficient * nu * math.sqrt(volume) / (-2.0 * mu)
-    r = math.sqrt(math.log(2.0 / rel_tol) / (-beta * mu)) if beta * mu < 0.0 else math.inf
+    fall = max(0.0, math.log(2.0 / rel_tol))
+    r = math.sqrt(fall / (-beta * mu)) if beta * mu < 0.0 else math.inf
     right = (s0 + r) * (s0 + r) - (n_star + 1.0)
     cut = (s0 - r) * (s0 - r) if r < s0 else 0.0
     left = min(n_star, max(0, math.ceil(n_star + 1.0 - cut)))

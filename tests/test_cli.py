@@ -217,6 +217,12 @@ class TestRun:
         assert [r["terms_used"] for r in rows] == [1, 1, 1]
         assert all(r["passed"] for r in rows)
 
+    def test_laplace_nu_zero_far_below_zero_passes(self):
+        # e^(-beta*mu) overflows a float at beta*mu = -800; <n0> = e^-800 = 0.
+        code, (row,) = run(parse_config(["--command", "laplace", "--mu=-800", "--nu", "0",
+                                         "--dim", "1", "--ladder", "8"]))
+        assert code == 0 and row["passed"]
+
     @pytest.mark.parametrize("mu", [-30.0, -0.5, -1e-6])
     @pytest.mark.parametrize("factor", [1.0 + 1e-12, 1.0 - 1e-12])
     def test_laplace_nu_zero_moved_value_fails(self, monkeypatch, mu, factor):

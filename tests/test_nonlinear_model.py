@@ -160,6 +160,15 @@ class TestZeroModeSeries:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("rel_tol", [2.0, 5.0, 1e300])
+    def test_loose_rel_tol_is_served(self, rel_tol):
+        # At rel_tol >= 2 nothing needs to fall below the peak: the window
+        # takes the peak's neighbours, and the bound stays sound.
+        for volume in (100.0, 1e4):
+            res = zero_mode_log_partition(1.0, -0.5, 0.1, volume, rel_tol=rel_tol)
+            full = zero_mode_partial_logsum(1.0, -0.5, 0.1, volume, int(volume))
+            assert abs(full - res.numeric_log_sum) <= res.tail_bound
+
     def test_closed_form_certifies_past_the_ceiling(self):
         res = zero_mode_log_partition(1.0, -0.5, 0.1, 1e14)
         assert res.method == "closed_form"
