@@ -152,19 +152,27 @@ def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
 
     The breakdowns are `pressure_source` and `pressure_sqrt_source`, each
     handed the shared sums; `primed` is `pressure_ideal_primed(point,
-    rel_tol)`, formed here unless the caller holds it.
+    rel_tol)`, formed here unless the caller holds it.  Both pressures are
+    positive for mu < 0, so a total of 0 has underflowed and no bound can
+    be rel_tol of it: NonConvergenceError.
     """
     if primed is None:
         primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
                                      rel_tol=rel_tol, coefficient=coefficient)
-    return PressurePair(
+    pair = PressurePair(
         linear=pressure_source(point, primed=primed),
         sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
                                   primed=primed, series=series),
         series=series,
         closed_form=delta_pressure_closed_form(point, rel_tol=rel_tol,
                                                coefficient=coefficient, series=series))
+    if not (pair.linear.total > 0.0 and pair.sqrt.total > 0.0):
+        raise NonConvergenceError(
+            f"the pressures underflow (p_linear = {pair.linear.total}, p_sqrt = "
+            f"{pair.sqrt.total} at beta*mu = {point.beta * point.mu}): no relative "
+            f"certificate exists")
+    return pair
 
 
 def delta_pressure(point: ThermoPoint) -> float:

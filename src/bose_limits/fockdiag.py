@@ -1,10 +1,9 @@
 """Exact statistical mechanics of diagonal Bose models on truncated Fock spaces.
 
 A full-diagonal Hamiltonian is a function of the occupation numbers only:
-here sum_p lam(p)*n_p + (a/2V)(N^2 - N) + (1/2V) sum v(p-p') n_p n_p' - mu*N.
-On a finite set of modes with per-mode occupation cutoffs the model lives
-on an explicit configuration list, and Gibbs traces and expectations are
-ordinary finite sums.  Two external sources couple to the zero mode:
+here sum_p lam(p)*n_p + (a/2V)(N^2 - N) - mu*N.  On a finite set of modes
+with per-mode occupation cutoffs c_i, Gibbs traces and expectations are
+finite sums.  Two external sources couple to the zero mode:
 
   * linear:  -nu*sqrt(V) * (a0 + a0^dagger), which breaks the particle
     number symmetry and makes the operator tridiagonal in the zero-mode
@@ -24,32 +23,40 @@ and Hb the diagonal one the sandwich becomes a chain of nonnegative
 quantities; `verify_sandwich` evaluates it together with its Jensen
 relaxation.
 
-All matrices are real symmetric by construction.  The mixed-radix layout
-puts n0 first, so configuration j*stride + b (n0 = j) couples only to
-j*stride + b +- stride: a zero-mode-coupled operator is the direct sum of
-`stride` tridiagonal blocks of order c0+1 (c0 the zero-mode cutoff) and is
-never formed densely.  The Hamiltonian is quadratic in the occupations and
-neither source depends on the p != 0 modes, so in block b
+All matrices are real symmetric by construction.  Neither source acts on
+the p != 0 modes, so an operator is the direct sum, over the
+configurations omega' of those modes, of tridiagonal blocks in n0 of
+order c0 + 1 (c0 the zero-mode cutoff), and
 
-    E(n0, b) = E(0, b) + A*n0^2 + c_b*n0,   A = (a + v(0))/(2V),
+    E(n0, omega') = sum_(i>=1) lam_i*omega_i + A*(N'^2 - N') - mu*N' + eps_N'(n0),
+    eps_N'(n0) = n0*(lam_0 + A*(n0 + 2N' - 1) - mu) + the source,   A = a/(2V),
 
-where c_b depends on b only through N' (the bosons with p != 0) and, with
-a pair kernel, sum_(p != 0) v(p)*omega_p.  Blocks with equal keys (N', that
-sum) have the same eigenvectors, and their spectra differ by the shift
-E(0, b).  So one batched eigendecomposition over the K distinct keys serves
-every block (`OperatorMatrix.blocks`, once per operator since it does not
-depend on beta), and every Gibbs sum factors through the per-key weights
-G_key = sum over the key's blocks of e^(-beta*E(0, b)), each an exactly
-rounded sum (never a stochastic estimator).  Without a kernel K is at most
-sum_(i>=1) c_i + 1, and a rung costs O(K*c0^3 + stride + D) time for D
-configurations, in place of O(D*c0^2).  MAX_ALLOC_BYTES bounds what a
-truncation allocates (see FockTruncation).
+with N' = sum_(i>=1) omega_i the bosons with p != 0.  A block depends on
+omega' through its key N' and a shift only, so one batched
+eigendecomposition of the K = sum_(i>=1) c_i + 1 blocks eps_N'
+(`OperatorMatrix.blocks`, none for a diagonal operator) serves every
+configuration, and every Gibbs sum factors through the key weights
+
+    G_N' = e^(-beta*(A*(N'^2 - N') - mu*N')) * [x^N'] prod_(i>=1) sum_(k<=c_i) (x*e^(-beta*lam_i))^k.
+
+The product is formed by m - 1 convolutions of log coefficients
+(`_primed_products`); no configuration is enumerated.  Every coefficient
+is a sum of positive terms, so nothing cancels and no weight underflows
+to 0 or NaN at any beta.  The products are not exactly rounded: a
+convolution rounds each log coefficient l a few times, so log G_N'
+carries an absolute error of order (sum_i c_i)*u*(|l| + 1), u = 2^-53.
+The sums over keys and levels are exactly rounded (`stable_sum`).  A rung
+costs O(m*N'max*c + K*c0^3) time for the largest p != 0 cutoff c,
+whatever D = prod(c_i + 1); MAX_ALLOC_BYTES bounds what it allocates (see
+FockTruncation).  `enumerate_configs`, `diagonal_energies`,
+`OperatorMatrix.to_dense` and `zero_mode_annihilator` form
+per-configuration arrays: they are the dense oracle for small D.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,18 +96,17 @@ class FockTruncation:
     """A finite window of Fock space: retained modes and occupation cutoffs.
 
     The zero mode must be present and sit first.  `dimension` is the full
-    configuration count D = prod(cutoff+1).  Construction refuses a
-    truncation whose rung would allocate more than MAX_ALLOC_BYTES: the
-    configuration table and its float copy, ~3*D*m*8 bytes for m modes,
-    plus the keyed block eigensolve, ~3*K*(c0+1)^2*8 bytes for K keys.
-    Without a pair kernel K = min(stride, sum_(i>=1) c_i + 1); a kernel can
-    split those keys, so `add_linear_source` counts such a model's keys
-    (O(stride*m), no enumeration) and checks it against them first.
+    configuration count D = prod(cutoff+1), a Python int.  Construction
+    refuses a truncation whose rung would allocate more than
+    MAX_ALLOC_BYTES: the block eigensolve, ~3*K*(c0+1)^2*8 bytes for the
+    K = sum_(i>=1) c_i + 1 keys, plus a convolution of the products,
+    ~K*(c+1)*8 bytes for the largest p != 0 cutoff c.
     """
 
     modes: np.ndarray = field(repr=False)     # shape (m, d)
     energies: np.ndarray = field(repr=False)  # lam(p) per retained mode
     cutoffs: tuple
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.modes.setflags(write=False)
@@ -112,19 +118,15 @@ class FockTruncation:
                 "cutoffs must be integers >= 1")
         if not np.all(self.modes[0] == 0.0):
             raise DomainError("the zero mode must be retained and listed first")
-        self.check_bytes(min(self.zero_mode_stride, sum(self.cutoffs[1:]) + 1))
-        require(self.dimension >= 2, "dimension must be >= 2")
-
-    def check_bytes(self, keys: int) -> None:
-        """Refuse a rung whose table and eigensolve of `keys` blocks pass the ceiling."""
-        table_bytes = 3 * self.dimension * self.n_modes * 8
-        block_bytes = 3 * keys * (self.cutoffs[0] + 1) ** 2 * 8
-        if table_bytes + block_bytes > MAX_ALLOC_BYTES:
+        c0, primed = self.cutoffs[0], self.cutoffs[1:]
+        keys = sum(primed) + 1
+        nbytes = 8 * keys * (3 * (c0 + 1) ** 2 + max(primed, default=0) + 1)
+        if nbytes > MAX_ALLOC_BYTES:
             raise ResourceGuardError(
-                f"Fock dimension {self.dimension} needs ~{table_bytes} bytes of "
-                f"configuration table for {self.n_modes} modes and ~{block_bytes} "
-                f"bytes of block eigensolve for {keys} blocks of zero-mode cutoff "
-                f"{self.cutoffs[0]}, above the ceiling {MAX_ALLOC_BYTES}")
+                f"Fock cutoffs {self.cutoffs} need ~{nbytes} bytes of block "
+                f"eigensolve for {keys} blocks of zero-mode cutoff {c0}, above "
+                f"the ceiling {MAX_ALLOC_BYTES}")
+        require(self.dimension >= 2, "dimension must be >= 2")
 
     @property
     def n_modes(self) -> int:
@@ -132,13 +134,27 @@ class FockTruncation:
 
     @property
     def dimension(self) -> int:
-        return int(np.prod([c + 1 for c in self.cutoffs], dtype=object))
+        return math.prod(c + 1 for c in self.cutoffs)
 
     @property
     def zero_mode_stride(self) -> int:
         """Index offset between configurations differing by one zero-mode boson."""
-        return int(np.prod([c + 1 for c in self.cutoffs[1:]], dtype=np.int64)) \
-            if len(self.cutoffs) > 1 else 1
+        return math.prod(c + 1 for c in self.cutoffs[1:])
+
+    def key_weights(self, beta: float):
+        """Per key N' = 0, ..., K - 1 at `beta`: log [x^N'] of the p != 0
+        product, and its shares with some p != 0 mode at its cutoff and with none.
+
+        Neither source acts on the p != 0 modes, so every operator on this
+        truncation shares them; they are kept until another beta is asked for.
+        """
+        if beta not in self._weights:
+            self._weights.clear()
+            inner, edge = _primed_products(self, beta)
+            log_primed = np.logaddexp(inner, edge)
+            self._weights[beta] = (log_primed, np.exp(edge - log_primed),
+                                   np.exp(inner - log_primed))
+        return self._weights[beta]
 
 
 def truncate_lattice(lattice: ModeLattice, cutoffs: Sequence[int]) -> FockTruncation:
@@ -163,6 +179,16 @@ class Configurations:
 
 
 def enumerate_configs(trunc: FockTruncation) -> Configurations:
+    """Every configuration, for the dense oracle: refused past MAX_ALLOC_BYTES.
+
+    The table and its float copy take ~3*D*m*8 bytes for m modes.
+    """
+    table_bytes = 3 * trunc.dimension * trunc.n_modes * 8
+    if table_bytes > MAX_ALLOC_BYTES:
+        raise ResourceGuardError(
+            f"Fock dimension {trunc.dimension} needs ~{table_bytes} bytes of "
+            f"configuration table for {trunc.n_modes} modes, above the ceiling "
+            f"{MAX_ALLOC_BYTES}")
     radices = [c + 1 for c in trunc.cutoffs]
     grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in radices],
                         indexing="ij")
@@ -183,129 +209,71 @@ def _block_occupations(trunc: FockTruncation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiagonalModel:
-    """Couplings of a full-diagonal Hamiltonian.
-
-    `a` is the mean-field coupling (a > 0 with kernel >= 0 gives a
-    superstable model); `kernel`, when given, maps a momentum difference
-    p - p' to a pair interaction v(p - p') and must be even and
-    nonnegative.
-    """
+    """Couplings of the mean-field diagonal Hamiltonian; a > 0 makes it superstable."""
 
     a: float
     mu: float
-    kernel: Optional[Callable] = None
 
 
 def diagonal_energies(model: DiagonalModel, trunc: FockTruncation,
                       volume: float) -> np.ndarray:
-    """Grand-canonical energy E(omega) of every configuration.
+    """Grand-canonical energy E(omega) of every configuration (dense oracle).
 
-    E = sum lam*omega + (a/2V)(N^2 - N) + (1/2V) sum v(p-p') omega omega'
-        - mu*N.
+    E = sum lam*omega + (a/2V)(N^2 - N) - mu*N.
     """
     require(volume > 0.0, "volume must be positive")
     cfg = enumerate_configs(trunc)
-    occ = cfg.occupations.astype(float)
     n_tot = cfg.total.astype(float)
-    energy = occ @ trunc.energies
+    energy = cfg.occupations.astype(float) @ trunc.energies
     energy += (model.a / (2.0 * volume)) * (n_tot * n_tot - n_tot)
-    if model.kernel is not None:
-        vmat = _pair_kernel(model, trunc)
-        energy += 0.5 / volume * np.einsum("ci,ij,cj->c", occ, vmat, occ)
     energy -= model.mu * n_tot
     return energy
 
 
-def _pair_kernel(model: DiagonalModel, trunc: FockTruncation) -> np.ndarray:
-    """v(p - p') between the retained modes, checked even and nonnegative."""
-    m = trunc.n_modes
-    vmat = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            vmat[i, j] = model.kernel(trunc.modes[i] - trunc.modes[j])
-    if not np.allclose(vmat, vmat.T, rtol=0.0, atol=1e-12):
-        raise DomainError("interaction kernel must be even in p - p'")
-    if np.any(vmat < 0.0):
-        raise DomainError("interaction kernel must be nonnegative")
-    return vmat
-
-
-def _block_keys(model: DiagonalModel, trunc: FockTruncation) -> np.ndarray:
-    """A key per zero-mode block; blocks with equal keys differ by a shift only.
-
-    E(n0, b) - E(0, b) depends on b through N' and, with a kernel, through
-    sum_(p != 0) v(p)*omega_p.  Without a kernel the key is N' itself, exact
-    in integers.  Kernel sums that round apart only split a key.
-    """
-    occ = _block_occupations(trunc)
-    n_primed = occ.sum(axis=1)
-    if model.kernel is None:
-        return n_primed
-    vmat = _pair_kernel(model, trunc)
-    pairs = np.column_stack([n_primed, occ @ (vmat[0, 1:] + vmat[1:, 0])])
-    return np.unique(pairs, axis=0, return_inverse=True)[1].ravel()
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A real symmetric operator in the configuration basis.
+    """A diagonal model plus zero-mode sources: a real symmetric operator.
 
-    Either purely diagonal (`coupling` None) or diagonal plus a coupling
-    between configurations that differ by one boson in the zero mode.
-    `coupling[i]` is the matrix element between configuration i and
-    i + stride, stored only where the zero-mode occupation of i is below
-    its cutoff.  Zero-mode blocks b (configurations j*stride + b) with
-    equal `keys[b]` differ only by the shift diagonal[b], their n0 = 0
-    energy.  Gibbs quantities use `blocks` and `gibbs_state`, computed on
-    first use; `to_dense` is a test oracle.
+    The sources add -root*sqrt(n0 + 1) to the diagonal and the element
+    linear*sqrt(n0 + 1) between n0 and n0 + 1 at equal p != 0 occupations.
+    Gibbs quantities use `blocks` and `gibbs_state`, computed on first use
+    from the keys N' alone; `to_dense` is a test oracle.
     """
 
+    model: DiagonalModel
     truncation: FockTruncation
-    diagonal: np.ndarray
-    keys: np.ndarray = field(repr=False)
-    coupling: Optional[np.ndarray] = None
+    volume: float
+    linear: float = 0.0
+    root: float = 0.0
     _states: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for a in (self.diagonal, self.keys, self.coupling):
-            if a is not None:
-                a.setflags(write=False)
 
     @property
     def dimension(self) -> int:
-        return self.diagonal.shape[0]
-
-    @cached_property
-    def key_groups(self):
-        """(the key number of each block, the blocks of each key in order)."""
-        index = np.unique(self.keys, return_inverse=True)[1].ravel()
-        return index, np.split(np.argsort(index, kind="stable"),
-                               np.cumsum(np.bincount(index))[:-1])
+        return self.truncation.dimension
 
     @cached_property
     def blocks(self):
-        """Eigenpairs of one zero-mode block per key.
+        """Eigenpairs of the block eps_N' of each key N' = 0, ..., K - 1.
 
-        Row j of block b is configuration j*stride + b (n0 = j), so the
-        diagonal and coupling arrays reshape to (c0+1, stride); a key's block
-        is its first block less that block's shift.  Eigenvalues (K, c0+1)
-        and eigenvectors (K, c0+1, c0+1), vectors in columns and unit vectors
-        for a diagonal operator; both read-only.  Block b's spectrum is its
-        key's plus diagonal[b].
+        Row j of a block is n0 = j.  Eigenvalues (K, c0+1) and eigenvectors
+        (K, c0+1, c0+1), vectors in columns and unit vectors for a diagonal
+        operator; both read-only.  A configuration omega' of key N' has the
+        spectrum of block N' plus its shift (see the module docstring).
         """
-        k = self.truncation.cutoffs[0] + 1
-        first = [group[0] for group in self.key_groups[1]]
-        diag = self.diagonal.reshape(k, -1)[:, first]
-        diag = (diag - diag[0]).T
-        if self.coupling is None:
+        trunc, model = self.truncation, self.model
+        k = trunc.cutoffs[0] + 1
+        j = np.arange(k, dtype=float)
+        n_primed = np.arange(sum(trunc.cutoffs[1:]) + 1.0)[:, None]
+        a_half = model.a / (2.0 * self.volume)
+        diag = (j * (trunc.energies[0] + a_half * (j + 2.0 * n_primed - 1.0) - model.mu)
+                - self.root * np.sqrt(j + 1.0))
+        if self.linear == 0.0:
             pairs = diag, np.broadcast_to(np.eye(k), diag.shape + (k,))
         else:
-            off = self.coupling.reshape(k, -1)[:-1, first].T
-            j = np.arange(k)
+            i = np.arange(k)
             stack = np.zeros(diag.shape + (k,))
-            stack[:, j, j] = diag
-            stack[:, j[:-1], j[1:]] = off
-            stack[:, j[1:], j[:-1]] = off
+            stack[:, i, i] = diag
+            stack[:, i[:-1], i[1:]] = stack[:, i[1:], i[:-1]] = self.linear * np.sqrt(j[1:])
             try:
                 pairs = np.linalg.eigh(stack)
             except np.linalg.LinAlgError as exc:
@@ -322,12 +290,15 @@ class OperatorMatrix:
         return self._states[beta]
 
     def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diagonal)
-        if self.coupling is not None:
-            stride = self.truncation.zero_mode_stride
-            idx = np.nonzero(self.coupling)[0]
-            out[idx, idx + stride] = self.coupling[idx]
-            out[idx + stride, idx] = self.coupling[idx]
+        """The D x D matrix in the configuration order of `enumerate_configs`."""
+        trunc = self.truncation
+        energies = diagonal_energies(self.model, trunc, self.volume)
+        n0 = _zero_mode_occupation(trunc)
+        out = np.diag(energies - self.root * np.sqrt(n0 + 1.0))
+        if self.linear != 0.0:
+            src = np.nonzero(n0 < trunc.cutoffs[0])[0]
+            dst = src + trunc.zero_mode_stride
+            out[src, dst] = out[dst, src] = self.linear * np.sqrt(n0[src] + 1.0)
         return out
 
 
@@ -337,97 +308,101 @@ def add_linear_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
 
     Matrix elements <.., n0+1, ..|H|.., n0, ..> = -nu*sqrt(V)*sqrt(n0+1);
     the phase is fixed to 0 so the matrix stays real symmetric.  For
-    nu = 0 the operator is returned in diagonal form.  A pair kernel is
-    checked on its counted keys against the byte ceiling, before enumeration.
+    nu = 0 the operator is diagonal.
     """
     require(nu >= 0.0, "nu must be nonnegative")
-    keys = _block_keys(model, trunc)
-    if model.kernel is not None:
-        trunc.check_bytes(int(keys.max()) + 1)
-    diag = diagonal_energies(model, trunc, volume)
-    if nu == 0.0:
-        return OperatorMatrix(truncation=trunc, diagonal=diag, keys=keys)
-    n0 = _zero_mode_occupation(trunc)
-    coupling = np.zeros(trunc.dimension)
-    open_up = n0 < trunc.cutoffs[0]
-    coupling[open_up] = -nu * math.sqrt(volume) * np.sqrt(n0[open_up] + 1.0)
-    return OperatorMatrix(truncation=trunc, diagonal=diag, coupling=coupling, keys=keys)
+    require(volume > 0.0, "volume must be positive")
+    return OperatorMatrix(model=model, truncation=trunc, volume=volume,
+                          linear=-nu * math.sqrt(volume))
 
 
 def add_sqrt_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
                     volume: float, coefficient: float = 2.0) -> OperatorMatrix:
     """Diagonal model plus -coefficient*nu*sqrt(V)*sqrt(n0 + 1), still diagonal."""
     require(nu >= 0.0, "nu must be nonnegative")
-    return _sqrt_source(add_linear_source(model, trunc, 0.0, volume), nu, volume,
-                        coefficient)
+    require(volume > 0.0, "volume must be positive")
+    return OperatorMatrix(model=model, truncation=trunc, volume=volume,
+                          root=coefficient * nu * math.sqrt(volume))
 
 
-def _sqrt_source(op: OperatorMatrix, nu: float, volume: float,
-                 coefficient: float) -> OperatorMatrix:
-    """The diagonal of `op` less coefficient*nu*sqrt(V)*sqrt(n0 + 1), same keys."""
-    n0 = _zero_mode_occupation(op.truncation).astype(float)
-    diag = op.diagonal - coefficient * nu * math.sqrt(volume) * np.sqrt(n0 + 1.0)
-    return OperatorMatrix(truncation=op.truncation, diagonal=diag, keys=op.keys)
+def _log_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Log coefficients of the product of two polynomials, cut to len(p).
+
+    p and q hold log coefficients, -inf for a zero one; each product
+    coefficient is the log of a sum of positive terms.
+    """
+    grid = np.full((q.size, p.size), -np.inf)
+    for k, row in enumerate(grid):
+        row[k:] = p[:p.size - k] + q[k]
+    return np.logaddexp.reduce(grid, axis=0)
+
+
+def _primed_products(trunc: FockTruncation, beta: float):
+    """log [x^N'] of prod_(i>=1) sum_(k<=c_i) (x*e^(-beta*lam_i))^k, in two parts.
+
+    Returns (inner, edge) for N' = 0, ..., K - 1: inner sums the
+    configurations with no p != 0 mode at its cutoff, edge those with at
+    least one.  With mode i added, a configuration is an edge one if it
+    was before, or if mode i sits at its cutoff and it was inner; so both
+    parts stay sums of positive terms.
+    """
+    size = sum(trunc.cutoffs[1:]) + 1
+    inner, edge = np.full(size, -np.inf), np.full(size, -np.inf)
+    inner[0] = 0.0
+    for lam, c in zip(trunc.energies[1:], trunc.cutoffs[1:]):
+        full = -beta * lam * np.arange(c + 1.0)
+        at_cutoff = np.full(size, -np.inf)
+        at_cutoff[c:] = inner[:size - c] + full[-1]
+        edge = np.logaddexp(_log_convolve(edge, full), at_cutoff)
+        inner = _log_convolve(inner, full[:-1])
+    return inner, edge
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsState:
-    """An operator's Gibbs state at one beta, summed over the blocks of each key.
+    """An operator's Gibbs state at one beta, summed over the configurations of each key.
 
-    weights[key, l] = e^(-beta*lam_l)*G_key over the spectrum lam of the
-    key's block, scaled by one constant, and z is their sum.
-    populations[key, j] and hops[key, j] sum z*<j|rho|j> and z*<j|rho|j+1>
-    over the key's blocks.  share[b] = e^(-beta*shift_b)/G_key.
+    weights[N', l] = e^(-beta*lam_l)*G_N' over the spectrum lam of block
+    N', scaled by one constant, and z is their sum.  populations[N', j]
+    and hops[N', j] sum z*<j|rho|j> and z*<j|rho|j+1> over the key's
+    configurations.
     """
 
     weights: np.ndarray
     populations: np.ndarray
     hops: np.ndarray
-    share: np.ndarray
     z: float
     log_z: float  # log Tr e^(-beta*H)
 
 
-def _key_sums(op: OperatorMatrix, values: np.ndarray) -> np.ndarray:
-    """Exactly rounded sums of per-block `values` over the blocks of each key."""
-    return np.array([stable_sum(values[group]) for group in op.key_groups[1]])
-
-
 def _gibbs_state(op: OperatorMatrix, beta: float) -> GibbsState:
     require(beta > 0.0, "beta must be positive")
-    index, groups = op.key_groups
+    log_primed = op.truncation.key_weights(beta)[0]
+    n = np.arange(log_primed.size, dtype=float)
+    a_half = op.model.a / (2.0 * op.volume)
+    log_g = log_primed - beta * (a_half * (n * n - n) - op.model.mu * n)
     evals, vecs = op.blocks
-    # Each G_key in log scale from its largest term, so no key sums to 0.
-    x = -beta * op.diagonal[:index.size]
-    top = np.array([x[group].max() for group in groups])
-    g = np.exp(x - top[index])
-    g_sum = _key_sums(op, g)
-    logw = (top + np.log(g_sum))[:, None] - beta * evals
-    w = np.exp(logw - logw.max())
+    logw = log_g[:, None] - beta * evals
+    top = logw.max()
+    w = np.exp(logw - top)
     z = stable_sum(w)
     return GibbsState(weights=w, populations=np.einsum("kjl,kl->kj", vecs * vecs, w),
                       hops=np.einsum("kjl,kjl,kl->kj", vecs[:, :-1], vecs[:, 1:], w),
-                      share=g / g_sum[index], z=z, log_z=logw.max() + math.log(z))
+                      z=z, log_z=top + math.log(z))
 
 
 def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
              coupling: Optional[np.ndarray] = None) -> float:
-    """<diag(diagonal) + C> in the Gibbs state of `op`.
+    """<f(n0) + C> in the Gibbs state of `op`.
 
-    `diagonal` holds one value per configuration, or one per n0 for an
-    operator of n0 alone (the two agree for a single mode).  C couples
-    configurations i and i + stride with the symmetric element coupling[i],
-    given the same way.  A diagonal state has exactly zero hops, which keeps
-    symmetry selection rules exact.
+    `diagonal` holds f at n0 = 0, ..., c0, and C couples n0 and n0 + 1
+    with the symmetric element coupling[n0].  A diagonal state has exactly
+    zero hops, which keeps symmetry selection rules exact.
     """
     st = op.gibbs_state(beta)
-    pops, hops = st.populations.T, st.hops.T
-    if diagonal.size == op.dimension:  # spread each key's sums over its blocks
-        index = op.key_groups[0]
-        pops, hops = pops[:, index] * st.share, hops[:, index] * st.share
-    terms = [diagonal.reshape(pops.shape[0], -1) * pops]
+    terms = [diagonal * st.populations]
     if coupling is not None:
-        terms.append(2.0 * coupling.reshape(pops.shape[0], -1)[:-1] * hops)
+        terms.append(2.0 * coupling[:-1] * st.hops)
     return stable_sum(np.concatenate([t.ravel() for t in terms])) / st.z
 
 
@@ -438,26 +413,32 @@ def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:
 
 
 def gibbs_expectation(observable, op: OperatorMatrix, beta: float) -> float:
-    """Thermal average Tr(X e^(-beta*H)) / Tr e^(-beta*H).
+    """Thermal average Tr(X e^(-beta*H)) / Tr e^(-beta*H), for small D.
 
     `observable` is either a per-configuration array (an operator diagonal
-    in the occupation basis) or a dense matrix.  The Gibbs state is block
-    diagonal, so only the observable's zero-mode blocks contribute; for a
-    diagonal state only its diagonal does, which keeps symmetry selection
-    rules exact.
+    in the occupation basis) or a dense matrix, in the configuration order
+    of `enumerate_configs`.  The Gibbs state is block diagonal, so only the
+    observable's blocks in n0 contribute; for a diagonal state only its
+    diagonal does, which keeps symmetry selection rules exact.
     """
     x = np.asarray(observable, dtype=float)
     require(x.shape in ((op.dimension,), (op.dimension, op.dimension)),
             "observable shape mismatch")
+    trunc, st = op.truncation, op.gibbs_state(beta)
+    # Configuration omega' of key N' takes e^(-beta*sum lam_i*omega_i) / [x^N']
+    # of its key's weight.
+    occ = _block_occupations(trunc)
+    keys = occ.sum(axis=1)
+    share = np.exp(-beta * (occ @ trunc.energies[1:]) - trunc.key_weights(beta)[0][keys])
+    k, nb = trunc.cutoffs[0] + 1, keys.size
     if x.ndim == 1:
-        return _average(op, beta, x)
-    st = op.gibbs_state(beta)
-    index = op.key_groups[0]
-    q = op.blocks[1][index]
-    nb, k = q.shape[:2]
-    blocks = np.einsum("jbib->bji", x.reshape(k, nb, k, nb))
-    rotated = np.einsum("bjk,bjk->bk", q, blocks @ q)
-    return stable_sum(rotated * st.weights[index] * st.share[:, None]) / st.z
+        terms = x.reshape(k, nb) * st.populations[keys].T * share
+    else:
+        q = op.blocks[1][keys]
+        blocks = np.einsum("jbib->bji", x.reshape(k, nb, k, nb))
+        rotated = np.einsum("bjk,bjk->bk", q, blocks @ q)
+        terms = rotated * st.weights[keys] * share[:, None]
+    return stable_sum(terms) / st.z
 
 
 @dataclass(frozen=True)
@@ -524,17 +505,14 @@ def quasiaverage_fd(op: OperatorMatrix, beta: float, volume: float) -> ZeroModeA
 def boundary_shell_weight(op: OperatorMatrix, beta: float) -> float:
     """Gibbs weight of configurations with any mode at its cutoff.
 
-    Used to certify a truncation a posteriori: the retained window is
-    adequate when this weight is negligible against 1.
+    A configuration with a p != 0 mode at its cutoff counts at every n0,
+    any other at n0 = c0 only.  Used to certify a truncation a posteriori:
+    the retained window is adequate when this weight is negligible against 1.
     """
-    trunc = op.truncation
     st = op.gibbs_state(beta)
-    edge = np.any(_block_occupations(trunc) == np.asarray(trunc.cutoffs[1:]), axis=1)
-    # A block with a p != 0 mode at its cutoff counts whole, any other at n0 = c0.
-    edge_share = _key_sums(op, np.where(edge, st.share, 0.0))
-    inner_share = _key_sums(op, np.where(edge, 0.0, st.share))
-    terms = np.concatenate([(edge_share[:, None] * st.populations).ravel(),
-                            inner_share * st.populations[:, -1]])
+    _, edge, inner = op.truncation.key_weights(beta)
+    terms = np.concatenate([(edge[:, None] * st.populations).ravel(),
+                            inner * st.populations[:, -1]])
     return stable_sum(terms) / st.z
 
 
@@ -585,13 +563,13 @@ def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
     allowed SANDWICH_TOL of slack.  The identity
     chain_upper = <(H_lin - H_sqrt)/V> in the diagonal state holds because
     the linear part averages to zero there (selection rule).  Every sum is
-    taken over the keys of the zero-mode blocks, never over configurations.
+    taken over the keys N', never over configurations.
     """
     require(nu >= 0.0, "nu must be nonnegative")
     reports = []
     for trunc in truncations:
         op_lin = add_linear_source(model, trunc, nu, volume)
-        op_sqrt = _sqrt_source(op_lin, nu, volume, coefficient)
+        op_sqrt = add_sqrt_source(model, trunc, nu, volume, coefficient)
         n0 = np.arange(trunc.cutoffs[0] + 1.0)
         sqrt_shifted = np.sqrt(n0 / volume + 1.0 / volume)
         chain_upper = coefficient * nu * _average(op_sqrt, beta, sqrt_shifted)

@@ -184,8 +184,12 @@ def _log1m_exp(x: float) -> float:
     """log(1 - e^x) for x < 0, accurate also where e^x rounds to 1.
 
     Maechler's switch (2012): log(-expm1(x)) above -log 2, where e^x is
-    close to 1, and log1p(-exp(x)) below it.
+    close to 1, and log1p(-exp(x)) below it.  An x = beta*mu that
+    underflowed to 0 leaves nothing to form: NonConvergenceError.
     """
+    if not x < 0.0:
+        raise NonConvergenceError(f"beta*mu = {x} underflows: log(1 - e^(beta*mu)) "
+                                  f"cannot be formed")
     if x > -math.log(2.0):
         return math.log(-math.expm1(x))
     return math.log1p(-math.exp(x))

@@ -307,18 +307,30 @@ class TestMainExitCodes:
         assert err["error"] == "DomainError"
         assert "stability domain" in err["message"]
 
-    def test_resource_guard_exits_3(self, tmp_path, capsys):
-        # 23 two-level modes, D = 2^23: the configuration table (~4.6 GB)
-        # exceeds the byte ceiling, the blocks (~0.4 GB) alone would not.
+    def test_two_level_modes_need_no_configuration_table(self, tmp_path, capsys):
+        # 23 two-level modes, D = 2^23, whose configuration table would take
+        # ~4.6 GB: the rung solves 23 keys of order 2 instead.  It exits 1,
+        # since a zero-mode cutoff of 1 leaves a heavy shell.
         out = tmp_path / "x.csv"
         code = main(["--command", "fulldiag", "--mu", "-0.5", "--nu", "0.1",
                      "--side", "2", "--pmax", "7", "--fock-cutoff", ",".join(["1"] * 23),
                      "--out", str(out)])
-        assert code == 3
-        assert not out.exists()
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ResourceGuardError"
-        assert "configuration table" in err["message"]
+        assert code == 1
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert row["dimension"] == str(2 ** 23)
+        assert row["passed"] == "false"
+
+    def test_fulldiag_runs_27_modes(self, capsys):
+        # D = 41 * 9^26 ~ 2.6e26 configurations: 209 keys of order 41.
+        cfg = parse_config(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1",
+                            "--side", "4", "--pmax", "7",
+                            "--fock-cutoff", ",".join(["40"] + ["8"] * 26)])
+        code, (row,) = run(cfg)
+        assert code == (0 if row["shell_weight"] <= cfg.rel_tol else 1)
+        assert row["dimension"] == 41 * 9 ** 26
+        assert row["lower"] <= row["delta_p"] <= row["upper"]
+        assert 0.0 < row["shell_weight"] < 1e-4
 
     def test_block_byte_guard_exits_3(self, tmp_path, capsys):
         # The single zero-mode block of order 20,000 needs ~9.6 GB.
@@ -714,6 +726,38 @@ class TestModuleEntryPoint:
         record = json.loads(line)
         assert record["error"] == "DomainError"
         assert "dim" in record["message"]
+
+    @pytest.mark.parametrize("command,args", [
+        ("laplace", ["--dim", "1", "--ladder", "10"]),
+        ("pressure", ["--side", "4", "--pmax", "2"]),
+    ])
+    def test_underflowed_beta_mu_exits_3(self, command, args):
+        # beta*mu = 0.5 * -5e-324 rounds to -0, where log(1 - e^(beta*mu))
+        # has nothing left to form.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bose_limits.cli", "--command", command,
+             "--mu=-5e-324", "--beta", "0.5", "--nu", "0", *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "NonConvergenceError"
+        assert "underflows" in record["message"]
+
+    def test_underflowed_pressures_exit_3(self, capsys):
+        # At mu = -800 and nu = 0 both pressures round to 0, so no bound can
+        # be rel_tol of them: no relative certificate, not a failed check.
+        assert main(["--command", "pressure", "--mu=-800", "--nu", "0",
+                     "--side", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "NonConvergenceError"
+        assert "underflow" in record["message"]
 
     def test_overlong_theta_series_exits_3(self):
         # mu -> 0- on a side of 1e6 would need ~3e12 theta-series terms.

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bose_limits.errors import DomainError, ResourceGuardError
-from bose_limits.fockdiag import (DiagonalModel, FockTruncation, add_linear_source,
+from bose_limits.fockdiag import (DiagonalModel, FockTruncation, _primed_products,
+                                  add_linear_source,
                                   add_sqrt_source, boundary_shell_weight,
                                   diagonal_energies, enumerate_configs,
                                   gibbs_expectation, gibbs_trace, quasiaverage_fd,
@@ -81,28 +82,6 @@ class TestDiagonalEnergies:
         energies = diagonal_energies(DiagonalModel(a=1.0, mu=-1.0), trunc, 2.0)
         assert energies[3] == pytest.approx(4.5, rel=1e-14)
 
-    def test_pair_kernel(self):
-        trunc = two_mode_truncation((2, 2))
-        model = DiagonalModel(a=0.0, mu=-0.5,
-                              kernel=lambda dp: math.exp(-float(dp @ dp)))
-        energies = diagonal_energies(model, trunc, volume=4.0)
-        cfg = enumerate_configs(trunc)
-        # independent loop evaluation
-        m = trunc.n_modes
-        for row, occ in enumerate(cfg.occupations):
-            pair = sum(math.exp(-float((trunc.modes[i] - trunc.modes[j])
-                                       @ (trunc.modes[i] - trunc.modes[j])))
-                       * occ[i] * occ[j]
-                       for i in range(m) for j in range(m)) / (2.0 * 4.0)
-            oracle = float(occ @ trunc.energies) + pair + 0.5 * occ.sum()
-            assert energies[row] == pytest.approx(oracle, rel=1e-13)
-
-    def test_negative_kernel_rejected(self):
-        trunc = two_mode_truncation((1, 1))
-        model = DiagonalModel(a=0.0, mu=-0.5, kernel=lambda dp: -1.0)
-        with pytest.raises(DomainError):
-            diagonal_energies(model, trunc, volume=1.0)
-
     def test_superstability_witness(self):
         # E(omega) + mu*N >= (a/2V)(N^2 - N) configuration by configuration
         trunc = two_mode_truncation((8, 4))
@@ -119,7 +98,9 @@ class TestOperatorConstruction:
     def test_linear_nu_zero_is_diagonal(self):
         trunc = single_mode_truncation(5)
         op = add_linear_source(DiagonalModel(a=0.0, mu=-0.5), trunc, 0.0, 1.0)
-        assert op.coupling is None
+        dense = op.to_dense()
+        assert np.array_equal(dense, np.diag(np.diag(dense)))
+        assert np.array_equal(op.blocks[1], np.broadcast_to(np.eye(6), (1, 6, 6)))
 
     def test_linear_two_by_two(self):
         trunc = single_mode_truncation(1)
@@ -153,7 +134,7 @@ class TestOperatorConstruction:
         trunc = single_mode_truncation(5)
         model = DiagonalModel(a=0.0, mu=-0.5)
         op = add_sqrt_source(model, trunc, 0.0, 1.0)
-        np.testing.assert_array_equal(op.diagonal,
+        np.testing.assert_array_equal(np.diag(op.to_dense()),
                                       diagonal_energies(model, trunc, 1.0))
 
     def test_sqrt_zero_mode_matches_series(self):
@@ -219,17 +200,17 @@ class TestGibbsExpectation:
         assert math.fsum(probs.ravel()) == pytest.approx(1.0, abs=1e-14)
         assert np.all(probs >= 0.0)
         # each key's eigenvectors are orthonormal, so its populations carry
-        # its whole weight, and its blocks share it out completely
+        # its whole weight, and its edge and inner shares split it completely
         np.testing.assert_allclose(state.populations.sum(axis=1),
                                    state.weights.sum(axis=1), rtol=1e-14)
-        for group in op.key_groups[1]:
-            assert math.fsum(state.share[group]) == pytest.approx(1.0, abs=1e-14)
+        _, edge, inner = op.truncation.key_weights(1.0)
+        np.testing.assert_allclose(edge + inner, 1.0, rtol=1e-14)
 
     def test_zero_temperature_limit(self):
         trunc = single_mode_truncation(10)
         op = add_sqrt_source(DiagonalModel(a=1.0, mu=-0.5), trunc, 0.1, 1.0)
         n0 = enumerate_configs(trunc).occupations[:, 0].astype(float)
-        ground = n0[int(np.argmin(op.diagonal))]
+        ground = n0[int(np.argmin(np.diag(op.to_dense())))]
         assert gibbs_expectation(n0, op, 200.0) == pytest.approx(ground, abs=1e-10)
 
     def test_matrix_state_expectation(self):
@@ -339,8 +320,8 @@ class TestTruncationBehavior:
             truncate_lattice(lat, (100000,))
 
     def test_guard_counts_bytes_not_configurations(self):
-        # 26,901 configurations, but only ~1.9 MB of configuration table and
-        # ~3.7 MB of block eigensolve (41 keys of order 61): accepted.
+        # 26,901 configurations, but only ~3.7 MB of block eigensolve
+        # (41 keys of order 61): accepted.
         lat = build_lattice(3, 2.0, 7.0)
         assert truncate_lattice(lat, (60, 20, 20)).dimension == 26_901
 
@@ -372,9 +353,10 @@ class TestTruncationBehavior:
         # every eigenvalue drops by at most the connector norm |c|, and the
         # new block is floored by Gershgorin, so
         #   Z_big <= e^(beta*|c|) * (Z_small + m * e^(-beta*floor)).
-        connector = abs(big.coupling[10])
-        new_diag = big.diagonal[11:]
-        new_coupling = abs(big.coupling[11:14])
+        dense = big.to_dense()
+        connector = abs(dense[10, 11])
+        new_diag = np.diag(dense)[11:]
+        new_coupling = abs(np.diag(dense, 1)[11:14])
         floor = (new_diag - 2.0 * new_coupling.max()).min()
         z_small = math.exp(beta * vol * p_small)
         gain = len(new_diag) * math.exp(-beta * floor)
@@ -448,15 +430,6 @@ def assert_close(actual, oracle):
     assert actual == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
-def kernel_gauss(dp):
-    return math.exp(-float(dp @ dp))
-
-
-def kernel_axis(dp):
-    """Tells the leading p != 0 modes apart, unlike kernel_gauss on one shell."""
-    return math.exp(-0.1 * float(dp[0]) ** 2)
-
-
 # (name, cutoffs, lattice (d, side, p_max), model, beta, nu); D <= ~1000.
 ORACLE_CASES = [
     ("single-mode", (200,), (1, 1.0, 5.0), DiagonalModel(a=0.3, mu=-0.5), 1.0, 0.1),
@@ -464,10 +437,10 @@ ORACLE_CASES = [
     ("14,6", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 1.0, 0.1),
     ("16,6,6", (16, 6, 6), (3, 2.0, 7.0), DiagonalModel(a=1.2, mu=-0.6), 1.1, 0.12),
     ("nu=0", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 1.0, 0.0),
-    ("pair-kernel", (10, 4, 4), (3, 2.0, 7.0),
-     DiagonalModel(a=0.5, mu=-0.5, kernel=kernel_gauss), 0.9, 0.15),
     # Every key but N' = 0 weighs e^(-beta*E(0, b)) < 1e-300 of it.
     ("cold", (14, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 800.0, 0.1),
+    # Every p != 0 configuration but the empty one weighs < e^(-980) of it.
+    ("beta=200", (16, 6, 6), (3, 2.0, 7.0), DiagonalModel(a=1.0, mu=-0.5), 200.0, 0.1),
 ]
 
 
@@ -573,74 +546,115 @@ class TestBlockEigensolveAgainstDenseOracle:
 
 
 # Largest Fock dimension drawn, so that a dense eigh stays cheap.
-DENSE_MAX = 600
+DENSE_MAX = 2000
 
 
 @st.composite
 def sandwich_inputs(draw):
-    primed = draw(st.lists(st.integers(1, 5), max_size=3))
+    primed = draw(st.lists(st.integers(1, 6), max_size=4))
     stride = math.prod(c + 1 for c in primed)
-    c0 = draw(st.integers(1, min(20, DENSE_MAX // stride - 1)))
+    assume(2 * stride <= DENSE_MAX)
+    c0 = draw(st.integers(1, min(60, DENSE_MAX // stride - 1)))
     nu = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3)))
-    kernel = draw(st.sampled_from([None, kernel_gauss, kernel_axis]))
-    return (c0, *primed), nu, kernel
+    model = DiagonalModel(a=draw(st.floats(0.0, 2.0)), mu=-draw(st.floats(0.05, 2.0)))
+    return (c0, *primed), model, draw(st.floats(0.3, 5.0)), nu
 
 
 @given(inputs=sandwich_inputs())
 @settings(max_examples=25, deadline=None)
-def test_keyed_sandwich_matches_dense_oracle(inputs):
-    cutoffs, nu, kernel = inputs
+def test_product_sandwich_matches_dense_oracle(inputs):
+    # The dense eigh rounds log Z by ~u*|H|, so the fields agree to ~1e-14
+    # relative (some 45 ulps) above an absolute floor of 1e-15.
+    cutoffs, model, beta, nu = inputs
     lat = build_lattice(3, 2.0, 7.0)
     trunc = truncate_lattice(lat, cutoffs)
-    model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel)
-    beta, vol = 1.0, lat.volume
+    vol = lat.volume
     (rep,) = verify_sandwich(model, [trunc], beta, nu, volume=vol)
     op_lin = add_linear_source(model, trunc, nu, vol)
     op_sqrt = add_sqrt_source(model, trunc, nu, vol)
     oracle = sandwich_oracle(trunc, beta, nu, vol, op_lin, op_sqrt)
     actual = report_fields(rep)
     for key, value in oracle.items():
-        assert actual[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+        assert actual[key] == pytest.approx(value, rel=1e-14, abs=1e-15), key
+
+
+def test_beta_200_keeps_its_values():
+    # Every p != 0 configuration but the empty one weighs < e^(-980) of it,
+    # and the shell weight is that of n0 = c0 alone.
+    lat = build_lattice(3, 2.0, 7.0)
+    (rep,) = verify_sandwich(DiagonalModel(a=1.0, mu=-0.5),
+                             [truncate_lattice(lat, (16, 4, 4, 4))], 200.0, 0.1,
+                             volume=lat.volume)
+    assert rep.pressure_linear == pytest.approx(0.0193663313169, rel=1e-12)
+    assert rep.shell_weight == pytest.approx(8.707045245214e-31, rel=1e-12)
+    assert rep.chain_passed
+
+
+@pytest.mark.parametrize("cutoffs,beta", [((3, 2), 1.0), ((5, 3, 1, 2), 0.7),
+                                          ((2, 4, 4, 4), 3.0)])
+def test_primed_products_against_enumeration(cutoffs, beta):
+    # The product's coefficients, split by whether a p != 0 mode sits at its
+    # cutoff, against exactly rounded sums over the enumerated configurations,
+    # within the stated rounding: (sum_i c_i)*u*(|log coefficient| + 1).
+    lat = build_lattice(3, 2.0, 7.0)
+    trunc = truncate_lattice(lat, cutoffs)
+    inner, edge = _primed_products(trunc, beta)
+    occ = np.array(list(itertools.product(*[range(c + 1) for c in cutoffs[1:]])))
+    n_primed = occ.sum(axis=1)
+    at_edge = np.any(occ == np.asarray(cutoffs[1:]), axis=1)
+    terms = np.exp(-beta * (occ @ trunc.energies[1:]))
+    for part, mask in ((inner, ~at_edge), (edge, at_edge)):
+        oracle = np.array([math.fsum(terms[mask & (n_primed == n)])
+                           for n in range(inner.size)])
+        some = oracle > 0.0
+        assert np.all(part[~some] == -np.inf)
+        tol = sum(cutoffs[1:]) * 2.0 ** -53 * (np.abs(part[some]) + 1.0)
+        assert np.all(np.abs(np.exp(part[some]) - oracle[some]) <= tol * oracle[some])
 
 
 class TestBlockEigensolve:
-    @pytest.mark.parametrize("kernel", [None, kernel_gauss],
-                             ids=["mean-field", "pair-kernel"])
-    def test_sandwich_never_builds_dense_matrices(self, monkeypatch, kernel):
+    def test_sandwich_never_builds_dense_matrices(self, monkeypatch):
         from bose_limits import fockdiag
 
-        def refuse(self):
-            raise AssertionError("dense operator built")
+        def refuse(*args):
+            raise AssertionError("dense operator or configuration table built")
 
-        shapes, enumerated = [], []
-        eigh, enumerate_configs_ = np.linalg.eigh, fockdiag.enumerate_configs
+        shapes = []
+        eigh = np.linalg.eigh
 
         def recording_eigh(a):
             shapes.append(np.shape(a))
             return eigh(a)
 
-        def counting_enumerate(trunc):
-            enumerated.append(trunc.dimension)
-            return enumerate_configs_(trunc)
-
         monkeypatch.setattr(fockdiag.OperatorMatrix, "to_dense", refuse)
         monkeypatch.setattr(fockdiag.np.linalg, "eigh", recording_eigh)
-        monkeypatch.setattr(fockdiag, "enumerate_configs", counting_enumerate)
+        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
         lat = build_lattice(3, 2.0, 7.0)
         trunc = truncate_lattice(lat, (16, 4, 4, 4))
         assert (trunc.dimension, trunc.zero_mode_stride) == (2125, 125)
-        model = DiagonalModel(a=1.2, mu=-0.6, kernel=kernel)
+        model = DiagonalModel(a=1.2, mu=-0.6)
         (rep,) = verify_sandwich(model, [trunc], 1.1, 0.12, volume=lat.volume)
         assert rep.chain_passed
         assert rep.shell_weight < 1e-4
-        # One eigendecomposition, of one block per key, serves the whole rung,
-        # and the configurations are enumerated once.
-        assert enumerated == [2125]
-        if kernel is None:
-            assert shapes == [(13, 17, 17)]  # N' = 0, ..., 12
-        else:
-            ((n_keys, order, _),) = shapes
-            assert order == 17 and 13 <= n_keys <= 125
+        # One eigendecomposition, of one block per key, serves the whole
+        # rung, and no configuration is enumerated.
+        assert shapes == [(13, 17, 17)]  # N' = 0, ..., 12
+
+    def test_many_modes_without_enumeration(self, monkeypatch):
+        # 27 modes, D = 41 * 9^26 ~ 2.6e26: 209 keys of order 41.
+        from bose_limits import fockdiag
+
+        def refuse(trunc):
+            raise AssertionError("configurations enumerated")
+
+        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
+        lat = build_lattice(3, 4.0, 7.0)
+        trunc = truncate_lattice(lat, (40,) + (8,) * 26)
+        (rep,) = verify_sandwich(DiagonalModel(a=1.0, mu=-0.5), [trunc], 1.0, 0.1,
+                                 volume=lat.volume)
+        assert rep.dimension == 41 * 9 ** 26
+        assert rep.chain_passed
+        assert 0.0 < rep.shell_weight < 1.0
 
     def test_blocks_are_cached_and_read_only(self):
         op = add_linear_source(DiagonalModel(a=1.0, mu=-0.5), two_mode_truncation(),
@@ -654,37 +668,35 @@ class TestBlockEigensolve:
         with pytest.raises(ResourceGuardError, match="block eigensolve"):
             truncate_lattice(lat, (19999,))
 
-    def test_pair_kernel_byte_guard(self, monkeypatch):
-        # A kernel may split the 25 values of N' of (200, 6, 6, 6, 6) into all
-        # 2,401 blocks (~2.3 GB), but kernel_gauss makes 33 keys (~32 MB), so
-        # the rung runs.  kernel_axis splits (450, 6, 6, 6, 6) into 133 keys of
-        # order 451 (~650 MB): refused on its counted keys before any enumeration.
-        from bose_limits import fockdiag
-
+    def test_block_byte_guard_counts_every_key(self):
+        # (2363, 3): 4 keys of order 2364 need 8 * 4 * (3 * 2364^2 + 4) bytes,
+        # just under the ceiling; (2364, 3) passes it.  Three keys would not.
         lat = build_lattice(3, 2.0, 7.0)
-        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_gauss)
-        (rep,) = verify_sandwich(model, [truncate_lattice(lat, (200, 6, 6, 6, 6))],
-                                 1.0, 0.1, volume=lat.volume)
-        assert rep.chain_passed
-
-        def refuse(trunc):
-            raise AssertionError("configurations enumerated")
-
-        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
-        trunc = truncate_lattice(lat, (450, 6, 6, 6, 6))
-        model = DiagonalModel(a=1.0, mu=-0.5, kernel=kernel_axis)
-        with pytest.raises(ResourceGuardError, match="for 133 blocks"):
-            add_linear_source(model, trunc, 0.1, lat.volume)
+        truncate_lattice(lat, (2363, 3))
+        with pytest.raises(ResourceGuardError,
+                           match=rf"~{8 * 4 * (3 * 2365 ** 2 + 4)} bytes .* for 4 blocks"):
+            truncate_lattice(lat, (2364, 3))
 
     def test_configuration_table_byte_guard(self, monkeypatch):
-        # 2^23 configurations of 23 two-level modes: the blocks need ~0.4 GB,
-        # the configuration table ~4.6 GB.  Refused before any enumeration.
+        # 2^23 configurations of 23 two-level modes: the rung needs 23 keys
+        # of order 2, but the dense oracle's configuration table ~4.6 GB.
+        # Refused before any allocation.
         from bose_limits import fockdiag
 
-        def refuse(trunc):
-            raise AssertionError("configurations enumerated")
-
-        monkeypatch.setattr(fockdiag, "enumerate_configs", refuse)
         lat = build_lattice(3, 2.0, 7.0)
+        trunc = truncate_lattice(lat, (1,) * 23)
+        monkeypatch.setattr(fockdiag.np, "meshgrid", None)
         with pytest.raises(ResourceGuardError, match="configuration table"):
-            truncate_lattice(lat, (1,) * 23)
+            enumerate_configs(trunc)
+
+    def test_oracle_guard_message_is_exact(self):
+        # D = 41 * 9^26 overflows int64; the message carries exact integers.
+        lat = build_lattice(3, 4.0, 7.0)
+        trunc = truncate_lattice(lat, (40,) + (8,) * 26)
+        dimension = 41 * 9 ** 26
+        assert (trunc.dimension, trunc.zero_mode_stride) == (dimension, 9 ** 26)
+        with pytest.raises(ResourceGuardError) as info:
+            enumerate_configs(trunc)
+        message = str(info.value)
+        assert f"Fock dimension {dimension} needs ~{3 * dimension * 27 * 8} bytes" in message
+        assert "-" not in message

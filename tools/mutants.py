@@ -23,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MODEL = "src/bose_limits/nonlinear_model.py"
 MODEL_TESTS = ("tests/test_nonlinear_model.py",)
+FOCK = "src/bose_limits/fockdiag.py"
+FOCK_TESTS = ("tests/test_fockdiag.py",)
 
 # (name, file, old text, new text, test files that must fail)
 MUTANTS = (
@@ -42,6 +44,15 @@ MUTANTS = (
      "tail = left + right", "tail = left", MODEL_TESTS),
     ("window occupation rounding dropped", MODEL,
      "+ half * relative + _EPS * (n_star + 2.0 * abs(offset)))", ")", MODEL_TESTS),
+    ("shell weight p != 0 edge terms dropped", FOCK,
+     "edge = np.logaddexp(_log_convolve(edge, full), at_cutoff)",
+     "edge = _log_convolve(edge, full)", FOCK_TESTS),
+    ("shell weight zero-mode edge term dropped", FOCK,
+     "terms = np.concatenate([(edge[:, None] * st.populations).ravel(),\n"
+     "                            inner * st.populations[:, -1]])",
+     "terms = (edge[:, None] * st.populations).ravel()", FOCK_TESTS),
+    ("keyed guard K undercounted by one", FOCK,
+     "keys = sum(primed) + 1", "keys = sum(primed)", FOCK_TESTS),
 )
 
 
