@@ -326,36 +326,37 @@ def add_sqrt_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
 
 
 def _log_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Log coefficients of the product of two polynomials, cut to len(p).
+    """Log coefficients of the products of the rows of p and q, cut to p's length.
 
-    p and q hold log coefficients, -inf for a zero one; each product
+    Rows hold log coefficients, -inf for a zero one; each product
     coefficient is the log of a sum of positive terms.
     """
-    grid = np.full((q.size, p.size), -np.inf)
-    for k, row in enumerate(grid):
-        row[k:] = p[:p.size - k] + q[k]
+    grid = np.full((q.shape[1],) + p.shape, -np.inf)
+    for k, layer in enumerate(grid):
+        layer[:, k:] = p[:, :p.shape[1] - k] + q[:, k, None]
     return np.logaddexp.reduce(grid, axis=0)
 
 
 def _primed_products(trunc: FockTruncation, beta: float):
     """log [x^N'] of prod_(i>=1) sum_(k<=c_i) (x*e^(-beta*lam_i))^k, in two parts.
 
-    Returns (inner, edge) for N' = 0, ..., K - 1: inner sums the
+    Returns the rows (inner, edge) for N' = 0, ..., K - 1: inner sums the
     configurations with no p != 0 mode at its cutoff, edge those with at
     least one.  With mode i added, a configuration is an edge one if it
     was before, or if mode i sits at its cutoff and it was inner; so both
     parts stay sums of positive terms.
     """
     size = sum(trunc.cutoffs[1:]) + 1
-    inner, edge = np.full(size, -np.inf), np.full(size, -np.inf)
-    inner[0] = 0.0
+    parts = np.full((2, size), -np.inf)  # inner, edge
+    parts[0, 0] = 0.0
     for lam, c in zip(trunc.energies[1:], trunc.cutoffs[1:]):
-        full = -beta * lam * np.arange(c + 1.0)
-        at_cutoff = np.full(size, -np.inf)
-        at_cutoff[c:] = inner[:size - c] + full[-1]
-        edge = np.logaddexp(_log_convolve(edge, full), at_cutoff)
-        inner = _log_convolve(inner, full[:-1])
-    return inner, edge
+        q = -beta * lam * np.arange(c + 1.0)
+        at_cutoff = parts[0, :size - c] + q[-1]
+        q = np.stack([q, q])
+        q[0, -1] = -np.inf  # inner: mode i below its cutoff
+        parts = _log_convolve(parts, q)
+        parts[1, c:] = np.logaddexp(parts[1, c:], at_cutoff)
+    return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,9 +387,13 @@ def _gibbs_state(op: OperatorMatrix, beta: float) -> GibbsState:
     top = logw.max()
     w = np.exp(logw - top)
     z = stable_sum(w)
-    return GibbsState(weights=w, populations=np.einsum("kjl,kl->kj", vecs * vecs, w),
-                      hops=np.einsum("kjl,kjl,kl->kj", vecs[:, :-1], vecs[:, 1:], w),
-                      z=z, log_z=top + math.log(z))
+    if op.linear == 0.0:  # unit eigenvectors: a diagonal state
+        populations, hops = w, np.zeros((w.shape[0], w.shape[1] - 1))
+    else:
+        populations = np.einsum("kjl,kl->kj", vecs * vecs, w)
+        hops = np.einsum("kjl,kjl,kl->kj", vecs[:, :-1], vecs[:, 1:], w)
+    return GibbsState(weights=w, populations=populations, hops=hops, z=z,
+                      log_z=top + math.log(z))
 
 
 def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
@@ -400,10 +405,10 @@ def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
     zero hops, which keeps symmetry selection rules exact.
     """
     st = op.gibbs_state(beta)
-    terms = [diagonal * st.populations]
+    terms = diagonal * st.populations
     if coupling is not None:
-        terms.append(2.0 * coupling[:-1] * st.hops)
-    return stable_sum(np.concatenate([t.ravel() for t in terms])) / st.z
+        terms = np.concatenate([terms.ravel(), (2.0 * coupling[:-1] * st.hops).ravel()])
+    return stable_sum(terms) / st.z
 
 
 def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:

@@ -45,8 +45,7 @@ MUTANTS = (
     ("window occupation rounding dropped", MODEL,
      "+ half * relative + _EPS * (n_star + 2.0 * abs(offset)))", ")", MODEL_TESTS),
     ("shell weight p != 0 edge terms dropped", FOCK,
-     "edge = np.logaddexp(_log_convolve(edge, full), at_cutoff)",
-     "edge = _log_convolve(edge, full)", FOCK_TESTS),
+     "parts[1, c:] = np.logaddexp(parts[1, c:], at_cutoff)", "pass", FOCK_TESTS),
     ("shell weight zero-mode edge term dropped", FOCK,
      "terms = np.concatenate([(edge[:, None] * st.populations).ravel(),\n"
      "                            inner * st.populations[:, -1]])",
