@@ -350,9 +350,9 @@ def _primed_products(trunc: FockTruncation, beta: float):
     parts = np.full((2, size), -np.inf)  # inner, edge
     parts[0, 0] = 0.0
     for lam, c in zip(trunc.energies[1:], trunc.cutoffs[1:]):
-        q = -beta * lam * np.arange(c + 1.0)
-        at_cutoff = parts[0, :size - c] + q[-1]
-        q = np.stack([q, q])
+        full = -beta * lam * np.arange(c + 1.0)
+        at_cutoff = parts[0, :size - c] + full[-1]
+        q = np.stack([full, full])
         q[0, -1] = -np.inf  # inner: mode i below its cutoff
         parts = _log_convolve(parts, q)
         parts[1, c:] = np.logaddexp(parts[1, c:], at_cutoff)
