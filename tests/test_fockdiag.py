@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from bose_limits.errors import DomainError, ResourceGuardError
 from bose_limits.fockdiag import (DiagonalModel, FockTruncation, _primed_products,
-                                  add_linear_source,
-                                  add_sqrt_source, boundary_shell_weight,
-                                  diagonal_energies, enumerate_configs,
-                                  gibbs_expectation, gibbs_trace, quasiaverage_fd,
-                                  truncate_lattice, verify_sandwich,
+                                  add_linear_source, add_sqrt_source,
+                                  boundary_shell_weight, diagonal_energies,
+                                  enumerate_configs, gibbs_expectation, gibbs_trace,
+                                  quasiaverage_fd, truncate_lattice, verify_sandwich,
                                   zero_mode_annihilator)
 from bose_limits.lattice_ideal import build_lattice
 from bose_limits.nonlinear_model import zero_mode_partial_logsum
