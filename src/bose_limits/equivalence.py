@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NonConvergenceError, StepSizeError, require
 from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp,
-                            build_lattice, critical_density_finite,
-                            critical_density_limit, pressure_ideal_primed)
+                            build_lattice, critical_density_limit,
+                            pressure_ideal_primed)
 from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
                               pressure_sqrt_source_limit, zero_mode_log_partition)
 from .source_model import (condensate_density_source, pressure_source,
@@ -29,6 +29,7 @@ from .source_model import (condensate_density_source, pressure_source,
 
 __all__ = [
     "ConvergenceLadder",
+    "CondensateDensity",
     "DensityReport",
     "RateFit",
     "EquivalenceResult",
@@ -83,6 +84,12 @@ class ConvergenceLadder:
 class RateFit(NamedTuple):
     rate: float
     residual: float
+
+
+class CondensateDensity(NamedTuple):
+    """A condensate density rho_0 = rho - rho', formed from the zero mode alone."""
+
+    rho_0: float
 
 
 @dataclass(frozen=True)
@@ -307,8 +314,8 @@ class EquivalenceResult:
     """
 
     ladder: ConvergenceLadder
-    density_linear: DensityReport
-    density_sqrt: DensityReport
+    density_linear: CondensateDensity
+    density_sqrt: CondensateDensity
     identity_rel_errors: tuple
     rung_passed: tuple
     passed: bool
@@ -356,12 +363,9 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
 
     # `point` and `pair` sit on the largest side.
     volume = point.volume
-    rho_c = critical_density_finite(point)
     rho0_lin = condensate_density_source(mu, nu) + zero_mode_depletion(beta, mu, volume)
     series = pair.series
     rho0_sqrt = series.mean_occupation / volume
-    dens_lin = DensityReport(rho_total=rho0_lin + rho_c, rho_c=rho_c)
-    dens_sqrt = DensityReport(rho_total=rho0_sqrt + rho_c, rho_c=rho_c)
 
     condensates_agree = (abs(rho0_lin - rho0_sqrt) + series.occupation_bound / volume
                          <= CONDENSATE_TOL)
@@ -370,8 +374,8 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     else:
         rate_ok = ladder.fitted_rate is None or ladder.fitted_rate >= RATE_THRESHOLD
         passed = rate_ok and condensates_agree
-    return EquivalenceResult(ladder=ladder, density_linear=dens_lin,
-                             density_sqrt=dens_sqrt,
+    return EquivalenceResult(ladder=ladder, density_linear=CondensateDensity(rho0_lin),
+                             density_sqrt=CondensateDensity(rho0_sqrt),
                              identity_rel_errors=tuple(identity_errors),
                              rung_passed=tuple(rung_passed), passed=passed,
                              rung_durations=tuple(durations))

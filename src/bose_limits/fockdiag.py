@@ -1,9 +1,10 @@
 """Exact statistical mechanics of diagonal Bose models on truncated Fock spaces.
 
 A full-diagonal Hamiltonian is a function of the occupation numbers only:
-here sum_p lam(p)*n_p + (a/2V)(N^2 - N) - mu*N.  On a finite set of modes
-with per-mode occupation cutoffs c_i, Gibbs traces and expectations are
-finite sums.  Two external sources couple to the zero mode:
+here sum_p lam(p)*n_p + (a/2V)(N^2 - N) - mu*N.  It reads a mode only
+through its energy, so a truncation keeps the lowest energies lam_i of the
+box, zero mode first, and no momentum.  With per-mode occupation cutoffs
+c_i, Gibbs traces and expectations are finite sums.  Two external sources couple to the zero mode:
 
   * linear:  -nu*sqrt(V) * (a0 + a0^dagger), which breaks the particle
     number symmetry and makes the operator tridiagonal in the zero-mode
@@ -93,30 +94,29 @@ SANDWICH_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FockTruncation:
-    """A finite window of Fock space: retained modes and occupation cutoffs.
+    """A finite window of Fock space: retained mode energies and occupation cutoffs.
 
-    The zero mode must be present and sit first.  `dimension` is the full
-    configuration count D = prod(cutoff+1), a Python int.  Construction
-    refuses a truncation whose rung would allocate more than
-    MAX_ALLOC_BYTES: the block eigensolve, ~3*K*(c0+1)^2*8 bytes for the
-    K = sum_(i>=1) c_i + 1 keys, plus a convolution of the products,
-    ~K*(c+1)*8 bytes for the largest p != 0 cutoff c.
+    The Hamiltonian reads a mode only through its energy lam(p) = |p|^2/2,
+    which vanishes at p = 0 alone, so the zero mode must be retained and
+    listed first: energies[0] == 0.  `dimension` is the full configuration
+    count D = prod(cutoff+1), a Python int.  Construction refuses a
+    truncation whose rung would allocate more than MAX_ALLOC_BYTES: the
+    block eigensolve, ~3*K*(c0+1)^2*8 bytes for the K = sum_(i>=1) c_i + 1
+    keys, plus a convolution of the products, ~K*(c+1)*8 bytes for the
+    largest p != 0 cutoff c.
     """
 
-    modes: np.ndarray = field(repr=False)     # shape (m, d)
     energies: np.ndarray = field(repr=False)  # lam(p) per retained mode
     cutoffs: tuple
     _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.modes.setflags(write=False)
         self.energies.setflags(write=False)
-        m = self.modes.shape[0]
-        require(m == len(self.cutoffs) and m == self.energies.shape[0],
-                "modes, energies and cutoffs must agree in length")
+        require(self.energies.shape[0] == len(self.cutoffs),
+                "energies and cutoffs must agree in length")
         require(all(int(c) == c and c >= 1 for c in self.cutoffs),
                 "cutoffs must be integers >= 1")
-        if not np.all(self.modes[0] == 0.0):
+        if not self.energies[0] == 0.0:
             raise DomainError("the zero mode must be retained and listed first")
         c0, primed = self.cutoffs[0], self.cutoffs[1:]
         keys = sum(primed) + 1
@@ -130,7 +130,7 @@ class FockTruncation:
 
     @property
     def n_modes(self) -> int:
-        return self.modes.shape[0]
+        return self.energies.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -158,11 +158,10 @@ class FockTruncation:
 
 
 def truncate_lattice(lattice: ModeLattice, cutoffs: Sequence[int]) -> FockTruncation:
-    """Keep the first len(cutoffs) modes of a lattice (canonical order), from
-    `ModeLattice.leading_modes`: a DomainError if p_max holds fewer."""
+    """Keep the len(cutoffs) lowest mode energies of a lattice, from
+    `ModeLattice.leading_energies`: a DomainError if p_max holds fewer modes."""
     require(len(cutoffs) >= 1, "at least one cutoff is required")
-    modes, energies = lattice.leading_modes(len(cutoffs))
-    return FockTruncation(modes=modes, energies=energies,
+    return FockTruncation(energies=lattice.leading_energies(len(cutoffs)),
                           cutoffs=tuple(int(c) for c in cutoffs))
 
 

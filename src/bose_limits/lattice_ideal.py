@@ -4,8 +4,10 @@ A box of side `l` in `d` dimensions with periodic boundary conditions
 carries the dual momentum lattice p = 2*pi*n/l (n integer vector) with
 single-particle dispersion |p|^2/2.  This module evaluates the ideal-gas
 pressure and critical (thermal) density, at finite volume and in the
-infinite-volume limit, and lists the modes up to a momentum cutoff for the
-exact-diagonalization models, enumerating only the modes they use.
+infinite-volume limit, and lists the lowest mode energies up to a momentum
+cutoff for the exact-diagonalization models.  Every mode quantity depends
+on n only through k = |n|^2, so the one mode enumeration is the shell count
+r_d(k) (`_shell_counts`); no momentum vector is formed.
 
 The finite-volume sums run over every p != 0 mode, with no cutoff: the
 geometric series of the Bose functions turns each lattice sum into powers
@@ -40,7 +42,7 @@ __all__ = [
     "polylog",
 ]
 
-# Modes the full shell table may hold; `leading_modes` does not build it.
+# Modes the full shell table may hold; `leading_energies` does not build it.
 MAX_MODES = 20_000_000
 
 
@@ -48,12 +50,11 @@ MAX_MODES = 20_000_000
 class ModeLattice:
     """A periodic box and its dual-lattice modes with |p| <= p_max.
 
-    The ideal-gas sums need only `d` and `l`.  `leading_modes` lists the
-    modes within p_max in canonical order, by (|p|^2, lexicographic integer
-    components), so the zero mode comes first.  `shells` (the distinct
-    k = |n|^2 within p_max, ascending from 0) and `multiplicities` (the
-    r_d(k) vectors on each) are built on first use, at most once, and
-    refused beyond MAX_MODES modes.
+    The ideal-gas sums need only `d` and `l`.  `leading_energies` lists
+    the lowest mode energies within p_max in ascending order, so the zero
+    mode's, 0, comes first.  `shells` (the distinct k = |n|^2 within p_max,
+    ascending from 0) and `multiplicities` (the r_d(k) vectors on each) are
+    built on first use, at most once, and refused beyond MAX_MODES modes.
     """
 
     d: int
@@ -107,29 +108,39 @@ class ModeLattice:
         step = 2.0 * math.pi / self.l
         return 0.5 * step * step * self.shells[1:].astype(float)
 
-    def leading_modes(self, count: int):
-        """Momenta (count, d) and energies of the first `count` modes.
+    def leading_energies(self, count: int) -> np.ndarray:
+        """Energies |p|^2/2 of the first `count` modes, in ascending order.
 
-        Enumerated directly, with no shell table: every x with |x| <= r
-        lies in the unit cube around a lattice point n with
-        |n| <= r + sqrt(d)/2, so those points number at least the volume
-        of that ball, set here to `count`.  Raises DomainError if the
-        count-th mode lies beyond p_max, and ResourceGuardError if the
-        enumeration would allocate more than MAX_ALLOC_BYTES.
+        Read from the shell counts up to kcut, with no shell table: every x
+        with |x| <= r lies in the unit cube around a lattice point n with
+        |n| <= r + sqrt(d)/2, so those points number at least the volume of
+        that ball, set here to `count`.  Raises ResourceGuardError if the
+        shell counts and the energies would allocate more than
+        MAX_ALLOC_BYTES, checked before either is formed, and DomainError if
+        fewer than `count` modes lie within p_max.
         """
         require(count >= 0, "count must be nonnegative")
         d = self.d
-        r = (count * math.gamma(0.5 * d + 1.0) / math.pi ** (0.5 * d)) ** (1.0 / d)
+        # The unit ball's volume and the mode counts are taken in logs: no d overflows them.
+        log_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+        r = math.exp((math.log(count) - log_ball) / d) if count else 0.0
         kcut = math.floor(min((r + 0.5 * math.sqrt(d)) ** 2 + 1.0, self._max_shell))
-        if 8 * (3 * d + 2) * (2 * math.isqrt(kcut) + 1) ** d > MAX_ALLOC_BYTES:
-            raise ResourceGuardError(f"enumerating {count} modes in d = {d} exceeds "
-                                     f"the ceiling of {MAX_ALLOC_BYTES} bytes")
-        n = _mode_vectors(d, kcut)[:count]
-        if n.shape[0] < count:
+        # `_shell_counts` holds at most five tables of kcut + 1 integers (none
+        # in d = 1) and four of the squares.  The modes it counts, by the same
+        # cube argument no more than the ball of radius sqrt(kcut) + sqrt(d)/2
+        # holds, are repeated into integers; `count` of them become two float arrays.
+        log_modes = log_ball + d * math.log(math.sqrt(kcut) + 0.5 * math.sqrt(d))
+        nbytes = 8 * (5 * (kcut + 1) * (d > 1) + 4 * (math.isqrt(kcut) + 1)
+                      + math.exp(min(log_modes, 700.0)) + 2 * count)
+        if nbytes > MAX_ALLOC_BYTES:
+            raise ResourceGuardError(f"the energies of {count} modes in d = {d} need "
+                                     f"~{nbytes:.3g} bytes, above the ceiling of "
+                                     f"{MAX_ALLOC_BYTES} bytes")
+        shells, mult = _shell_counts(d, kcut)
+        if mult.sum() < count:
             raise DomainError(f"fewer than {count} modes lie within p_max = {self.p_max}")
         step = 2.0 * math.pi / self.l
-        nsq = (n * n).sum(axis=1)
-        return step * n.astype(float), 0.5 * step * step * nsq.astype(float)
+        return 0.5 * step * step * np.repeat(shells, mult)[:count].astype(float)
 
 
 @dataclass(frozen=True)
@@ -223,22 +234,6 @@ def _shell_counts(d: int, kmax: int):
     return keys, counts
 
 
-def _mode_vectors(d: int, kcut: int) -> np.ndarray:
-    """All n in Z^d with |n|^2 <= kcut, in canonical (|n|^2, lexicographic) order.
-
-    They are cut from the cube |n_i| <= isqrt(kcut), whose (2*isqrt(kcut) + 1)^d
-    points each take at most 3*d + 2 integers at peak.
-    """
-    axis = np.arange(-math.isqrt(kcut), math.isqrt(kcut) + 1, dtype=np.int64)
-    cube = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    nsq = (cube * cube).sum(axis=1)
-    n_all, nsq = cube[nsq <= kcut], nsq[nsq <= kcut]
-    # Integer sort keys make the canonical order exact: |n|^2 first, then
-    # lexicographic components.
-    order = np.lexsort(tuple(n_all[:, k] for k in range(d - 1, -1, -1)) + (nsq,))
-    return n_all[order]
-
-
 def build_lattice(d: int, l: float, p_max: float) -> ModeLattice:
     """The periodic box of side `l` in `d` dimensions, with cutoff `p_max`.
 
@@ -249,8 +244,8 @@ def build_lattice(d: int, l: float, p_max: float) -> ModeLattice:
     l : float
         Box side length, > 0.  The lattice spacing is 2*pi/l.
     p_max : float
-        Euclidean momentum cutoff, > 0, of the mode list (`leading_modes`,
-        `shells`); the ideal-gas sums do not use it.
+        Euclidean momentum cutoff, > 0, of the mode energies
+        (`leading_energies`, `shells`); the ideal-gas sums do not use it.
 
     Nothing is enumerated here.  Raises ResourceGuardError if the volume
     l**d is outside the range of normal floats.

@@ -273,6 +273,11 @@ class TestRun:
         assert code == 0
         assert rows[0]["passed"] is True
         assert rows[0]["lower"] <= rows[0]["delta_p"] <= rows[0]["upper"]
+        # The README row, bit for bit.
+        assert rows[0]["p_linear"] == float.fromhex("0x1.cb8f27bd114e8p-4")
+        assert rows[0]["p_sqrt"] == float.fromhex("0x1.939a3d56d8aa4p-3")
+        assert rows[0]["shell_weight"] == float.fromhex("0x1.8f2492dbdbaadp-48")
+        assert rows[0]["a0_scaled"] == float.fromhex("0x1.1fa1e6ce9ee85p-3")
 
     @pytest.mark.parametrize("args", [["--fock-cutoff", "3,1"],
                                       ["--fock-cutoff", "20,8", "--mf-a=-5"]],

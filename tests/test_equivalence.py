@@ -13,6 +13,7 @@ from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_s
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
                                        critical_density_limit, pressure_ideal_limit)
+from bose_limits.nonlinear_model import zero_mode_log_partition
 from bose_limits.source_model import (condensate_density_source, pressure_source,
                                       zero_mode_depletion)
 
@@ -348,9 +349,28 @@ class TestAnalyticCondensates:
                                        at(mu), h=1e-5, rho_c_of_mu=rho_c)
         fd_sqrt = density_from_pressure(lambda m: pressure_sqrt_source(at(m)).total,
                                         at(mu), h=1e-5, rho_c_of_mu=rho_c)
-        assert result.density_linear.rho_c == result.density_sqrt.rho_c == rho_c(mu)
+        # rho_0 is reported as formed, with no rho' added in and taken out.
+        volume = float(sides[-1]) ** 3
+        assert result.density_linear.rho_0 == (condensate_density_source(mu, nu)
+                                               + zero_mode_depletion(beta, mu, volume))
+        assert result.density_sqrt.rho_0 == (
+            zero_mode_log_partition(beta, mu, nu, volume).mean_occupation / volume)
         assert result.density_linear.rho_0 == pytest.approx(fd_lin.rho_0, abs=1e-9)
         assert result.density_sqrt.rho_0 == pytest.approx(fd_sqrt.rho_0, abs=1e-9)
+
+    def test_no_critical_density_series(self, monkeypatch):
+        import bose_limits.lattice_ideal as lattice_ideal
+
+        powers = []
+        theta_series = lattice_ideal._theta_series
+
+        def record(beta, lattice, mus, power, rel_tol=None):
+            powers.append(power)
+            return theta_series(beta, lattice, mus, power, rel_tol)
+
+        monkeypatch.setattr(lattice_ideal, "_theta_series", record)
+        verify_equivalence(1.0, -0.5, 0.1, 3, (8, 16), p_max=8.0)
+        assert powers == [1, 1]
 
     def test_no_finite_difference_call(self, monkeypatch):
         import bose_limits.equivalence as equivalence
@@ -372,7 +392,6 @@ class TestAnalyticCondensates:
 
     def test_occupation_bound_gates_passed(self, monkeypatch):
         import bose_limits.equivalence as equivalence
-        from bose_limits.nonlinear_model import zero_mode_log_partition
 
         beta, mu, nu, sides = 1.0, -0.5, 0.1, (8, 16)
         base = verify_equivalence(beta, mu, nu, 3, sides, p_max=8.0)

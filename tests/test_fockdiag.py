@@ -327,9 +327,8 @@ class TestTruncationBehavior:
     def test_zero_mode_required(self):
         lat = build_lattice(1, 1.0, 5.0)
         with pytest.raises(DomainError):
-            modes, energies = lat.leading_modes(3)
-            FockTruncation(modes=modes[1:3].copy(), energies=energies[1:3].copy(),
-                           cutoffs=(2, 2))
+            energies = lat.leading_energies(3)
+            FockTruncation(energies=energies[1:3].copy(), cutoffs=(2, 2))
 
     def test_diagonal_pressure_nondecreasing_in_cutoff(self):
         beta, vol = 1.0, 1.0

@@ -51,50 +51,45 @@ def occupation(beta, mu, lam):
     return 1.0 / math.expm1(beta * (lam - mu))
 
 
-def all_modes(lat):
-    """Momenta and energies of every mode within the lattice's cutoff."""
-    return lat.leading_modes(lat.n_modes)
+def all_energies(lat):
+    """Energies of every mode within the lattice's cutoff, ascending."""
+    return lat.leading_energies(lat.n_modes)
+
+
+def oracle_shells(d, l, p_max):
+    """k = |n|^2 of every brute-force mode vector within p_max, ascending,
+    and the sorted |p|^2 / 2 those vectors give."""
+    step = TWO_PI / l
+    vectors = brute_force_mode_vectors(d, l, p_max)
+    shells = sorted(round(sum((x / step) ** 2 for x in p)) for p in vectors)
+    return shells, sorted(0.5 * sum(x * x for x in p) for p in vectors)
 
 
 class TestBuildLattice:
     def test_d1_unit_spacing(self):
         lat = build_lattice(1, TWO_PI, 2.5)
-        modes = all_modes(lat)[0]
-        assert sorted(modes.ravel().tolist()) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert all_energies(lat).tolist() == [0.0, 0.5, 0.5, 2.0, 2.0]
         assert lat.shells[0] == 0
 
     def test_d3_seven_modes(self):
         lat = build_lattice(3, TWO_PI, 1.0)
         assert lat.n_modes == 7
-        modes = all_modes(lat)[0]
-        assert np.all(modes[0] == 0.0)
-        # origin plus the six unit vectors
-        assert sorted(np.abs(modes).sum(axis=1).tolist()) == [0.0] + [1.0] * 6
+        # the zero mode, then the six unit vectors
+        assert all_energies(lat).tolist() == [0.0] + [0.5] * 6
 
     def test_d3_count_matches_enumeration(self):
         lat = build_lattice(3, 4.0 * math.pi, 1.0)
         oracle = brute_force_mode_vectors(3, 4.0 * math.pi, 1.0)
         assert lat.n_modes == len(oracle) == 33
 
-    def test_negation_closure(self):
-        lat = build_lattice(2, 5.0, 3.0)
-        mode_set = {tuple(row) for row in all_modes(lat)[0].tolist()}
-        assert all(tuple(-x for x in m) in mode_set for m in mode_set)
-
-    def test_canonical_order(self):
-        lat = build_lattice(2, 7.0, 4.0)
-        nsq = (all_modes(lat)[0] ** 2).sum(axis=1)
-        assert np.all(np.diff(nsq) >= -1e-12)
-        assert nsq[0] == 0.0
-
     def test_resource_guard(self):
         # ~1.7e13 modes within the cutoff: the shell table is refused, while
-        # the leading modes are enumerated without it.
+        # the leading energies are read without it.
         lat = build_lattice(3, 1e4, 10.0)
         with pytest.raises(ResourceGuardError):
             lat.n_modes
-        modes, energies = lat.leading_modes(7)
-        assert modes.shape == (7, 3) and energies[0] == 0.0
+        step = TWO_PI / 1e4
+        assert lat.leading_energies(7).tolist() == [0.0] + [0.5 * step * step] * 6
         assert "_table" not in vars(lat)
 
     def test_mode_list_is_built_on_first_use_only(self):
@@ -130,26 +125,37 @@ class TestBuildLattice:
 
     @pytest.mark.parametrize("d,l,p_max", [(1, 7.0, 4.0), (2, 5.0, 3.0), (3, 8.0, 4.0),
                                            (4, 3.0, 5.0)])
-    def test_leading_modes_are_a_prefix(self, d, l, p_max):
+    def test_leading_energies_are_a_prefix(self, d, l, p_max):
         lat = build_lattice(d, l, p_max)
         step = TWO_PI / l
-        oracle = sorted((sum(round(x / step) ** 2 for x in p), tuple(round(x / step) for x in p))
-                        for p in brute_force_mode_vectors(d, l, p_max))
-        assert len(oracle) == lat.n_modes
+        shells, energies = oracle_shells(d, l, p_max)
+        assert len(shells) == lat.n_modes
         for count in sorted({0, 1, 2, 3, 7, 8, 19, lat.n_modes} & set(range(lat.n_modes + 1))):
-            head, head_energies = lat.leading_modes(count)
-            assert [tuple(round(x / step) for x in p) for p in head] == \
-                [n for _, n in oracle[:count]]
-            np.testing.assert_array_equal(head_energies,
-                                          0.5 * step * step * np.array([k for k, _ in oracle[:count]],
-                                                                       dtype=float))
+            head = lat.leading_energies(count)
+            np.testing.assert_array_equal(
+                head, 0.5 * step * step * np.array(shells[:count], dtype=float))
+            np.testing.assert_allclose(head, energies[:count], rtol=1e-14, atol=0.0)
         with pytest.raises(DomainError):
-            lat.leading_modes(lat.n_modes + 1)
+            lat.leading_energies(lat.n_modes + 1)
 
-    def test_leading_modes_guard_bytes(self):
+    def test_leading_energies_guard_bytes(self):
+        # A billion energies, 8 GB and more: refused before the shell counts
+        # or any energy is formed.
         lat = build_lattice(3, 1e6, 10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError):
+                lat.leading_energies(10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_high_dimension_refused_without_overflow(self):
+        # In d = 400 the unit ball's volume and the mode counts are beyond
+        # the float range; their logs are not.
         with pytest.raises(ResourceGuardError):
-            lat.leading_modes(10 ** 9)
+            build_lattice(400, 2.0, 1e3).leading_energies(2)
 
 
 class TestThermoPoint:
@@ -181,7 +187,7 @@ def test_shell_sums_match_pinned_mode_sums(case):
 def test_shell_sums_equal_per_mode_sums(d, l, p_max):
     lat = build_lattice(d, l, p_max)
     point = ThermoPoint(beta=0.7, mu=-0.4, lattice=lat)
-    lam = all_modes(lat)[1][1:]
+    lam = all_energies(lat)[1:]
     terms = -np.log1p(-np.exp(0.7 * (-0.4 - lam))) / (0.7 * lat.volume)
     assert shell_primed_pressure(point)[0] == stable_sum(terms)
     density = stable_sum(1.0 / np.expm1(0.7 * (lam + 0.4))) / lat.volume
@@ -235,6 +241,26 @@ class TestThetaSeries:
         for power in (0, 1):
             value, bound = _theta_series(beta, point.lattice, (mu,), power)[mu]
             assert 1e-13 * value < abs(value - exact[power]) <= bound
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h", [730.0, 740.0])
+    def test_subnormal_terms_are_covered(self, d, h):
+        # Past t_1 = h ~ 708 every term is subnormal, and each rounding can
+        # be off by 2^-1075 absolute, far more than its relative count
+        # allows: only the underflow allowance covers the error.
+        l = TWO_PI / math.sqrt(2.0 * h)
+        lattice = build_lattice(d, l, 1.0)
+        with mp.workdps(40):
+            t = 2 * mp.pi ** 2 / mp.mpf(l) ** 2
+            # theta(jt)^d - 1 = sum_k binom(d, k) x^k, x = 2 sum_n e^(-jt n^2),
+            # with nothing to cancel; by j = 3 the terms are below 1e-40 of the sum.
+            x = [2 * mp.fsum(mp.exp(-j * t * n * n) for n in range(1, 6)) for j in (1, 2, 3)]
+            g = [mp.fsum(mp.binomial(d, k) * xj ** k for k in range(1, d + 1)) for xj in x]
+            for power in (0, 1):
+                exact = mp.fsum(mp.exp(-0.5 * j) / j ** power * g[j - 1] for j in (1, 2, 3))
+                exact /= mp.mpf(l) ** d
+                value, bound = _theta_series(1.0, lattice, (-0.5,), power)[-0.5]
+                assert 1e-12 * value < abs(value - exact) <= bound
 
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -1e-3),
            side=st.floats(2.0, 64.0), d=st.sampled_from([1, 2, 3]))
@@ -302,15 +328,14 @@ class TestDispersion:
     """Mode energies |p|^2 / 2 at momenta p = (2 pi / L) n."""
 
     def test_zero(self):
-        modes, energies = build_lattice(3, TWO_PI, 2.0).leading_modes(1)
-        assert np.all(modes[0] == 0.0) and energies[0] == 0.0
+        assert build_lattice(3, TWO_PI, 2.0).leading_energies(1).tolist() == [0.0]
 
-    def test_unit_vector(self):
-        lat = build_lattice(3, TWO_PI, 2.0)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unit_vectors(self, d):
+        lat = build_lattice(d, TWO_PI, 2.0)
         assert lat.nonzero_energies[0] == 0.5
-        modes, energies = lat.leading_modes(7)
-        assert np.all(energies[1:] == 0.5)
-        np.testing.assert_array_equal(energies, 0.5 * (modes * modes).sum(axis=1))
+        energies = lat.leading_energies(2 * d + 1)
+        assert energies.tolist() == oracle_shells(d, TWO_PI, 1.0)[1] == [0.0] + [0.5] * (2 * d)
 
     def test_lattice_spacing(self):
         # halving the side doubles the spacing and quadruples every energy

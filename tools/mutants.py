@@ -8,11 +8,14 @@ a term dropped).  For each, the tool copies `src/`, `tests/` and
 `pyproject.toml` into a temporary directory, applies the replacement there,
 runs pytest on the mutant's test files only and prints `caught` when they
 fail or `missed` when they pass (`error` if pytest could not run them).
-The checkout itself is never written.  A text that does not occur exactly
-once is reported as `stale`.  The exit code is 0 when every mutant is
-caught, 1 otherwise.
+A mutant that drops a byte guard would allocate what the guard refuses, so
+each run is capped at CHILD_BYTES of address space, where such an
+allocation fails at once.  The checkout itself is never written.  A text
+that does not occur exactly once is reported as `stale`.  The exit code
+is 0 when every mutant is caught, 1 otherwise.
 """
 
+import resource
 import shutil
 import subprocess
 import sys
@@ -21,6 +24,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Address space of each pytest run: the tests stay below the package's 512 MiB
+# allocation ceiling, plus the interpreter and its libraries.
+CHILD_BYTES = 3 * 2 ** 30
+LATTICE = "src/bose_limits/lattice_ideal.py"
+LATTICE_TESTS = ("tests/test_lattice_ideal.py",)
 MODEL = "src/bose_limits/nonlinear_model.py"
 MODEL_TESTS = ("tests/test_nonlinear_model.py",)
 FOCK = "src/bose_limits/fockdiag.py"
@@ -52,7 +60,28 @@ MUTANTS = (
      "terms = (edge[:, None] * st.populations).ravel()", FOCK_TESTS),
     ("keyed guard K undercounted by one", FOCK,
      "keys = sum(primed) + 1", "keys = sum(primed)", FOCK_TESTS),
+    ("configuration table guard / 3", FOCK,
+     "table_bytes = 3 * trunc.dimension", "table_bytes = trunc.dimension", FOCK_TESTS),
+    ("theta tail dropped", LATTICE,
+     "bound = (_U * total + r + tail + underflow) / scale",
+     "bound = (_U * total + r + underflow) / scale", LATTICE_TESTS),
+    ("theta rounding dropped", LATTICE,
+     "bound = (_U * total + r + tail + underflow) / scale",
+     "bound = (_U * total + tail + underflow) / scale", LATTICE_TESTS),
+    ("theta underflow allowance dropped", LATTICE,
+     "bound = (_U * total + r + tail + underflow) / scale",
+     "bound = (_U * total + r + tail) / scale", LATTICE_TESTS),
+    ("theta byte guard dropped", LATTICE,
+     "if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES",
+     "if not _J_PASS_BYTES", LATTICE_TESTS),
+    ("energy guard counts the shell tables only", LATTICE,
+     "\n                      + math.exp(min(log_modes, 700.0)) + 2 * count)", ")",
+     LATTICE_TESTS),
 )
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_BYTES, CHILD_BYTES))
 
 
 def run_mutant(path, old, new, tests):
@@ -70,7 +99,8 @@ def run_mutant(path, old, new, tests):
         target.write_text(text.replace(old, new), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
                                "no:cacheprovider", *tests], cwd=work,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              preexec_fn=_cap_address_space)
         # pytest exits 1 when tests fail; 2-5 mean it could not run them.
         return {0: "missed", 1: "caught"}.get(proc.returncode, "error")
 
