@@ -248,7 +248,7 @@ def _run_pressure(cfg: RunConfig) -> tuple:
     for beta in cfg.beta:
         start = time.perf_counter()
         lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
-        sums = _theta_series(beta, lattice, cfg.mu, 1, cfg.rel_tol)
+        (sums,) = _theta_series(beta, (lattice,), cfg.mu, 1, cfg.rel_tol)
         share = (time.perf_counter() - start) / (len(cfg.mu) * len(cfg.nu))
         for mu, nu in itertools.product(cfg.mu, cfg.nu):
             start = time.perf_counter() - share

@@ -16,10 +16,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import NonConvergenceError, StepSizeError, require
-from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp,
+from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp, _theta_series,
                             build_lattice, critical_density_limit,
                             pressure_ideal_primed)
 from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
@@ -297,11 +295,13 @@ def fit_rate(ladder: ConvergenceLadder) -> RateFit:
     require(len(gaps) >= 3, "rate fit needs at least 3 ladder points")
     if any(g <= 0.0 or not math.isfinite(g) for g in gaps):
         raise NonConvergenceError("degenerate rate fit: a ladder gap vanished")
-    x = np.log(ladder.volumes)
-    y = np.log(gaps)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(rate=-float(slope), residual=resid)
+    # Centred least squares of log|value| on log V.
+    x, y = [math.log(v) for v in ladder.volumes], [math.log(g) for g in gaps]
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [a - mx for a in x], [b - my for b in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    resid = math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy)) / len(x))
+    return RateFit(rate=-slope, residual=resid)
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,9 @@ class EquivalenceResult:
     """Outcome of the pressure-equivalence and condensate-equality checks.
 
     `rung_passed` holds each ladder rung's `PressurePair.passed`.
-    `rung_durations` holds the wall time of each ladder rung in seconds; it
-    is left out of `repr` and equality, so results compare by value.
+    `rung_durations` holds each rung's wall time in seconds, with an even
+    share of the rungs' one theta pass; it is left out of `repr` and
+    equality, so results compare by value.
     """
 
     ladder: ConvergenceLadder
@@ -328,25 +329,29 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     """Pressure-gap ladder plus condensate comparison for both models.
 
     The ladder holds delta_pressure on each side, from one `pressure_pair`
-    per side; the fitted decay rate in V must reach RATE_THRESHOLD for the
-    result to pass.  The condensate densities rho - rho' at the largest
-    side are analytic, as the p != 0 parts cancel: nu^2/mu^2 +
-    1/(V*(e^(-beta*mu) - 1)) for the linear source, <n0>/V from the last
-    rung's zero-mode series weights for the square-root source.  Their
-    difference plus the occupation bound over V must stay within
-    CONDENSATE_TOL.  For nu = 0 the gap vanishes identically and the rate
-    fit is skipped.
+    per side, with every side's p != 0 sum from one `_theta_series` call;
+    the fitted decay rate in V must reach RATE_THRESHOLD for the result to
+    pass.  The condensate densities rho - rho' at the largest side are
+    analytic, as the p != 0 parts cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu)
+    - 1)) for the linear source, <n0>/V from the last rung's zero-mode
+    series weights for the square-root source.  Their difference plus the
+    occupation bound over V must stay within CONDENSATE_TOL.  For nu = 0
+    the gap vanishes identically and the rate fit is skipped.
 
     Raises NonConvergenceError if the gap ladder is not strictly
     decreasing in magnitude (nu > 0).
     """
     require(len(sides) >= 1, "at least one side required")
+    start = time.perf_counter()
+    lattices = [build_lattice(d, float(side), p_max) for side in sides]
+    sums = _theta_series(beta, lattices, (mu,), 1, rel_tol)
+    share = (time.perf_counter() - start) / len(sides)
     values, identity_errors, rung_passed, durations = [], [], [], []
-    for side in sides:
-        start = time.perf_counter()
-        point = ThermoPoint(beta=beta, mu=mu, nu=nu,
-                            lattice=build_lattice(d, float(side), p_max))
-        pair = pressure_pair(point, rel_tol=rel_tol)
+    for lattice, (primed, bound) in zip(lattices, (s[mu] for s in sums)):
+        start = time.perf_counter() - share
+        point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
+        pair = pressure_pair(point, rel_tol=rel_tol, primed=PressureBreakdown(
+            zero_mode=0.0, primed=primed, constant=0.0, truncation_bound=bound))
         identity_errors.append(pair.identity_rel_err)
         rung_passed.append(pair.passed(rel_tol))
         values.append(pair.delta)

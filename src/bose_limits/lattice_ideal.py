@@ -111,36 +111,38 @@ class ModeLattice:
     def leading_energies(self, count: int) -> np.ndarray:
         """Energies |p|^2/2 of the first `count` modes, in ascending order.
 
-        Read from the shell counts up to kcut, with no shell table: every x
-        with |x| <= r lies in the unit cube around a lattice point n with
-        |n| <= r + sqrt(d)/2, so those points number at least the volume of
-        that ball, set here to `count`.  Raises ResourceGuardError if the
-        shell counts and the energies would allocate more than
-        MAX_ALLOC_BYTES, checked before either is formed, and DomainError if
-        fewer than `count` modes lie within p_max.
+        Read from the shell counts up to kcut = R^2, with no shell table.
+        The unit cubes around the n with |n| <= R lie in the ball of radius
+        R + sqrt(d)/2, so R starts at r - sqrt(d)/2, r the radius of the
+        ball of volume `count`, and grows by 1 until the shells hold `count`
+        modes.  Raises ResourceGuardError if the shell counts at a kcut and
+        the energies would allocate more than MAX_ALLOC_BYTES, checked
+        before either is formed, and DomainError if fewer than `count`
+        modes lie within p_max.
         """
         require(count >= 0, "count must be nonnegative")
-        d = self.d
-        # The unit ball's volume and the mode counts are taken in logs: no d overflows them.
+        d, top = self.d, math.floor(self._max_shell)
+        # The unit ball's volume is taken in logs: no d overflows it.
         log_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-        r = math.exp((math.log(count) - log_ball) / d) if count else 0.0
-        kcut = math.floor(min((r + 0.5 * math.sqrt(d)) ** 2 + 1.0, self._max_shell))
-        # `_shell_counts` holds at most five tables of kcut + 1 integers (none
-        # in d = 1) and four of the squares.  The modes it counts, by the same
-        # cube argument no more than the ball of radius sqrt(kcut) + sqrt(d)/2
-        # holds, are repeated into integers; `count` of them become two float arrays.
-        log_modes = log_ball + d * math.log(math.sqrt(kcut) + 0.5 * math.sqrt(d))
-        nbytes = 8 * (5 * (kcut + 1) * (d > 1) + 4 * (math.isqrt(kcut) + 1)
-                      + math.exp(min(log_modes, 700.0)) + 2 * count)
-        if nbytes > MAX_ALLOC_BYTES:
-            raise ResourceGuardError(f"the energies of {count} modes in d = {d} need "
-                                     f"~{nbytes:.3g} bytes, above the ceiling of "
-                                     f"{MAX_ALLOC_BYTES} bytes")
-        shells, mult = _shell_counts(d, kcut)
+        radius = max(0.0, math.exp((math.log(max(count, 1)) - log_ball) / d) - 0.5 * math.sqrt(d))
+        while True:
+            kcut = math.floor(min(radius * radius, top))
+            # `_shell_counts` holds at most five tables of kcut + 1 integers
+            # (none in d = 1) and four of the squares; the energies take two arrays.
+            nbytes = 8 * (5 * (kcut + 1) * (d > 1) + 4 * (math.isqrt(kcut) + 1) + 2 * count)
+            if nbytes > MAX_ALLOC_BYTES:
+                raise ResourceGuardError(f"the energies of {count} modes in d = {d} need "
+                                         f"~{nbytes:.3g} bytes, above the ceiling of "
+                                         f"{MAX_ALLOC_BYTES} bytes")
+            shells, mult = _shell_counts(d, kcut)
+            if mult.sum() >= count or kcut == top:
+                break
+            radius += 1.0
         if mult.sum() < count:
             raise DomainError(f"fewer than {count} modes lie within p_max = {self.p_max}")
+        keep = np.clip(count - (np.cumsum(mult) - mult), 0, mult)
         step = 2.0 * math.pi / self.l
-        return 0.5 * step * step * np.repeat(shells, mult)[:count].astype(float)
+        return 0.5 * step * step * np.repeat(shells, keep).astype(float)
 
 
 @dataclass(frozen=True)
@@ -292,15 +294,16 @@ _THETA_DUAL_TAIL = 2.0 * math.exp(-25.0 * math.pi) / -math.expm1(-11.0 * math.pi
 _J_TAIL = 1e-17       # the j-series tail relative to its first term
 _J_CHUNK = 4096       # j-terms evaluated per array pass
 _J_BYTES = 8          # kept per term of a series: one double
-# A chunk's peak: per term, 14 doubles in `_theta_power_m1`, j and one mu's 5.
+# A pass's peak: per term, 14 doubles in `_theta_power_m1`, j and one mu's 5.
 _J_PASS_BYTES = 20 * 8 * _J_CHUNK
 
 
 def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
-    """theta(t)^d - 1 for ascending t > 0, and a bound on each value's relative error.
+    """theta(t)^d - 1 for t > 0 in any order, and a bound on each value's relative error.
 
-    The bound counts roundings, with t carrying 8 and pow 1.  Direct form,
-    expm1(d*log1p(x)) with x = 2*sum e^(-t n^2): x is off by (9t + 5)
+    A mask gives each t < pi the dual form and every other t the direct
+    form.  The bound counts roundings, with t carrying 8 and pow 1.  Direct
+    form, expm1(d*log1p(x)) with x = 2*sum e^(-t n^2): x is off by (9t + 5)
     relative (an error in t moves e^(-t n^2) by t*n^2 times it), and log1p,
     the product and expm1 add one each, expm1 amplifying by at most 1 + z;
     t is clipped at 1e4, beyond which every e^(-t n^2) is 0.  Dual form,
@@ -309,8 +312,8 @@ def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
     error is bounded absolutely, then divided by the value.  P is not
     formed as an exponential, so its error does not grow with log V.
     """
-    k = int(np.searchsorted(t, math.pi))
-    r = math.pi / t[:k]
+    near = t < math.pi
+    r = math.pi / t[near]
     s = math.pi * r
     y = 2.0 * np.exp(-np.multiply.outer(s, _THETA_N2)).sum(axis=1)
     zy = d * np.log1p(y)
@@ -322,69 +325,113 @@ def _theta_power_m1(t: np.ndarray, d: int) -> tuple:
     abs_e = (1.0 + e) * (d * (y * rel_y + _THETA_DUAL_TAIL) + 2.0 * _U * zy) + _U * e
     abs_dual = p * rel_p + _U * (p - 1.0 + dual) + p * e * (rel_p + _U) + p * abs_e
 
-    z = d * np.log1p(2.0 * np.exp(-np.multiply.outer(t[k:], _THETA_N2)).sum(axis=1))
-    rel_direct = ((1.0 + z) * (_U * (10.0 * np.minimum(t[k:], 1e4) + 7.0)
+    far = t[~near]
+    z = d * np.log1p(2.0 * np.exp(-np.multiply.outer(far, _THETA_N2)).sum(axis=1))
+    rel_direct = ((1.0 + z) * (_U * (10.0 * np.minimum(far, 1e4) + 7.0)
                                + _THETA_DIRECT_TAIL) + _U)
-    return (np.concatenate((dual, np.expm1(z))),
-            np.concatenate((abs_dual / dual, rel_direct)))
+    value, rel = np.empty((2, t.size))
+    value[near], rel[near] = dual, abs_dual / dual
+    value[~near], rel[~near] = np.expm1(z), rel_direct
+    return value, rel
 
 
-def _theta_series(beta: float, lattice: ModeLattice, mus, power: int,
-                  rel_tol: float = None) -> dict:
-    """{mu: (S_power / (beta^power * V), certified bound)} for each mu of `mus`.
+def _theta_passes(lengths):
+    """Each array pass's pieces (series, start, n), the terms j = start + 1 .. start + n.
 
-    Each chunk of theta factors, which do not depend on mu, forms every
-    mu's terms in it; a mu gets the value and bound it has on its own.
-    Raises ResourceGuardError, before forming any term, if all the terms
-    and a chunk's temporaries exceed MAX_ALLOC_BYTES or theta(t_1)^d is
-    beyond the float range, and NonConvergenceError if `rel_tol` is given
-    and a bound exceeds rel_tol times its value.
+    Every series is cut into the blocks of _J_CHUNK terms it has alone, and
+    a pass takes the next blocks, in order, up to _J_CHUNK terms in all.
     """
-    mus, d, l = list(dict.fromkeys(mus)), lattice.d, lattice.l
+    pieces, used = [], 0
+    for k, length in enumerate(lengths):
+        for start in range(0, length, _J_CHUNK):
+            n = min(_J_CHUNK, length - start)
+            if used + n > _J_CHUNK:
+                yield pieces
+                pieces, used = [], 0
+            pieces.append((k, start, n))
+            used += n
+    if pieces:
+        yield pieces
+
+
+def _theta_series(beta: float, lattices, mus, power: int, rel_tol: float = None) -> list:
+    """[{mu: (S_power / (beta^power * V), certified bound)} for each lattice].
+
+    The lattices share d, and theta(t)^d - 1 depends on t = j*h alone: one
+    array pass (`_theta_passes`) serves pieces of consecutive lattices'
+    series and every mu.  A series is summed and freed after its last
+    piece, so each lattice gets the values, bounds and error it gets alone,
+    and one series and one pass are held at once.  Raises, for the first
+    lattice that fails, ResourceGuardError before forming its terms if
+    they and a pass exceed MAX_ALLOC_BYTES or theta(t_1)^d is beyond the
+    float range, and NonConvergenceError if `rel_tol` is given and a bound
+    exceeds rel_tol times its value.
+    """
+    mus, d = list(dict.fromkeys(mus)), lattices[0].d
     for mu in mus:
         _require_stable(mu)
-    step = 2.0 * math.pi / l
-    h = 0.5 * beta * step * step
-    # theta(t) <= 1 + sqrt(pi/t), the sum against its integral.
-    log_theta_max = d * math.log1p(math.sqrt(math.pi / h)) if h > 0.0 else math.inf
-    if not log_theta_max < 600.0:
-        raise ResourceGuardError(f"theta(t)^d at side {l:.3g} is beyond the float range")
-    log_q = [beta * mu - h for mu in mus]
-    terms = [(math.log(_J_TAIL) + math.log(-math.expm1(x))) / x for x in log_q]
-    # A series keeps 1 + ceil(terms) <= terms + 2 doubles.
-    if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES <= MAX_ALLOC_BYTES:
-        more = f" (with {len(mus) - 1} more mu)" if len(mus) > 1 else ""
-        raise ResourceGuardError(
-            f"the theta series needs ~{math.fsum(terms):.3g} terms at beta*mu = "
-            f"{beta * max(mus):.3g}{more} and side {l:.3g}, above the ceiling of "
-            f"{MAX_ALLOC_BYTES} bytes")
-    series = [np.empty(1 + math.ceil(t)) for t in terms]
-    rounding, last_rel = [0.0] * len(mus), [None] * len(mus)
-    longest = max(a.size for a in series)
-    for start in range(0, longest, _J_CHUNK):
-        j = np.arange(start + 1, min(start + _J_CHUNK, longest) + 1, dtype=float)
-        g, rel_g = _theta_power_m1(j * h, d)
-        for i, a in enumerate(series):
-            chunk = a[start:start + j.size]
-            if n := chunk.size:
-                x = j[:n] * (beta * mus[i])
-                chunk[:] = np.exp(x) * g[:n] / j[:n] ** power
-                # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
-                rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g[:n]
-                rounding[i] += float(chunk @ rel)
-                last_rel[i] = rel[-1]
-    scale, out = beta ** power * lattice.volume, {}
-    for mu, a, x, r, last in zip(mus, series, log_q, rounding, last_rel):
-        total = stable_sum(a)
-        ratio = math.exp(x) / -math.expm1(x)
-        tail = float(a[-1] * (1.0 + last)) * ratio * (1.0 + _U * (7.0 * -x + 10.0))
-        underflow = (a.size + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
-        value = total / scale
-        # The volume, its product with beta and the quotient: 3 roundings.
-        bound = (_U * total + r + tail + underflow) / scale + 3.0 * _U * value
-        if rel_tol is not None and bound > rel_tol * max(value, 1e-300):
-            raise NonConvergenceError(f"theta series bound {bound:.3e} exceeds rel_tol * value")
-        out[mu] = (value, bound)
+    grids, failure = [], None
+    for lattice in lattices:
+        l = lattice.l
+        step = 2.0 * math.pi / l
+        h = 0.5 * beta * step * step
+        # theta(t) <= 1 + sqrt(pi/t), the sum against its integral.
+        log_theta_max = d * math.log1p(math.sqrt(math.pi / h)) if h > 0.0 else math.inf
+        if not log_theta_max < 600.0:
+            failure = ResourceGuardError(f"theta(t)^d at side {l:.3g} is beyond the float range")
+            break
+        log_q = [beta * mu - h for mu in mus]
+        terms = [(math.log(_J_TAIL) + math.log(-math.expm1(x))) / x for x in log_q]
+        # A series keeps 1 + ceil(terms) <= terms + 2 doubles.
+        if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES <= MAX_ALLOC_BYTES:
+            more = f" (with {len(mus) - 1} more mu)" if len(mus) > 1 else ""
+            failure = ResourceGuardError(
+                f"the theta series needs ~{math.fsum(terms):.3g} terms at beta*mu = "
+                f"{beta * max(mus):.3g}{more} and side {l:.3g}, above the ceiling of "
+                f"{MAX_ALLOC_BYTES} bytes")
+            break
+        grids.append((lattice.volume, h, log_theta_max, log_q, [1 + math.ceil(t) for t in terms]))
+    out = []
+    for pieces in _theta_passes([max(grid[4]) for grid in grids]):
+        g, rel_g = _theta_power_m1(np.concatenate(
+            [np.arange(start + 1, start + n + 1, dtype=float) * grids[k][1]
+             for k, start, n in pieces]), d)
+        at = 0
+        for k, start, n in pieces:
+            volume, _, log_theta_max, log_q, lengths = grids[k]
+            j = np.arange(start + 1, start + n + 1, dtype=float)
+            if start == 0:
+                series = [np.empty(length) for length in lengths]
+                rounding, last_rel = [0.0] * len(mus), [None] * len(mus)
+            for i, a in enumerate(series):
+                chunk = a[start:start + n]
+                if m := chunk.size:
+                    x = j[:m] * (beta * mus[i])
+                    chunk[:] = np.exp(x) * g[at:at + m] / j[:m] ** power
+                    # e^(j*beta*mu): 2|j*beta*mu| + 1; the product and quotient: 2.
+                    rel = _U * (2.0 * np.abs(x) + 3.0) + rel_g[at:at + m]
+                    rounding[i] += float(chunk @ rel)
+                    last_rel[i] = rel[-1]
+            at += n
+            if start + n < max(lengths):
+                continue
+            scale, sums = beta ** power * volume, {}
+            for mu, a, x, r, last in zip(mus, series, log_q, rounding, last_rel):
+                total = stable_sum(a)
+                ratio = math.exp(x) / -math.expm1(x)
+                tail = float(a[-1] * (1.0 + last)) * ratio * (1.0 + _U * (7.0 * -x + 10.0))
+                underflow = (a.size + ratio) * _TINY * (4 * d + 1) * (math.exp(log_theta_max) + 1.0)
+                value = total / scale
+                # The volume, its product with beta and the quotient: 3 roundings.
+                bound = (_U * total + r + tail + underflow) / scale + 3.0 * _U * value
+                if rel_tol is not None and bound > rel_tol * max(value, 1e-300):
+                    raise NonConvergenceError(
+                        f"theta series bound {bound:.3e} exceeds rel_tol * value")
+                sums[mu] = (value, bound)
+            out.append(sums)
+            del series, a, chunk  # no reference may hold a series once it is summed
+    if failure:
+        raise failure
     return out
 
 
@@ -396,9 +443,9 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     not enter.  The zero-mode and constant parts of the returned breakdown
     are zero.  Raises as `_theta_series` does.
     """
-    primed, bound = _theta_series(point.beta, point.lattice, (point.mu,), 1, rel_tol)[point.mu]
-    return PressureBreakdown(zero_mode=0.0, primed=primed, constant=0.0,
-                             truncation_bound=bound)
+    (sums,) = _theta_series(point.beta, (point.lattice,), (point.mu,), 1, rel_tol)
+    return PressureBreakdown(zero_mode=0.0, primed=sums[point.mu][0], constant=0.0,
+                             truncation_bound=sums[point.mu][1])
 
 
 def pressure_ideal_limit(beta: float, mu: float, d: int = 3,
@@ -415,7 +462,7 @@ def critical_density_finite(point: ThermoPoint) -> float:
 
     Raises as `_theta_series` does.
     """
-    return _theta_series(point.beta, point.lattice, (point.mu,), 0)[point.mu][0]
+    return _theta_series(point.beta, (point.lattice,), (point.mu,), 0)[0][point.mu][0]
 
 
 def critical_density_limit(beta: float, mu: float, d: int = 3,
@@ -464,18 +511,17 @@ _EM_CUT = 12         # Euler-Maclaurin sums n < N exactly and expands the rest
 _EM_ORDER = 30       # Bernoulli corrections B_2 .. B_60, B_62 for the remainder
 
 
+@lru_cache(maxsize=None)
 def _bernoulli_even_coefficients(count: int) -> tuple:
     """B_2j / (2j)! for j = 1..count, each the double nearest the exact rational.
 
     c_n = B_n / n! obeys sum_{j<=m} c_j / (m+1-j)! = 0, and B_j = 0 for odd j > 1.
+    Built in exact fractions on the first call, which no p != 0 sum makes.
     """
     c = {0: Fraction(1), 1: Fraction(-1, 2)}
     for m in range(2, 2 * count + 1, 2):
         c[m] = -sum(c[j] / math.factorial(m + 1 - j) for j in c)
     return tuple(float(c[2 * j]) for j in range(1, count + 1))
-
-
-_EM_COEFFICIENTS = _bernoulli_even_coefficients(_EM_ORDER + 1)
 
 
 def _euler_maclaurin_zeta(sigma: float) -> tuple:
@@ -488,14 +534,14 @@ def _euler_maclaurin_zeta(sigma: float) -> tuple:
     summed magnitudes of the parts as their rounding error, which is what
     exposes the cancellation near the pole at sigma = 1.
     """
-    n = _EM_CUT
+    n, coefficients = _EM_CUT, _bernoulli_even_coefficients(_EM_ORDER + 1)
     parts = [k ** -sigma for k in range(1, n)]
     parts += [n ** (1.0 - sigma) / (sigma - 1.0), 0.5 * n ** -sigma]
     magnitude = math.fsum(abs(v) for v in parts)
     rising, power = sigma, n ** (-sigma - 1.0)
-    for j, coefficient in enumerate(_EM_COEFFICIENTS, 1):
+    for j, coefficient in enumerate(coefficients, 1):
         term = coefficient * rising * power
-        if j == len(_EM_COEFFICIENTS) or abs(term) <= 1e-20 * magnitude:
+        if j == len(coefficients) or abs(term) <= 1e-20 * magnitude:
             remainder = abs(term)
             break
         parts.append(term)

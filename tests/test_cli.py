@@ -326,6 +326,17 @@ class TestMainExitCodes:
         assert row["dimension"] == str(2 ** 23)
         assert row["passed"] == "false"
 
+    def test_high_dimension_fulldiag_reads_two_shells(self, tmp_path):
+        # In d = 13 both energies lie on shells 0 and 1, which is all the
+        # shell counts form.  It exits 1: cutoffs (2, 1) leave a heavy shell.
+        out = tmp_path / "x.csv"
+        code = main(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1", "--dim", "13",
+                     "--side", "2", "--fock-cutoff", "2,1", "--out", str(out)])
+        assert code == 1
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (row["dimension"], row["volume"], row["passed"]) == ("6", "8192", "false")
+
     def test_fulldiag_runs_27_modes(self, capsys):
         # D = 41 * 9^26 ~ 2.6e26 configurations: 209 keys of order 41.
         cfg = parse_config(["--command", "fulldiag", "--mu=-0.5", "--nu", "0.1",
@@ -777,6 +788,22 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert json.loads(line)["error"] == "ResourceGuardError"
+
+    def test_pressure_run_leaves_the_bernoulli_table_unbuilt(self):
+        # The exact-fraction Bernoulli table serves polylog's zeta only,
+        # which no pressure row reaches: it is built on first use.
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os; from bose_limits import cli, lattice_ideal; "
+             "code = cli.main(['--command', 'pressure', '--mu=-0.5', '--nu', '0.1', "
+             "'--out', os.devnull]); "
+             "print(code, lattice_ideal._bernoulli_even_coefficients.cache_info().misses)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
     def test_import_leaves_scipy_unloaded(self):
         src = str(Path(bose_limits.__file__).resolve().parent.parent)

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bose_limits.errors import NonConvergenceError, StepSizeError
 from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_spread,
@@ -174,10 +176,12 @@ class TestOneSumPerPoint:
                                  "zero_mode_log_partition"))
 
     def test_once_per_ladder_rung(self, monkeypatch):
+        # One theta pass serves every rung; each rung runs its own zero-mode series.
         primed, series = self.counters(monkeypatch)
+        theta = self.count_calls(monkeypatch, "bose_limits.lattice_ideal", "_theta_series")
         sides = (4, 8, 12)
         result = verify_equivalence(1.0, -0.5, 0.1, 3, sides, p_max=8.0)
-        assert len(primed) == len(series) == len(sides)
+        assert (len(theta), len(primed), len(series)) == (1, 0, len(sides))
         assert len(result.rung_durations) == len(sides)
 
     def test_once_per_pressure_row(self, monkeypatch):
@@ -272,6 +276,20 @@ class TestFitRate:
         ladder = ConvergenceLadder(d=3, sides=sides, values=values)
         assert fit_rate(ladder).rate == pytest.approx(0.5, abs=1e-6)
 
+    @given(sides=st.lists(st.integers(2, 4096), min_size=3, max_size=6, unique=True),
+           log_gaps=st.lists(st.floats(-40.0, 0.0), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_polyfit(self, sides, log_gaps):
+        # The centred closed form against numpy's least squares, to rounding.
+        sides = sorted(sides)
+        gaps = [math.exp(v) for v in log_gaps[:len(sides)]]
+        fit = fit_rate(ConvergenceLadder(d=3, sides=tuple(sides), values=tuple(gaps)))
+        x, y = np.log([float(s) ** 3 for s in sides]), np.log(gaps)
+        slope, intercept = np.polyfit(x, y, 1)
+        residual = math.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+        assert fit.rate == pytest.approx(-slope, rel=1e-12, abs=1e-12)
+        assert fit.residual == pytest.approx(residual, rel=0.0, abs=1e-12)
+
     def test_degenerate_gap(self):
         ladder = ConvergenceLadder(d=3, sides=(8, 16, 32), values=(0.0, 0.0, 0.0))
         with pytest.raises(NonConvergenceError):
@@ -359,18 +377,20 @@ class TestAnalyticCondensates:
         assert result.density_sqrt.rho_0 == pytest.approx(fd_sqrt.rho_0, abs=1e-9)
 
     def test_no_critical_density_series(self, monkeypatch):
+        import bose_limits.equivalence as equivalence
         import bose_limits.lattice_ideal as lattice_ideal
 
         powers = []
         theta_series = lattice_ideal._theta_series
 
-        def record(beta, lattice, mus, power, rel_tol=None):
-            powers.append(power)
-            return theta_series(beta, lattice, mus, power, rel_tol)
+        def record(beta, lattices, mus, power, rel_tol=None):
+            powers.append((power, len(lattices)))
+            return theta_series(beta, lattices, mus, power, rel_tol)
 
         monkeypatch.setattr(lattice_ideal, "_theta_series", record)
+        monkeypatch.setattr(equivalence, "_theta_series", record)
         verify_equivalence(1.0, -0.5, 0.1, 3, (8, 16), p_max=8.0)
-        assert powers == [1, 1]
+        assert powers == [(1, 2)]
 
     def test_no_finite_difference_call(self, monkeypatch):
         import bose_limits.equivalence as equivalence

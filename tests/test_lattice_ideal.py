@@ -1,16 +1,18 @@
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bose_limits import lattice_ideal
-from bose_limits.errors import DomainError, NonConvergenceError, ResourceGuardError
+from bose_limits.errors import (BoseLimitsError, DomainError, NonConvergenceError,
+                                ResourceGuardError)
 from bose_limits.lattice_ideal import (ModeLattice, PressureBreakdown, ThermoPoint,
                                        build_lattice, critical_density_finite,
                                        critical_density_limit, polylog,
@@ -152,10 +154,25 @@ class TestBuildLattice:
         assert peak < 2 ** 16
 
     def test_high_dimension_refused_without_overflow(self):
-        # In d = 400 the unit ball's volume and the mode counts are beyond
-        # the float range; their logs are not.
+        # In d = 400 the unit ball's volume is beyond the float range; its
+        # log is not.  A hundred million energies take 1.6 GB.
         with pytest.raises(ResourceGuardError):
-            build_lattice(400, 2.0, 1e3).leading_energies(2)
+            build_lattice(400, 2.0, 1e3).leading_energies(10 ** 8)
+
+    @pytest.mark.parametrize("d", [13, 400])
+    def test_high_dimension_reads_the_shells_it_needs(self, d):
+        # 1 + 2d modes lie on shells 0 and 1, so the shell counts stop at
+        # kcut = 1 however loose the ball-volume estimate is in high d.
+        energies = build_lattice(d, 2.0, 7.0).leading_energies(2 * d + 1)
+        assert energies.tolist() == [0.0] + [0.5 * math.pi ** 2] * (2 * d)
+        lat = build_lattice(d, 2.0, 7.0)
+        tracemalloc.start()
+        try:
+            lat.leading_energies(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestThermoPoint:
@@ -234,12 +251,12 @@ class TestThetaSeries:
         point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, 1.0))
         exact = [_exact_theta_series(beta, mu, d, l, power) for power in (0, 1)]
         for power in (0, 1):
-            value, bound = _theta_series(beta, point.lattice, (mu,), power)[mu]
+            value, bound = _theta_series(beta, (point.lattice,), (mu,), power)[0][mu]
             assert abs(value - exact[power]) <= bound <= 1e-14 * value
         # Stopped early, the j-tail dominates the certificate.
         monkeypatch.setattr(lattice_ideal, "_J_TAIL", 1e-6)
         for power in (0, 1):
-            value, bound = _theta_series(beta, point.lattice, (mu,), power)[mu]
+            value, bound = _theta_series(beta, (point.lattice,), (mu,), power)[0][mu]
             assert 1e-13 * value < abs(value - exact[power]) <= bound
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -259,7 +276,7 @@ class TestThetaSeries:
             for power in (0, 1):
                 exact = mp.fsum(mp.exp(-0.5 * j) / j ** power * g[j - 1] for j in (1, 2, 3))
                 exact /= mp.mpf(l) ** d
-                value, bound = _theta_series(1.0, lattice, (-0.5,), power)[-0.5]
+                value, bound = _theta_series(1.0, (lattice,), (-0.5,), power)[0][-0.5]
                 assert 1e-12 * value < abs(value - exact) <= bound
 
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -1e-3),
@@ -271,7 +288,7 @@ class TestThetaSeries:
         shell, cutoff = shell_primed_pressure(point)
         assert abs(theta.primed - shell) <= (cutoff + theta.truncation_bound
                                              + ORACLE_ROUNDING * shell)
-        density, density_bound = _theta_series(beta, point.lattice, (mu,), 0)[mu]
+        density, density_bound = _theta_series(beta, (point.lattice,), (mu,), 0)[0][mu]
         assert density == critical_density_finite(point)
         shell, cutoff = shell_critical_density(point)
         assert abs(density - shell) <= cutoff + density_bound + ORACLE_ROUNDING * shell
@@ -282,8 +299,8 @@ class TestThetaSeries:
         # The zero mode's share, log(1 - e^(beta*mu))/(beta*V), is ~1e-12.
         assert res.primed == pytest.approx(pressure_ideal_limit(1.0, -0.5, 3), rel=1e-9)
         # The density's own series certifies 1e-14 too.
-        density = lattice_ideal._theta_series(1.0, point.lattice, (-0.5,), 0,
-                                              rel_tol=1e-14)[-0.5][0]
+        density = lattice_ideal._theta_series(1.0, (point.lattice,), (-0.5,), 0,
+                                              rel_tol=1e-14)[0][-0.5][0]
         assert density == critical_density_finite(point) == pytest.approx(
             critical_density_limit(1.0, -0.5, 3, tol=1e-14), rel=1e-9)
 
@@ -322,6 +339,93 @@ class TestThetaSeries:
         point = ThermoPoint(beta=1.0, mu=-0.5, lattice=build_lattice(d, l, 10.0))
         with pytest.raises(ResourceGuardError, match="float range"):
             pressure_ideal_primed(point)
+
+
+
+# Sides whose theta(t_1)^d is beyond the float range, by d.
+RANGE_SIDE = {1: 1e200, 2: 1e150, 3: 1e90}
+
+
+def outcome(call):
+    """What `call()` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except BoseLimitsError as exc:
+        return type(exc), str(exc)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestThetaPassOverLattices:
+    """One `_theta_series` call over several lattices against one call per lattice."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_theta_power_does_not_depend_on_position(self, d):
+        t = np.logspace(-6.0, math.log10(700.0), 4096)
+        order = np.random.default_rng(43).permutation(t.size)
+        value, rel = _theta_power_m1(t, d)
+        shuffled_value, shuffled_rel = _theta_power_m1(t[order], d)
+        assert shuffled_value.tobytes() == value[order].tobytes()
+        assert shuffled_rel.tobytes() == rel[order].tobytes()
+
+    @given(d=st.sampled_from([1, 2, 3]), beta=st.floats(0.5, 2.0),
+           mus=st.lists(st.one_of(st.floats(-2.0, -1e-3), st.just(-1e-6)),
+                        min_size=1, max_size=3),
+           sides=st.lists(st.one_of(st.floats(1.5, 40.0),
+                                    st.sampled_from([100.0, 400.0, "range"])),
+                          min_size=1, max_size=4),
+           power=st.sampled_from([0, 1]), rel_tol=st.sampled_from([None, 1e-15, 1e-12]))
+    # Several lattices in one pass, t straddling pi, and a 4e4-term series over 10 passes.
+    @example(d=3, beta=1.0, mus=[-1e-3, -0.5], sides=[8.0, 16.0, 100.0, 32.0], power=1,
+             rel_tol=None)
+    # A refusal by rel_tol before a lattice the byte guard refuses.
+    @example(d=2, beta=1.0, mus=[-1e-6], sides=[8.0, 400.0], power=0, rel_tol=1e-15)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_one_call_per_lattice(self, d, beta, mus, sides, power, rel_tol):
+        # Under a 2 MiB ceiling the byte guard refuses side 400 at mu = -1e-6
+        # (~2e5 terms and more) and passes every other series here.
+        lattices = [build_lattice(d, RANGE_SIDE[d] if s == "range" else s, 10.0) for s in sides]
+        with mock.patch.object(lattice_ideal, "MAX_ALLOC_BYTES", 2 ** 21):
+            together = outcome(lambda: _theta_series(beta, lattices, mus, power, rel_tol))
+            alone = outcome(lambda: [_theta_series(beta, [lattice], mus, power, rel_tol)[0]
+                                     for lattice in lattices])
+        assert repr(together) == repr(alone)
+
+    def test_short_ladder_takes_one_theta_evaluation(self, monkeypatch):
+        sizes = []
+
+        def counting(t, d):
+            sizes.append(t.size)
+            return _theta_power_m1(t, d)
+
+        monkeypatch.setattr(lattice_ideal, "_theta_power_m1", counting)
+        lattices = [build_lattice(3, side, 10.0) for side in (8.0, 16.0, 32.0, 64.0)]
+        _theta_series(1.0, lattices, (-0.5, -0.6), 1)
+        # The longest series of each lattice, 49 to 81 terms.
+        assert len(sizes) == 1 and 4 * 49 <= sizes[0] <= 4 * 81
+
+    def test_every_lattice_is_guarded(self, monkeypatch):
+        # Side 400 at mu = -1e-4 needs ~2e5 terms, above a 2 MiB ceiling;
+        # side 8 ahead of it does not lift the guard from it.
+        monkeypatch.setattr(lattice_ideal, "MAX_ALLOC_BYTES", 2 ** 21)
+        lattices = [build_lattice(3, side, 10.0) for side in (8.0, 400.0)]
+        with pytest.raises(ResourceGuardError, match="side 400"):
+            _theta_series(1.0, lattices, (-1e-4,), 1)
+
+    def test_ladder_peaks_at_its_largest_rung(self):
+        # Each series is freed once summed, so a ladder of 7.8e4, 2.1e5 and
+        # 3.7e5 terms holds no more than its largest rung alone and one pass.
+        lattices = [build_lattice(3, side, 10.0) for side in (200.0, 400.0, 800.0)]
+        ladder = traced_peak(lambda: _theta_series(1.0, lattices, (-1e-4,), 1))
+        largest = traced_peak(lambda: _theta_series(1.0, lattices[-1:], (-1e-4,), 1))
+        assert 8 * 3.6e5 < ladder <= largest + lattice_ideal._J_PASS_BYTES
 
 
 class TestDispersion:

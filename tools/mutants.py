@@ -74,8 +74,13 @@ MUTANTS = (
     ("theta byte guard dropped", LATTICE,
      "if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES",
      "if not _J_PASS_BYTES", LATTICE_TESTS),
+    ("theta byte guard counts only the first lattice", LATTICE,
+     "if not _J_BYTES * math.fsum(t + 2.0 for t in terms)",
+     "if not grids and not _J_BYTES * math.fsum(t + 2.0 for t in terms)", LATTICE_TESTS),
+    ("theta pass piece shifted by one j", LATTICE,
+     "at += n", "at += n - 1", LATTICE_TESTS),
     ("energy guard counts the shell tables only", LATTICE,
-     "\n                      + math.exp(min(log_modes, 700.0)) + 2 * count)", ")",
+     "4 * (math.isqrt(kcut) + 1) + 2 * count)", "4 * (math.isqrt(kcut) + 1))",
      LATTICE_TESTS),
 )
 
