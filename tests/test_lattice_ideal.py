@@ -341,7 +341,6 @@ class TestThetaSeries:
             pressure_ideal_primed(point)
 
 
-
 # Sides whose theta(t_1)^d is beyond the float range, by d.
 RANGE_SIDE = {1: 1e200, 2: 1e150, 3: 1e90}
 
@@ -382,7 +381,7 @@ class TestThetaPassOverLattices:
                                     st.sampled_from([100.0, 400.0, "range"])),
                           min_size=1, max_size=4),
            power=st.sampled_from([0, 1]), rel_tol=st.sampled_from([None, 1e-15, 1e-12]))
-    # Several lattices in one pass, t straddling pi, and a 4e4-term series over 10 passes.
+    # Several lattices in one pass, t straddling pi, and a 1.5e4-term series over 4 passes.
     @example(d=3, beta=1.0, mus=[-1e-3, -0.5], sides=[8.0, 16.0, 100.0, 32.0], power=1,
              rel_tol=None)
     # A refusal by rel_tol before a lattice the byte guard refuses.
