@@ -16,7 +16,6 @@ so byte-level comparisons can drop it.
 """
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -24,12 +23,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .equivalence import pressure_pair, verify_equivalence
+from .equivalence import pressure_pairs, verify_equivalence
 from .errors import (BoseLimitsError, DomainError, NonConvergenceError,
                      ResourceGuardError)
 from .fockdiag import DiagonalModel, truncate_lattice, verify_sandwich
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp, _require_stable,
-                            _theta_series, build_lattice)
+from .lattice_ideal import _free_zero_pressure, _require_stable, build_lattice
 from .nonlinear_model import ExponentFunction, exponent_eval, zero_mode_log_partition
 
 __all__ = ["RunConfig", "parse_config", "run", "emit_csv", "emit_json", "main"]
@@ -240,35 +238,24 @@ def emit_json(rows: Sequence[dict], stream, columns: Sequence[str]) -> None:
 def _run_pressure(cfg: RunConfig) -> tuple:
     """Pressure rows over the (beta, mu, nu) grid (one point for `pressure`), in-process.
 
-    p' does not depend on nu, nor its theta factors on mu: one pass per
-    beta gives every mu's p', which its nu rows share.  Each row's
-    `duration_s` adds an even share of that pass to its own time.
+    One `pressure_pairs` pass per beta; `duration_s` is each pair's seconds.
     """
     rows = []
     for beta in cfg.beta:
-        start = time.perf_counter()
         lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
-        (sums,) = _theta_series(beta, (lattice,), cfg.mu, 1, cfg.rel_tol)
-        share = (time.perf_counter() - start) / (len(cfg.mu) * len(cfg.nu))
-        for mu, nu in itertools.product(cfg.mu, cfg.nu):
-            start = time.perf_counter() - share
-            point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
-            primed = PressureBreakdown(zero_mode=0.0, primed=sums[mu][0], constant=0.0,
-                                       truncation_bound=sums[mu][1])
-            pair = pressure_pair(point, rel_tol=cfg.rel_tol, coefficient=cfg.coefficient,
-                                 primed=primed)
+        for point, pair, seconds in pressure_pairs(beta, (lattice,), cfg.mu, cfg.nu,
+                                                   cfg.rel_tol, cfg.coefficient):
             p_lin, p_sqrt = pair.linear, pair.sqrt
             rows.append({
-                "command": cfg.command, "beta": beta, "mu": mu, "nu": nu,
-                "dim": cfg.dim, "side": cfg.side, "volume": lattice.volume, "pmax": cfg.pmax,
+                "command": cfg.command, "beta": beta, "mu": point.mu, "nu": point.nu,
+                "dim": cfg.dim, "side": cfg.side, "volume": point.volume, "pmax": cfg.pmax,
                 "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
                 "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
                 "p_linear_bound": p_lin.truncation_bound,
                 "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
                 "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
                 "delta_p": pair.delta, "identity_rel_err": pair.identity_rel_err,
-                "passed": pair.passed(cfg.rel_tol),
-                "duration_s": time.perf_counter() - start,
+                "passed": pair.passed(cfg.rel_tol), "duration_s": seconds,
             })
     # Rows are emitted sorted by (beta, mu, nu), never in grid order.
     rows.sort(key=lambda r: (r["beta"], r["mu"], r["nu"]))
@@ -321,14 +308,14 @@ def _run_laplace(cfg: RunConfig) -> tuple:
         f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)
         # The sum is at least its largest term and at most terms_used times
         # e^(beta*V*sup); by concavity the largest term sits next to V*x*.
-        # A geometric series (nu = 0) has sup 0 and the exact log-sum
-        # -log(1 - e^(beta*mu)), which bounds it from both sides.
+        # A geometric series (nu = 0) has sup 0 and the free zero mode's
+        # exact log-sum, formed apart from it, bounds it from both sides.
         peak = volume * res.maximizer
         lower = max(exponent_eval(f, n / volume)
                     for n in {math.floor(peak), math.ceil(peak)})
         gap_bound = math.log(res.terms_used) / (beta * volume)
         if res.method == "geometric":
-            gap_bound = -_log1m_exp(beta * mu) / (beta * volume)
+            gap_bound = _free_zero_pressure(beta, mu, volume)
             lower = res.sup_value + gap_bound
         ok = (lower - res.tail_bound <= res.numeric_log_sum
               <= res.sup_value + gap_bound + res.tail_bound)

@@ -11,15 +11,15 @@ in mu (convex in mu, so the derivative of the limit is the limit of the
 derivatives wherever it exists).
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import NonConvergenceError, StepSizeError, require
-from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _log1m_exp, _theta_series,
-                            build_lattice, critical_density_limit,
-                            pressure_ideal_primed)
+from .lattice_ideal import (_U, PressureBreakdown, ThermoPoint, _free_zero_pressure,
+                            _theta_series, build_lattice, critical_density_limit)
 from .nonlinear_model import (LaplaceResult, pressure_sqrt_source,
                               pressure_sqrt_source_limit, zero_mode_log_partition)
 from .source_model import (condensate_density_source, pressure_source,
@@ -39,6 +39,7 @@ __all__ = [
     "condensate_temperature_spread",
     "fit_rate",
     "pressure_pair",
+    "pressure_pairs",
     "verify_equivalence",
 ]
 
@@ -151,32 +152,49 @@ class PressurePair(NamedTuple):
                         for p in (self.linear, self.sqrt)))
 
 
-def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
-                  coefficient: float = 2.0, primed: PressureBreakdown = None) -> PressurePair:
-    """Both pressures from one p != 0 mode sum and one zero-mode series.
+def pressure_pairs(beta: float, lattices: Sequence, mus: Sequence[float],
+                   nus: Sequence[float], rel_tol: float = 1e-10,
+                   coefficient: float = 2.0) -> list:
+    """[(point, pair, seconds)] for each lattice (sharing d), then each mu, then each nu.
 
-    The breakdowns are `pressure_source` and `pressure_sqrt_source`, each
-    handed the shared sums; `primed` is `pressure_ideal_primed(point,
-    rel_tol)`, formed here unless the caller holds it.  Both pressures are
-    positive for mu < 0, so a total of 0 has underflowed and no bound can
-    be rel_tol of it: NonConvergenceError.
+    One `_theta_series` call gives each (lattice, mu) the p != 0 sum both
+    models share at every nu; each pair's zero-mode series serves the
+    square-root model and the closed form.  `seconds` is the pair's own time
+    plus an even share of the pass.  A total of 0 (both are positive for
+    mu < 0) has underflowed, so no bound is rel_tol of it: NonConvergenceError.
     """
-    if primed is None:
-        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
-    series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
+    start = time.perf_counter()
+    sums = _theta_series(beta, lattices, mus, 1, rel_tol)
+    share = (time.perf_counter() - start) / (len(lattices) * len(mus) * len(nus))
+    out = []
+    for (lattice, by_mu), mu, nu in itertools.product(zip(lattices, sums), mus, nus):
+        start = time.perf_counter() - share
+        point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
+        primed = PressureBreakdown(zero_mode=0.0, primed=by_mu[mu][0], constant=0.0,
+                                   truncation_bound=by_mu[mu][1])
+        series = zero_mode_log_partition(beta, mu, nu, point.volume, rel_tol=rel_tol,
+                                         coefficient=coefficient)
+        pair = PressurePair(
+            linear=pressure_source(point, primed=primed),
+            sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
+                                      primed=primed, series=series),
+            series=series,
+            closed_form=delta_pressure_closed_form(point, rel_tol=rel_tol,
+                                                   coefficient=coefficient, series=series))
+        if not (pair.linear.total > 0.0 and pair.sqrt.total > 0.0):
+            raise NonConvergenceError(
+                f"the pressures underflow (p_linear = {pair.linear.total}, p_sqrt = "
+                f"{pair.sqrt.total} at beta*mu = {beta * mu}): no relative "
+                f"certificate exists")
+        out.append((point, pair, time.perf_counter() - start))
+    return out
+
+
+def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
+                  coefficient: float = 2.0) -> PressurePair:
+    """Both pressures at one point: `pressure_pairs` on the point alone."""
+    ((_, pair, _),) = pressure_pairs(point.beta, (point.lattice,), (point.mu,), (point.nu,),
                                      rel_tol=rel_tol, coefficient=coefficient)
-    pair = PressurePair(
-        linear=pressure_source(point, primed=primed),
-        sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
-                                  primed=primed, series=series),
-        series=series,
-        closed_form=delta_pressure_closed_form(point, rel_tol=rel_tol,
-                                               coefficient=coefficient, series=series))
-    if not (pair.linear.total > 0.0 and pair.sqrt.total > 0.0):
-        raise NonConvergenceError(
-            f"the pressures underflow (p_linear = {pair.linear.total}, p_sqrt = "
-            f"{pair.sqrt.total} at beta*mu = {point.beta * point.mu}): no relative "
-            f"certificate exists")
     return pair
 
 
@@ -199,13 +217,11 @@ def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
     `series`, when given, is the point's zero-mode series at `rel_tol`
     and `coefficient`, and is used instead of a new one.
     """
-    beta, mu, nu = point.beta, point.mu, point.nu
-    v = point.volume
-    zero_lin = -_log1m_exp(beta * mu) / (beta * v)
+    beta, mu, nu, v = point.beta, point.mu, point.nu, point.volume
     if series is None:
         series = zero_mode_log_partition(beta, mu, nu, v, rel_tol=rel_tol,
                                          coefficient=coefficient)
-    return (zero_lin - nu * nu / mu) - series.numeric_log_sum
+    return (_free_zero_pressure(beta, mu, v) - nu * nu / mu) - series.numeric_log_sum
 
 
 def density_from_pressure(pressure_of_mu: Callable[[float], float],
@@ -328,36 +344,27 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
                        rel_tol: float = 1e-10) -> EquivalenceResult:
     """Pressure-gap ladder plus condensate comparison for both models.
 
-    The ladder holds delta_pressure on each side, from one `pressure_pair`
-    per side, with every side's p != 0 sum from one `_theta_series` call;
-    the fitted decay rate in V must reach RATE_THRESHOLD for the result to
-    pass.  The condensate densities rho - rho' at the largest side are
-    analytic, as the p != 0 parts cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu)
-    - 1)) for the linear source, <n0>/V from the last rung's zero-mode
-    series weights for the square-root source.  Their difference plus the
-    occupation bound over V must stay within CONDENSATE_TOL.  For nu = 0
-    the gap vanishes identically and the rate fit is skipped.
+    The ladder holds delta_pressure on each side, from one `pressure_pairs`
+    call over every side.  The result passes when every rung's
+    `PressurePair.passed` holds, the fitted decay rate in V reaches
+    RATE_THRESHOLD and the condensates agree.  The condensate densities
+    rho - rho' at the largest side are analytic, as the p != 0 parts
+    cancel: nu^2/mu^2 + 1/(V*(e^(-beta*mu) - 1)) for the linear source,
+    <n0>/V from the last rung's zero-mode series weights for the
+    square-root source.  Their difference plus the occupation bound over V
+    must stay within CONDENSATE_TOL.  For nu = 0 the gap vanishes
+    identically and the rate fit is skipped.
 
     Raises NonConvergenceError if the gap ladder is not strictly
     decreasing in magnitude (nu > 0).
     """
     require(len(sides) >= 1, "at least one side required")
-    start = time.perf_counter()
     lattices = [build_lattice(d, float(side), p_max) for side in sides]
-    sums = _theta_series(beta, lattices, (mu,), 1, rel_tol)
-    share = (time.perf_counter() - start) / len(sides)
-    values, identity_errors, rung_passed, durations = [], [], [], []
-    for lattice, (primed, bound) in zip(lattices, (s[mu] for s in sums)):
-        start = time.perf_counter() - share
-        point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
-        pair = pressure_pair(point, rel_tol=rel_tol, primed=PressureBreakdown(
-            zero_mode=0.0, primed=primed, constant=0.0, truncation_bound=bound))
-        identity_errors.append(pair.identity_rel_err)
-        rung_passed.append(pair.passed(rel_tol))
-        values.append(pair.delta)
-        durations.append(time.perf_counter() - start)
+    rungs = pressure_pairs(beta, lattices, (mu,), (nu,), rel_tol=rel_tol)
+    values = tuple(pair.delta for _, pair, _ in rungs)
+    rung_passed = tuple(pair.passed(rel_tol) for _, pair, _ in rungs)
 
-    ladder = ConvergenceLadder(d=d, sides=tuple(sides), values=tuple(values))
+    ladder = ConvergenceLadder(d=d, sides=tuple(sides), values=values)
     if nu > 0.0:
         gaps = ladder.gaps
         if not all(b < a for a, b in zip(gaps, gaps[1:])):
@@ -366,7 +373,7 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
             fit = fit_rate(ladder)
             ladder = replace(ladder, fitted_rate=fit.rate, fit_residual=fit.residual)
 
-    # `point` and `pair` sit on the largest side.
+    point, pair, _ = rungs[-1]
     volume = point.volume
     rho0_lin = condensate_density_source(mu, nu) + zero_mode_depletion(beta, mu, volume)
     series = pair.series
@@ -375,12 +382,12 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     condensates_agree = (abs(rho0_lin - rho0_sqrt) + series.occupation_bound / volume
                          <= CONDENSATE_TOL)
     if nu == 0.0:
-        passed = all(v == 0.0 for v in values) and condensates_agree
+        gap_ok = all(v == 0.0 for v in values)
     else:
-        rate_ok = ladder.fitted_rate is None or ladder.fitted_rate >= RATE_THRESHOLD
-        passed = rate_ok and condensates_agree
+        gap_ok = ladder.fitted_rate is None or ladder.fitted_rate >= RATE_THRESHOLD
     return EquivalenceResult(ladder=ladder, density_linear=CondensateDensity(rho0_lin),
                              density_sqrt=CondensateDensity(rho0_sqrt),
-                             identity_rel_errors=tuple(identity_errors),
-                             rung_passed=tuple(rung_passed), passed=passed,
-                             rung_durations=tuple(durations))
+                             identity_rel_errors=tuple(p.identity_rel_err for _, p, _ in rungs),
+                             rung_passed=rung_passed,
+                             passed=gap_ok and condensates_agree and all(rung_passed),
+                             rung_durations=tuple(seconds for _, _, seconds in rungs))

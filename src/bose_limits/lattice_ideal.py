@@ -208,6 +208,19 @@ def _log1m_exp(x: float) -> float:
     return math.log1p(-math.exp(x))
 
 
+def _free_zero_pressure(beta: float, mu: float, volume: float) -> float:
+    """Pressure -log(1 - e^(beta*mu))/(beta*V) of a free zero mode at energy -mu."""
+    return -_log1m_exp(beta * mu) / (beta * volume)
+
+
+def _free_zero_occupation(beta: float, mu: float) -> float:
+    """Occupation 1/(e^x - 1), x = -beta*mu, of a free zero mode at energy -mu.
+
+    From x = 700 on, where e^x nears overflow, it is e^-x to the last bit."""
+    x = -beta * mu
+    return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)
+
+
 def _shell_counts(d: int, kmax: int):
     """Distinct k = |n|^2 <= kmax over n in Z^d and their counts r_d(k).
 

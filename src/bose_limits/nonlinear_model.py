@@ -42,9 +42,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MAX_ALLOC_BYTES, DomainError, NonConvergenceError, require
-from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _log1m_exp,
-                            _require_stable, pressure_ideal_limit,
-                            pressure_ideal_primed)
+from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _free_zero_occupation,
+                            _free_zero_pressure, _log1m_exp, _require_stable,
+                            pressure_ideal_limit, pressure_ideal_primed)
 from .summation import stable_sum
 
 __all__ = [
@@ -359,20 +359,16 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
 
     if nu == 0.0:
-        log_norm = _log1m_exp(beta * mu)
-        value = -log_norm / (beta * volume)
+        value = _free_zero_pressure(beta, mu, volume)
         # Terms a direct summation would need to certify rel_tol.
+        log_norm = _log1m_exp(beta * mu)
         needed = (math.log(rel_tol) + log_norm) / (beta * mu)
         if math.isinf(needed):
             # Subnormal beta*mu: the count exceeds the float range, not int's.
             needed = Fraction(math.log(rel_tol) + log_norm) / Fraction(beta * mu)
-        # <n0> = 1/(e^x - 1), x = -beta*mu: e^-x to the last bit from x = 700
-        # on, where e^x nears overflow.
-        x = -beta * mu
         return LaplaceResult(maximizer=0.0, sup_value=0.0, numeric_log_sum=value,
-                             terms_used=max(1, math.ceil(needed)),
-                             tail_bound=0.0,
-                             mean_occupation=1.0 / math.expm1(x) if x < 700.0 else math.exp(-x),
+                             terms_used=max(1, math.ceil(needed)), tail_bound=0.0,
+                             mean_occupation=_free_zero_occupation(beta, mu),
                              occupation_bound=0.0, method="geometric")
 
     x_star = exponent_maximizer(f)

@@ -16,8 +16,8 @@ the depletion density (1/V)*(e^{-beta*mu} - 1)^{-1} term by term.
 import math
 
 from .errors import require
-from .lattice_ideal import (PressureBreakdown, ThermoPoint, _log1m_exp,
-                            _require_stable, pressure_ideal_primed)
+from .lattice_ideal import (PressureBreakdown, ThermoPoint, _free_zero_occupation,
+                            _free_zero_pressure, _require_stable, pressure_ideal_primed)
 
 __all__ = [
     "pressure_source",
@@ -42,11 +42,8 @@ def pressure_source(point: ThermoPoint,
     _require_stable(mu)
     if primed is None:
         primed = pressure_ideal_primed(point)
-    v = point.volume
-    zero_mode = -_log1m_exp(beta * mu) / (beta * v)
-    constant = -nu * nu / mu
-    return PressureBreakdown(zero_mode=zero_mode, primed=primed.primed,
-                             constant=constant,
+    return PressureBreakdown(zero_mode=_free_zero_pressure(beta, mu, point.volume),
+                             primed=primed.primed, constant=-nu * nu / mu,
                              truncation_bound=primed.truncation_bound)
 
 
@@ -63,7 +60,7 @@ def zero_mode_depletion(beta: float, mu: float, volume: float) -> float:
     require(volume > 0.0, "volume must be positive")
     _require_stable(mu)
     # Occupation first, then per volume, as the nu = 0 series mean divides.
-    return 1.0 / math.expm1(-beta * mu) / volume
+    return _free_zero_occupation(beta, mu) / volume
 
 
 def solve_mu_finite(beta: float, volume: float, rho0: float, nu: float) -> float:

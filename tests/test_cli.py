@@ -11,9 +11,8 @@ import pytest
 
 import bose_limits
 
-from bose_limits import cli
+from bose_limits import cli, equivalence
 from bose_limits.cli import RunConfig, emit_csv, emit_json, main, parse_config, run
-from bose_limits.equivalence import pressure_pair
 from bose_limits.errors import DomainError
 
 
@@ -123,13 +122,12 @@ class TestRun:
         for model in ("linear", "sqrt"):
             assert row[f"p_{model}_bound"] <= cfg.rel_tol * abs(row[f"p_{model}_total"])
 
-        from bose_limits import cli
+        def loose(*args, **kwargs):
+            return [(point, pair._replace(sqrt=dataclasses.replace(pair.sqrt,
+                                                                   truncation_bound=1.0)), seconds)
+                    for point, pair, seconds in equivalence.pressure_pairs(*args, **kwargs)]
 
-        def loose(point, **kwargs):
-            pair = pressure_pair(point, **kwargs)
-            return pair._replace(sqrt=dataclasses.replace(pair.sqrt, truncation_bound=1.0))
-
-        monkeypatch.setattr(cli, "pressure_pair", loose)
+        monkeypatch.setattr(cli, "pressure_pairs", loose)
         code, (row,) = run(cfg)
         assert row["identity_rel_err"] <= 1e-12
         assert code == 1 and not row["passed"]
@@ -160,6 +158,25 @@ class TestRun:
         ladder = [r for r in rows if r["row"] == "ladder"]
         assert len(ladder) == 8 and all(r["passed"] for r in ladder)
         assert max(r["identity_rel_err"] for r in ladder) > 1e-12
+
+    def test_equivalence_summary_needs_every_rung(self):
+        # Both rungs' square-root bounds exceed rel_tol of their totals,
+        # while the two-rung ladder fits no rate and the condensates agree.
+        point = ["--beta=13.968387891640242", "--mu=-0.11971497378806026",
+                 "--nu=1.669552852929788e-05", "--dim", "3", "--rel-tol=1.8051772081056266e-13"]
+        code, rows = run(parse_config(["--command", "equivalence", *point, "--ladder", "3,5"]))
+        assert [r["passed"] for r in rows] == [False, False, False]
+        assert code == 1
+        code, (row,) = run(parse_config(["--command", "pressure", *point, "--side", "3"]))
+        assert code == 1 and not row["passed"]
+
+    def test_equivalence_past_the_depletion_overflow(self, capsys):
+        # beta*|mu| = 800: e^(-beta*mu) overflows, the linear depletion does not.
+        code = main(["--command", "equivalence", "--beta", "20", "--mu=-40", "--nu", "0.1",
+                     "--ladder", "8,16,32"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1) and err == ""
+        assert len(out.splitlines()) == 5
 
     def test_generic_side64_grid_passes(self):
         # Rounding alone puts 177 of these 1000 rows above an
@@ -594,13 +611,13 @@ class TestSweepInOneProcess:
     def test_rows_of_a_beta_share_its_theta_time(self, monkeypatch):
         import time
 
-        original = cli._theta_series
+        original = equivalence._theta_series
 
         def slow(*args, **kwargs):
             time.sleep(0.04)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_theta_series", slow)
+        monkeypatch.setattr(equivalence, "_theta_series", slow)
         code, rows = run(parse_config(["--command", "sweep", "--beta", "0.5,1",
                                        "--mu=-1,-0.5", "--nu", "0.1,0.2", "--side", "8"]))
         assert code == 0 and len(rows) == 8

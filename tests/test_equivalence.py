@@ -1,16 +1,17 @@
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bose_limits.errors import NonConvergenceError, StepSizeError
+from bose_limits.errors import BoseLimitsError, NonConvergenceError, StepSizeError
 from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_spread,
                                      delta_pressure,
                                      delta_pressure_closed_form, density_from_pressure,
-                                     density_limit, fit_rate, pressure_pair,
+                                     density_limit, fit_rate, pressure_pair, pressure_pairs,
                                      verify_equivalence)
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
@@ -96,6 +97,55 @@ class TestPressurePair:
         monkeypatch.setattr(eq, "pressure_source", off_by_a_bit)
         point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=lattice_d3_l16)
         assert pressure_pair(point).identity_rel_err > 1e-9
+
+
+def outcome(call):
+    """What a call returns, or the package error it raises."""
+    try:
+        return call()
+    except BoseLimitsError as exc:
+        return exc
+
+
+class TestPressurePairs:
+    """One `pressure_pairs` pass against one `pressure_pair` per point."""
+
+    @given(d=st.sampled_from([1, 2, 3]), beta=st.floats(0.5, 2.0),
+           sides=st.lists(st.floats(1.5, 40.0), min_size=1, max_size=4),
+           mus=st.lists(st.floats(-2.0, -1e-3), min_size=1, max_size=2),
+           repeat=st.booleans(),
+           nus=st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1.0)), min_size=1, max_size=2),
+           rel_tol=st.sampled_from([1e-15, 1e-12, 1e-10]),
+           coefficient=st.sampled_from([2.0, 3.0]))
+    # Three lattices in one theta evaluation, a repeated mu and nu = 0.
+    @example(d=3, beta=1.0, sides=[8.0, 16.0, 32.0], mus=[-0.5, -1e-3], repeat=True,
+             nus=[0.1, 0.0], rel_tol=1e-10, coefficient=2.0)
+    # Every theta series misses rel_tol 1e-15, alone as in the pass.
+    @example(d=3, beta=1.0, sides=[8.0, 40.0], mus=[-1e-3], repeat=False, nus=[0.1],
+             rel_tol=1e-15, coefficient=2.0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_pair_per_point(self, d, beta, sides, mus, repeat, nus, rel_tol,
+                                        coefficient):
+        mus = mus + mus[:1] if repeat else mus
+        lattices = [build_lattice(d, side, 10.0) for side in sides]
+        points = [ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
+                  for lattice, mu, nu in itertools.product(lattices, mus, nus)]
+
+        def readings(pairs):
+            return [(point, repr(pair), pair.identity_rel_err, pair.passed(rel_tol))
+                    for point, pair in pairs]
+
+        together = outcome(lambda: readings(
+            (point, pair) for point, pair, _ in pressure_pairs(beta, lattices, mus, nus,
+                                                               rel_tol, coefficient)))
+        alone = [outcome(lambda: readings([(point, pressure_pair(point, rel_tol, coefficient))]))
+                 for point in points]
+        errors = [repr(a) for a in alone if isinstance(a, BoseLimitsError)]
+        if errors:
+            # The pass stops at one of the errors its points raise alone.
+            assert repr(together) in errors
+        else:
+            assert together == [reading for (reading,) in alone]
 
 
 LADDER_TO_1024 = (8, 16, 32, 64, 128, 256, 512, 1024)
@@ -409,6 +459,14 @@ class TestAnalyticCondensates:
         assert result.density_linear.rho_0 == result.density_sqrt.rho_0
         assert result.density_linear.rho_0 > 0.0
         assert result.passed
+
+    def test_nu_zero_needs_every_rung(self, monkeypatch):
+        import bose_limits.equivalence as equivalence
+
+        monkeypatch.setattr(equivalence.PressurePair, "passed", lambda pair, rel_tol: False)
+        result = verify_equivalence(1.3, -0.6, 0.0, 3, (4, 8, 12), p_max=8.0)
+        assert result.rung_passed == (False,) * 3
+        assert not result.passed
 
     def test_occupation_bound_gates_passed(self, monkeypatch):
         import bose_limits.equivalence as equivalence

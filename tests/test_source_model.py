@@ -126,6 +126,14 @@ class TestZeroModeDepletion:
     def test_deep_mu(self):
         assert zero_mode_depletion(1.0, -50.0, 1.0) < 1e-20
 
+    @pytest.mark.parametrize("beta, mu, volume", [(20.0, -40.0, 32768.0), (1.0, -720.0, 8.0)])
+    def test_past_the_overflow_of_e_to_minus_beta_mu(self, beta, mu, volume):
+        # e^(-beta*mu) overflows from beta*|mu| = 709.8 on; the occupation
+        # is e^(beta*mu) there, to the last bit (0 at beta*|mu| = 800).
+        value = zero_mode_depletion(beta, mu, volume)
+        assert math.isfinite(value)
+        assert value == math.exp(beta * mu) / volume
+
 
 class TestChemicalPotentialSolvers:
     def test_worked_example(self):

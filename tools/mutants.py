@@ -4,7 +4,8 @@
 
 A mutant is one exact replacement of text in one source file, written so
 that a certificate claims less error than the code makes (a bound divided,
-a term dropped).  For each, the tool copies `src/`, `tests/` and
+a term dropped), a pass rule passes more, or a guarded branch is dropped.
+For each, the tool copies `src/`, `tests/` and
 `pyproject.toml` into a temporary directory, applies the replacement there,
 runs pytest on the mutant's test files only and prints `caught` when they
 fail or `missed` when they pass (`error` if pytest could not run them).
@@ -33,6 +34,8 @@ MODEL = "src/bose_limits/nonlinear_model.py"
 MODEL_TESTS = ("tests/test_nonlinear_model.py",)
 FOCK = "src/bose_limits/fockdiag.py"
 FOCK_TESTS = ("tests/test_fockdiag.py",)
+EQUIVALENCE = "src/bose_limits/equivalence.py"
+EQUIVALENCE_TESTS = ("tests/test_equivalence.py", "tests/test_cli.py")
 
 # (name, file, old text, new text, test files that must fail)
 MUTANTS = (
@@ -82,6 +85,12 @@ MUTANTS = (
     ("energy guard counts the shell tables only", LATTICE,
      "4 * (math.isqrt(kcut) + 1) + 2 * count)", "4 * (math.isqrt(kcut) + 1))",
      LATTICE_TESTS),
+    ("free zero-mode occupation always 1/expm1", LATTICE,
+     "return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)",
+     "return 1.0 / math.expm1(x)", ("tests/test_source_model.py",)),
+    ("equivalence summary drops the rung requirement", EQUIVALENCE,
+     "passed=gap_ok and condensates_agree and all(rung_passed),",
+     "passed=gap_ok and condensates_agree,", EQUIVALENCE_TESTS),
 )
 
 
