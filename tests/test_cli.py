@@ -123,9 +123,9 @@ class TestRun:
             assert row[f"p_{model}_bound"] <= cfg.rel_tol * abs(row[f"p_{model}_total"])
 
         def loose(*args, **kwargs):
-            return [(point, pair._replace(sqrt=dataclasses.replace(pair.sqrt,
-                                                                   truncation_bound=1.0)), seconds)
-                    for point, pair, seconds in equivalence.pressure_pairs(*args, **kwargs)]
+            pairs = equivalence.pressure_pairs(*args, **kwargs)
+            return [(point, pair._replace(sqrt=dataclasses.replace(pair.sqrt, truncation_bound=1.0)),
+                     seconds) for point, pair, seconds in pairs]
 
         monkeypatch.setattr(cli, "pressure_pairs", loose)
         code, (row,) = run(cfg)
