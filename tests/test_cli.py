@@ -312,6 +312,36 @@ class TestRun:
         assert row["lower"] <= row["delta_p"] <= row["upper"]
 
 
+README_OUTPUTS = Path(__file__).parent / "readme_outputs"
+
+# The README's five commands: (flags after --command, exit code, CSV lines).
+README_COMMANDS = {
+    "pressure": (["--beta", "1", "--mu=-0.5", "--nu", "0.1", "--dim", "3", "--side", "16"],
+                 0, 2),
+    "equivalence": (["--mu=-0.5", "--nu", "0.1", "--ladder", "8,16,32,64"], 1, 6),
+    "laplace": (["--mu=-0.5", "--nu", "0.1", "--dim", "1", "--ladder", "100,1000,10000"],
+                0, 4),
+    "fulldiag": (["--mu=-0.5", "--nu", "0.1", "--side", "2", "--pmax", "7",
+                  "--fock-cutoff", "20,8"], 0, 2),
+    "sweep": (["--beta", "0.5,1", "--mu=-1,-0.5", "--nu", "0.1,0.2", "--side", "8",
+               "--workers", "2"], 0, 9),
+}
+
+
+class TestReadmeOutputs:
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_output_is_pinned(self, command, capsys):
+        # Each command's CSV, bar `duration_s`, byte for byte as pinned in
+        # tests/readme_outputs; exit 1 of `equivalence` is its rate fit.
+        flags, code, lines = README_COMMANDS[command]
+        assert main(["--command", command, *flags]) == code
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
+        pinned = (README_OUTPUTS / f"{command}.csv").read_text(encoding="utf-8")
+        assert strip_duration(out).splitlines() == pinned.splitlines(), (
+            f"the output of `bose-limits --command {command}` moved")
+
+
 class TestMainExitCodes:
     def test_wide_peak_certifies(self, capsys):
         # n* = 5.4e6 < sigma = 1e7: the window would need ~2e8 terms, past
