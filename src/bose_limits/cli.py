@@ -269,11 +269,10 @@ def _run_equivalence(cfg: RunConfig) -> tuple:
     result = verify_equivalence(beta, mu, nu, cfg.dim, cfg.ladder,
                                 p_max=cfg.pmax, rel_tol=cfg.rel_tol)
     rows = []
-    for i, side in enumerate(result.ladder.sides):
+    for i, (side, volume) in enumerate(zip(result.ladder.sides, result.ladder.volumes)):
         rows.append({
             "command": cfg.command, "row": "ladder", "beta": beta, "mu": mu,
-            "nu": nu, "dim": cfg.dim, "side": side,
-            "volume": float(side) ** cfg.dim,
+            "nu": nu, "dim": cfg.dim, "side": side, "volume": volume,
             "delta_p": result.ladder.values[i],
             "identity_rel_err": result.identity_rel_errors[i],
             "passed": result.rung_passed[i],
@@ -298,11 +297,7 @@ def _run_laplace(cfg: RunConfig) -> tuple:
     all_ok = True
     for side in cfg.ladder:
         start = time.perf_counter()
-        try:
-            volume = float(side) ** cfg.dim
-        except OverflowError as exc:
-            raise DomainError(f"volume side**{cfg.dim} overflows a float at a side of "
-                              f"{len(str(side))} digits") from exc
+        volume = build_lattice(cfg.dim, side, cfg.pmax).volume
         res = zero_mode_log_partition(beta, mu, nu, volume, rel_tol=cfg.rel_tol,
                                       coefficient=cfg.coefficient)
         f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=cfg.coefficient)

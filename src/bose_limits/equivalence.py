@@ -174,13 +174,9 @@ def pressure_pairs(beta: float, lattices: Sequence, mus: Sequence[float],
                                    truncation_bound=by_mu[mu][1])
         series = zero_mode_log_partition(beta, mu, nu, point.volume, rel_tol=rel_tol,
                                          coefficient=coefficient)
-        pair = PressurePair(
-            linear=pressure_source(point, primed=primed),
-            sqrt=pressure_sqrt_source(point, rel_tol=rel_tol, coefficient=coefficient,
-                                      primed=primed, series=series),
-            series=series,
-            closed_form=delta_pressure_closed_form(point, rel_tol=rel_tol,
-                                                   coefficient=coefficient, series=series))
+        pair = PressurePair(linear=pressure_source(point, primed),
+                            sqrt=pressure_sqrt_source(primed, series), series=series,
+                            closed_form=delta_pressure_closed_form(point, series))
         if not (pair.linear.total > 0.0 and pair.sqrt.total > 0.0):
             raise NonConvergenceError(
                 f"the pressures underflow (p_linear = {pair.linear.total}, p_sqrt = "
@@ -209,18 +205,12 @@ def delta_pressure(point: ThermoPoint) -> float:
     return pressure_pair(point).delta
 
 
-def delta_pressure_closed_form(point: ThermoPoint, rel_tol: float = 1e-10,
-                               coefficient: float = 2.0,
-                               series: LaplaceResult = None) -> float:
+def delta_pressure_closed_form(point: ThermoPoint, series: LaplaceResult) -> float:
     """The same difference assembled from zero-mode and constant terms only.
 
-    `series`, when given, is the point's zero-mode series at `rel_tol`
-    and `coefficient`, and is used instead of a new one.
+    `series` is the point's zero-mode series (`zero_mode_log_partition`).
     """
     beta, mu, nu, v = point.beta, point.mu, point.nu, point.volume
-    if series is None:
-        series = zero_mode_log_partition(beta, mu, nu, v, rel_tol=rel_tol,
-                                         coefficient=coefficient)
     return (_free_zero_pressure(beta, mu, v) - nu * nu / mu) - series.numeric_log_sum
 
 
@@ -359,7 +349,7 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     decreasing in magnitude (nu > 0).
     """
     require(len(sides) >= 1, "at least one side required")
-    lattices = [build_lattice(d, float(side), p_max) for side in sides]
+    lattices = [build_lattice(d, side, p_max) for side in sides]
     rungs = pressure_pairs(beta, lattices, (mu,), (nu,), rel_tol=rel_tol)
     values = tuple(pair.delta for _, pair, _ in rungs)
     rung_passed = tuple(pair.passed(rel_tol) for _, pair, _ in rungs)

@@ -554,7 +554,7 @@ class SandwichReport:
 
 
 def verify_sandwich(model: DiagonalModel, truncations: Sequence[FockTruncation],
-                    beta: float, nu: float, volume: float = 1.0,
+                    beta: float, nu: float, volume: float,
                     coefficient: float = 2.0) -> list:
     """Evaluate the two-sided pressure-difference chain on each truncation.
 

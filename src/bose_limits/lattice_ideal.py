@@ -270,7 +270,7 @@ def build_lattice(d: int, l: float, p_max: float) -> ModeLattice:
     require(p_max > 0.0, "p_max must be positive")
     d = int(d)
     if not abs(d * math.log(l)) < -math.log(sys.float_info.min):
-        raise ResourceGuardError(f"volume {l:.3g}**{d} is outside the float range")
+        raise ResourceGuardError(f"volume 10^{d * math.log10(l):.4g} is outside the float range")
     return ModeLattice(d=d, l=float(l), p_max=float(p_max))
 
 

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import MAX_ALLOC_BYTES, DomainError, NonConvergenceError, require
 from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _free_zero_occupation,
                             _free_zero_pressure, _log1m_exp, _require_stable,
-                            pressure_ideal_limit, pressure_ideal_primed)
+                            pressure_ideal_limit)
 from .summation import stable_sum
 
 __all__ = [
@@ -449,23 +449,16 @@ def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,
     return (peak + math.log(stable_sum(np.exp(expo - peak)))) / (beta * volume)
 
 
-def pressure_sqrt_source(point: ThermoPoint, rel_tol: float = 1e-10,
-                         coefficient: float = 2.0, primed: PressureBreakdown = None,
-                         series: LaplaceResult = None) -> PressureBreakdown:
+def pressure_sqrt_source(primed: PressureBreakdown,
+                         series: LaplaceResult) -> PressureBreakdown:
     """Finite-volume pressure of the square-root-source model.
 
-    zero_mode comes from the series, primed from the ideal-gas modes on
-    the point's lattice; there is no constant part.  The model has no
-    phase parameter, so the result depends on nu only through nu itself.
-    A caller that already holds `pressure_ideal_primed(point, rel_tol)` or
-    `zero_mode_log_partition` at the point's beta, mu, nu and volume passes
-    it as `primed` or `series`, so that sum is not formed again.
+    zero_mode is `series.numeric_log_sum`, the zero-mode series
+    (`zero_mode_log_partition`) at the point's beta, mu, nu and volume;
+    primed is `primed.primed`, the ideal-gas pressure of the p != 0 modes
+    on its lattice.  There is no constant part, and the bound adds both
+    parts' bounds.  The two parts carry all the result depends on.
     """
-    if series is None:
-        series = zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
-                                         rel_tol=rel_tol, coefficient=coefficient)
-    if primed is None:
-        primed = pressure_ideal_primed(point, rel_tol=rel_tol)
     return PressureBreakdown(zero_mode=series.numeric_log_sum, primed=primed.primed,
                              constant=0.0,
                              truncation_bound=primed.truncation_bound + series.tail_bound)

@@ -17,7 +17,7 @@ import math
 
 from .errors import require
 from .lattice_ideal import (PressureBreakdown, ThermoPoint, _free_zero_occupation,
-                            _free_zero_pressure, _require_stable, pressure_ideal_primed)
+                            _free_zero_pressure, _require_stable)
 
 __all__ = [
     "pressure_source",
@@ -28,20 +28,16 @@ __all__ = [
 ]
 
 
-def pressure_source(point: ThermoPoint,
-                    primed: PressureBreakdown = None) -> PressureBreakdown:
+def pressure_source(point: ThermoPoint, primed: PressureBreakdown) -> PressureBreakdown:
     """Exact finite-volume pressure of the linear-source model.
 
     zero_mode = -(1/(beta*V))*log(1 - e^{beta*mu}), constant = -nu^2/mu,
-    primed = ideal-gas pressure of the p != 0 modes on the point's lattice.
-    Both non-primed parts are nonnegative for mu < 0, nu >= 0.  A caller
-    that already holds `pressure_ideal_primed(point)` passes it as `primed`,
-    so the sum is not formed again.
+    primed = `primed.primed`, the ideal-gas pressure of the p != 0 modes on
+    the point's lattice (`pressure_ideal_primed(point)`), whose bound is
+    the result's.  Both non-primed parts are nonnegative for mu < 0, nu >= 0.
     """
     beta, mu, nu = point.beta, point.mu, point.nu
     _require_stable(mu)
-    if primed is None:
-        primed = pressure_ideal_primed(point)
     return PressureBreakdown(zero_mode=_free_zero_pressure(beta, mu, point.volume),
                              primed=primed.primed, constant=-nu * nu / mu,
                              truncation_bound=primed.truncation_bound)

@@ -739,20 +739,33 @@ class TestModuleEntryPoint:
         else:
             assert json.loads(proc.stderr)["error"] == "NonConvergenceError"
 
-    def test_laplace_volume_overflow_exits_2(self):
-        # side**dim beyond the float range is invalid input: one JSON
-        # record on stderr, no traceback.
+    @pytest.mark.parametrize("command,args", [
+        ("laplace", ["--ladder", "1" + "0" * 110]),
+        ("laplace", ["--dim", "1", "--ladder", "1" + "0" * 400]),
+        ("laplace", ["--dim", "400", "--ladder", "100000"]),
+        ("pressure", ["--dim", "400", "--side", "100000"]),
+        ("equivalence", ["--dim", "400", "--ladder", "99999,100000"]),
+        ("equivalence", ["--dim", "1", "--ladder", "1" + "0" * 400]),
+    ])
+    def test_volume_beyond_float_range_exits_3(self, command, args):
+        # build_lattice guards side**dim for every command alike: one JSON
+        # record on stderr, no traceback, even for a side no float holds.
         src = str(Path(bose_limits.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "bose_limits.cli", "--command", "laplace",
-             "--mu=-0.5", "--nu", "0.1", "--ladder", "1" + "0" * 110],
+            [sys.executable, "-m", "bose_limits.cli", "--command", command,
+             "--mu=-0.5", "--nu", "0.1", *args],
             capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
-        assert json.loads(line)["error"] == "DomainError"
+        assert json.loads(line)["error"] == "ResourceGuardError"
+
+    @pytest.mark.parametrize("command", ["laplace", "pressure"])
+    def test_nonpositive_pmax_exits_2(self, command, capsys):
+        assert main(["--command", command, "--mu=-0.5", "--nu", "0.1", "--pmax", "0"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
     @pytest.mark.parametrize("command,ladder", [
         ("laplace", "-5"), ("laplace", "10,0"), ("equivalence", "8,-16,32"),
@@ -774,8 +787,7 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize("dim", ["0", "-2"])
     def test_dim_below_one_exits_2(self, dim):
-        # laplace forms side**dim without building a lattice, so the config
-        # itself refuses d < 1: V = 1 or 1e-4 would otherwise pass.
+        # The config itself refuses d < 1, before any lattice is built.
         src = str(Path(bose_limits.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -15,10 +15,17 @@ from bose_limits.equivalence import (ConvergenceLadder, condensate_temperature_s
                                      verify_equivalence)
 from bose_limits.lattice_ideal import (ThermoPoint, build_lattice,
                                        critical_density_finite,
-                                       critical_density_limit, pressure_ideal_limit)
+                                       critical_density_limit, pressure_ideal_limit,
+                                       pressure_ideal_primed)
 from bose_limits.nonlinear_model import zero_mode_log_partition
 from bose_limits.source_model import (condensate_density_source, pressure_source,
                                       zero_mode_depletion)
+
+
+def series_at(point, coefficient=2.0):
+    """The point's zero-mode series at the default rel_tol."""
+    return zero_mode_log_partition(point.beta, point.mu, point.nu, point.volume,
+                                   coefficient=coefficient)
 
 
 def mp_pressure_gap(beta, mu, nu, volume, n_terms):
@@ -42,7 +49,7 @@ class TestDeltaPressure:
     def test_decomposition_identity(self, lattice_d3_l16, beta, mu, nu):
         point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice_d3_l16)
         dp = delta_pressure(point)
-        closed = delta_pressure_closed_form(point)
+        closed = delta_pressure_closed_form(point, series_at(point))
         assert abs(dp - closed) / abs(closed) < 1e-12
 
     def test_matches_extended_precision_oracle(self, lattice_d3_l16):
@@ -68,18 +75,19 @@ class TestPressurePair:
 
         point = ThermoPoint(beta=1.1, mu=-0.45, nu=0.09, lattice=lattice_d3_l16)
         pair = pressure_pair(point, coefficient=coefficient)
-        assert pair.linear == pressure_source(point)
-        assert pair.sqrt == pressure_sqrt_source(point, coefficient=coefficient)
+        primed = pressure_ideal_primed(point)
+        assert pair.linear == pressure_source(point, primed)
+        assert pair.sqrt == pressure_sqrt_source(primed, series_at(point, coefficient))
         assert pair.delta == pair.linear.total - pair.sqrt.total
         assert pair.identity_rel_err <= 1e-12
 
     def test_closed_form_and_delta_match_the_public_functions(self, lattice_d3_l16):
         point = ThermoPoint(beta=0.8, mu=-0.7, nu=0.2, lattice=lattice_d3_l16)
         pair = pressure_pair(point)
-        assert pair.closed_form == delta_pressure_closed_form(point)
+        assert pair.closed_form == delta_pressure_closed_form(point, series_at(point))
         assert pair.delta == delta_pressure(point)
         pair3 = pressure_pair(point, coefficient=3.0)
-        assert pair3.closed_form == delta_pressure_closed_form(point, coefficient=3.0)
+        assert pair3.closed_form == delta_pressure_closed_form(point, series_at(point, 3.0))
 
     def test_identity_fails_on_a_wrong_breakdown(self, lattice_d3_l16, monkeypatch):
         # The closed form is assembled apart from the breakdowns, so an
@@ -90,8 +98,8 @@ class TestPressurePair:
 
         original = eq.pressure_source
 
-        def off_by_a_bit(point, **kwargs):
-            res = original(point, **kwargs)
+        def off_by_a_bit(*args):
+            res = original(*args)
             return dataclasses.replace(res, constant=res.constant * (1 + 1e-9))
 
         monkeypatch.setattr(eq, "pressure_source", off_by_a_bit)
@@ -170,8 +178,8 @@ class TestPassRule:
 
         original = eq.pressure_source
 
-        def off_by_a_bit(point, **kwargs):
-            res = original(point, **kwargs)
+        def off_by_a_bit(*args):
+            res = original(*args)
             return dataclasses.replace(res, constant=res.constant * (1 + 1e-9))
 
         point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1,
@@ -281,8 +289,8 @@ class TestDensityFromPressure:
         lat = build_lattice(3, 8.0, 8.0)
         point = ThermoPoint(beta=beta, mu=mu, nu=0.0, lattice=lat)
         report = density_from_pressure(
-            lambda m: pressure_source(
-                ThermoPoint(beta=beta, mu=m, nu=0.0, lattice=lat)).total,
+            lambda m: pressure_pair(
+                ThermoPoint(beta=beta, mu=m, nu=0.0, lattice=lat)).linear.total,
             point, h=1e-5,
             rho_c_of_mu=lambda m: critical_density_finite(
                 ThermoPoint(beta=beta, mu=m, nu=0.0, lattice=lat)))
@@ -401,8 +409,6 @@ class TestAnalyticCondensates:
     @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (1.1, -0.55, 0.11),
                                               (0.8, -0.3, 0.06)])
     def test_match_finite_differences_on_largest_side(self, beta, mu, nu):
-        from bose_limits.nonlinear_model import pressure_sqrt_source
-
         sides = (8, 16, 32, 64)
         result = verify_equivalence(beta, mu, nu, 3, sides, p_max=10.0)
         lat = build_lattice(3, float(sides[-1]), 10.0)
@@ -413,9 +419,9 @@ class TestAnalyticCondensates:
         def rho_c(m):
             return critical_density_finite(at(m))
 
-        fd_lin = density_from_pressure(lambda m: pressure_source(at(m)).total,
+        fd_lin = density_from_pressure(lambda m: pressure_pair(at(m)).linear.total,
                                        at(mu), h=1e-5, rho_c_of_mu=rho_c)
-        fd_sqrt = density_from_pressure(lambda m: pressure_sqrt_source(at(m)).total,
+        fd_sqrt = density_from_pressure(lambda m: pressure_pair(at(m)).sqrt.total,
                                         at(mu), h=1e-5, rho_c_of_mu=rho_c)
         # rho_0 is reported as formed, with no rho' added in and taken out.
         volume = float(sides[-1]) ** 3
@@ -486,17 +492,12 @@ class TestAnalyticCondensates:
 class TestConvexityInvariant:
     @pytest.mark.parametrize("model", ["linear", "sqrt"])
     def test_pressure_convex_in_mu(self, model):
-        from bose_limits.nonlinear_model import pressure_sqrt_source
-
         lat = build_lattice(3, 8.0, 8.0)
         mus = np.linspace(-1.5, -0.1, 10)
         vals = []
         for m in mus:
-            point = ThermoPoint(beta=1.0, mu=m, nu=0.1, lattice=lat)
-            if model == "linear":
-                vals.append(pressure_source(point).total)
-            else:
-                vals.append(pressure_sqrt_source(point).total)
+            pair = pressure_pair(ThermoPoint(beta=1.0, mu=m, nu=0.1, lattice=lat))
+            vals.append((pair.linear if model == "linear" else pair.sqrt).total)
         assert np.all(np.diff(vals, 2) >= -1e-10)
 
 
@@ -511,8 +512,8 @@ class TestDerivativeConvergence:
             lat = build_lattice(3, float(side), 9.0)
 
             def p(m, lat=lat):
-                return pressure_source(
-                    ThermoPoint(beta=beta, mu=m, nu=nu, lattice=lat)).total
+                return pressure_pair(
+                    ThermoPoint(beta=beta, mu=m, nu=nu, lattice=lat)).linear.total
 
             rho = (p(mu + h) - p(mu - h)) / (2.0 * h)
             gaps.append(abs(rho - target))

@@ -13,7 +13,7 @@ from bose_limits.fockdiag import (DiagonalModel, FockTruncation, _primed_product
                                   enumerate_configs, gibbs_expectation, gibbs_trace,
                                   quasiaverage_fd, truncate_lattice, verify_sandwich,
                                   zero_mode_annihilator)
-from bose_limits.lattice_ideal import build_lattice
+from bose_limits.lattice_ideal import build_lattice, pressure_ideal_primed
 from bose_limits.nonlinear_model import zero_mode_partial_logsum
 from bose_limits.source_model import pressure_source
 
@@ -173,7 +173,8 @@ class TestGibbsTrace:
         lat = build_lattice(1, 1.0, 5.0)
         from bose_limits.lattice_ideal import ThermoPoint
 
-        closed = pressure_source(ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat))
+        point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat)
+        closed = pressure_source(point, pressure_ideal_primed(point))
         target = closed.zero_mode + closed.constant
         gaps = []
         for cutoff in (25, 50, 100, 200):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import golden
 
 from bose_limits.errors import DomainError, NonConvergenceError
+from bose_limits.equivalence import pressure_pair
 from bose_limits.lattice_ideal import ThermoPoint, build_lattice, pressure_ideal_primed
 from bose_limits.nonlinear_model import (DEFAULT_MAX_SERIES_TERMS, ExponentFunction,
                                          exponent_eval, exponent_maximizer, laplace_sup,
@@ -545,13 +546,23 @@ class TestPressureSqrtSource:
     def test_nu_zero_equals_ideal_gas_with_zero_mode(self, lattice_d3_l16):
         beta, mu = 1.0, -0.5
         point = ThermoPoint(beta=beta, mu=mu, nu=0.0, lattice=lattice_d3_l16)
-        res = pressure_sqrt_source(point)
-        ideal_primed = pressure_ideal_primed(point).primed
         v = lattice_d3_l16.volume
+        primed = pressure_ideal_primed(point)
+        series = zero_mode_log_partition(beta, mu, 0.0, v)
+        res = pressure_sqrt_source(primed, series)
+        ideal_primed = primed.primed
         zero = -math.log1p(-math.exp(beta * mu)) / (beta * v)
         assert res.primed == ideal_primed
         assert res.zero_mode == zero
         assert res.constant == 0.0
+
+    def test_bound_adds_both_parts(self, lattice_d3_l16):
+        point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=lattice_d3_l16)
+        primed = pressure_ideal_primed(point)
+        series = zero_mode_log_partition(1.0, -0.5, 0.1, lattice_d3_l16.volume)
+        res = pressure_sqrt_source(primed, series)
+        assert 0.0 < primed.truncation_bound < res.truncation_bound
+        assert res.truncation_bound == primed.truncation_bound + series.tail_bound
 
     def test_no_phase_parameter(self):
         import inspect
@@ -566,20 +577,19 @@ class TestPressureSqrtSource:
         for side in (8, 16, 32):
             lat = build_lattice(3, float(side), 8.0)
             point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat)
-            gaps.append(abs(pressure_sqrt_source(point).total - limit))
+            gaps.append(abs(pressure_pair(point).sqrt.total - limit))
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_stability_domain(self, lattice_d3_l16):
         point = ThermoPoint(beta=1.0, mu=-0.05, nu=0.1, lattice=lattice_d3_l16)
-        assert math.isfinite(pressure_sqrt_source(point).total)
+        assert math.isfinite(pressure_pair(point).sqrt.total)
         with pytest.raises(DomainError):
-            pressure_sqrt_source(ThermoPoint(beta=1.0, mu=0.0, nu=0.1,
-                                             lattice=lattice_d3_l16))
+            pressure_pair(ThermoPoint(beta=1.0, mu=0.0, nu=0.1, lattice=lattice_d3_l16))
 
     @pytest.mark.parametrize("rel_tol", [1e-10, 1e-14, 1e-15, 1e-17])
     def test_refuses_as_its_p_prime_sum_does(self, rel_tol):
         # The theta bound is 2.9e-15 of p' here, so p' refuses from rel_tol
-        # 1e-15 on, and the model's pressure must refuse with it.
+        # 1e-15 on, and the models' pressures must refuse with it.
         point = ThermoPoint(beta=1.0, mu=-0.1, nu=0.1, lattice=build_lattice(3, 8.0, 10.0))
 
         def outcome(fn):
@@ -590,7 +600,7 @@ class TestPressureSqrtSource:
             return None
 
         refusal = outcome(pressure_ideal_primed)
-        assert outcome(pressure_sqrt_source) == refusal
+        assert outcome(pressure_pair) == refusal
         assert (refusal is None) == (rel_tol >= 1e-14)
 
 

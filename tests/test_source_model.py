@@ -54,7 +54,7 @@ class TestPressureSource:
     def test_free_zero_mode(self, zero_mode_lattice):
         beta, mu = 1.0, -0.8
         point = ThermoPoint(beta=beta, mu=mu, nu=0.0, lattice=zero_mode_lattice)
-        res = pressure_source(point)
+        res = pressure_source(point, pressure_ideal_primed(point))
         v = zero_mode_lattice.volume
         assert res.primed == pressure_ideal_primed(point).primed
         assert res.zero_mode + res.constant == pytest.approx(
@@ -62,7 +62,8 @@ class TestPressureSource:
 
     def test_constant_term(self, lattice_d3_l16):
         point = ThermoPoint(beta=1.0, mu=-0.5, nu=0.1, lattice=lattice_d3_l16)
-        assert pressure_source(point).constant == pytest.approx(0.02, rel=1e-15)
+        constant = pressure_source(point, pressure_ideal_primed(point)).constant
+        assert constant == pytest.approx(0.02, rel=1e-15)
 
     def test_eigendecomposition_oracle(self, zero_mode_lattice):
         # the truncated matrix model must reproduce the closed form
@@ -75,17 +76,18 @@ class TestPressureSource:
         op = add_linear_source(DiagonalModel(a=0.0, mu=mu), trunc, nu, 1.0)
         matrix_pressure = gibbs_trace(op, beta, 1.0)
         point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lat)
-        closed = pressure_source(point)
+        closed = pressure_source(point, pressure_ideal_primed(point))
         assert matrix_pressure == pytest.approx(
             closed.zero_mode + closed.constant, abs=1e-10)
 
     def test_nu_zero_reduction_term_by_term(self, lattice_d3_l16):
         beta, mu = 1.0, -0.5
-        with_source = pressure_source(
-            ThermoPoint(beta=beta, mu=mu, nu=0.0, lattice=lattice_d3_l16))
         ideal = pressure_ideal_primed(
             ThermoPoint(beta=beta, mu=mu, lattice=lattice_d3_l16))
+        with_source = pressure_source(
+            ThermoPoint(beta=beta, mu=mu, nu=0.0, lattice=lattice_d3_l16), ideal)
         assert with_source.primed == ideal.primed
+        assert with_source.truncation_bound == ideal.truncation_bound
         assert with_source.constant == 0.0
         v = lattice_d3_l16.volume
         assert with_source.zero_mode == -math.log1p(-math.exp(beta * mu)) / (beta * v)
@@ -94,7 +96,7 @@ class TestPressureSource:
     @settings(max_examples=40, deadline=None)
     def test_sign_contract(self, zero_mode_lattice, mu, nu):
         point = ThermoPoint(beta=1.0, mu=mu, nu=nu, lattice=zero_mode_lattice)
-        res = pressure_source(point)
+        res = pressure_source(point, pressure_ideal_primed(point))
         assert res.zero_mode >= 0.0
         assert res.constant >= 0.0
 

@@ -34,6 +34,7 @@ MODEL = "src/bose_limits/nonlinear_model.py"
 MODEL_TESTS = ("tests/test_nonlinear_model.py",)
 FOCK = "src/bose_limits/fockdiag.py"
 FOCK_TESTS = ("tests/test_fockdiag.py",)
+SOURCE = "src/bose_limits/source_model.py"
 EQUIVALENCE = "src/bose_limits/equivalence.py"
 EQUIVALENCE_TESTS = ("tests/test_equivalence.py", "tests/test_cli.py")
 
@@ -88,6 +89,12 @@ MUTANTS = (
     ("free zero-mode occupation always 1/expm1", LATTICE,
      "return 1.0 / math.expm1(x) if x < 700.0 else math.exp(-x)",
      "return 1.0 / math.expm1(x)", ("tests/test_source_model.py",)),
+    ("square-root pressure bound drops the series tail", MODEL,
+     "truncation_bound=primed.truncation_bound + series.tail_bound)",
+     "truncation_bound=primed.truncation_bound)", MODEL_TESTS),
+    ("linear pressure bound drops the p' bound", SOURCE,
+     "truncation_bound=primed.truncation_bound)", "truncation_bound=0.0)",
+     ("tests/test_source_model.py",)),
     ("equivalence summary drops the rung requirement", EQUIVALENCE,
      "passed=gap_ok and condensates_agree and all(rung_passed),",
      "passed=gap_ok and condensates_agree,", EQUIVALENCE_TESTS),
