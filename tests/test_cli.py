@@ -747,19 +747,13 @@ class TestModuleEntryPoint:
         ("equivalence", ["--dim", "400", "--ladder", "99999,100000"]),
         ("equivalence", ["--dim", "1", "--ladder", "1" + "0" * 400]),
     ])
-    def test_volume_beyond_float_range_exits_3(self, command, args):
-        # build_lattice guards side**dim for every command alike: one JSON
-        # record on stderr, no traceback, even for a side no float holds.
-        src = str(Path(bose_limits.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "bose_limits.cli", "--command", command,
-             "--mu=-0.5", "--nu", "0.1", *args],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        (line,) = proc.stderr.splitlines()
+    def test_volume_beyond_float_range_exits_3(self, command, args, capsys):
+        # build_lattice guards side**dim for every command alike, with one
+        # JSON record on stderr, even for a side no float holds.
+        assert main(["--command", command, "--mu=-0.5", "--nu", "0.1", *args]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
         assert json.loads(line)["error"] == "ResourceGuardError"
 
     @pytest.mark.parametrize("command", ["laplace", "pressure"])
