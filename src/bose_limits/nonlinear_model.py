@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MAX_ALLOC_BYTES, DomainError, NonConvergenceError, require
-from .lattice_ideal import (_EPS, PressureBreakdown, ThermoPoint, _free_zero_occupation,
+from .lattice_ideal import (_EPS, PressureBreakdown, _free_zero_occupation,
                             _free_zero_pressure, _log1m_exp, _require_stable,
                             pressure_ideal_limit)
 from .summation import stable_sum
