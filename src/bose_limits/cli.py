@@ -13,9 +13,13 @@ Exit codes: 0 all checks passed, 1 checks ran but failed, 2 invalid input,
 lines; floats are printed with 17 significant digits so they round-trip
 exactly, and the wall-clock duration is segregated into the final column
 so byte-level comparisons can drop it.
+
+Flags take one value each, as --mu=-0.5 or --mu -0.5: --command, --beta,
+--mu, --nu (comma lists for sweep), --dim, --side, --ladder, --pmax,
+--fock-cutoff, --coefficient, --mf-a, --rel-tol, --workers, --out, --format
+{csv,json}, and --config FILE of `key = value` lines that flags override.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -149,50 +153,35 @@ _CONVERTERS = {
     "coefficient": _finite, "mf_a": _finite, "rel_tol": _finite, "workers": int,
     "out": str, "format": str,
 }
-_FLAGS = ("--config",) + tuple("--" + key.replace("_", "-") for key in _CONVERTERS)
-
-
-def _attach_values(argv):
-    """Join each flag with its value ('--mu=-0.5,-1').
-
-    Every flag here takes exactly one value; attaching it keeps argparse
-    from mistaking negative numbers or comma lists for option names.
-    """
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
-
-
-# Built once: building it costs more than a parse, and parsing leaves it unchanged.
-_PARSER = argparse.ArgumentParser(prog="bose-limits", exit_on_error=False)
-for _flag in _FLAGS:
-    _PARSER.add_argument(_flag)
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Build a RunConfig from flags, with optional --config file underlay.
 
-    Flags take precedence over config-file entries; validation failures,
-    unknown flags and unparsable values raise DomainError naming the
-    offending key.
+    A flag is `--config` or a configuration key with dashes for
+    underscores, spelled out in full, and takes exactly one value, whatever
+    it looks like ('-0.5', '-1,-0.5'); the last one given wins.  Flags take
+    precedence over config-file entries; validation failures, unknown flags
+    and unparsable values raise DomainError naming the offending key.
     """
-    try:
-        ns, extra = _PARSER.parse_known_args(_attach_values(argv))
-    except argparse.ArgumentError as exc:
-        raise DomainError(str(exc)) from exc
-    if extra:
-        raise DomainError(f"unrecognized arguments: {' '.join(extra)}")
-
-    merged = _read_config_file(ns.config) if ns.config is not None else {}
-    merged.update((key, value) for key, value in vars(ns).items()
-                  if key != "config" and value is not None)
+    flags, i = {}, 0
+    while i < len(argv):
+        flag, attached, value = argv[i].partition("=")
+        if flag in ("-h", "--help"):
+            sys.stdout.write(__doc__)
+            raise SystemExit(0)
+        key = flag[2:].replace("-", "_")
+        if flag != "--" + key.replace("_", "-") or key not in ("config", *_CONVERTERS):
+            raise DomainError(f"unrecognized arguments: {' '.join(argv[i:])}")
+        if not attached:
+            i += 1
+            if i == len(argv):
+                raise DomainError(f"argument {flag}: expected one argument")
+            value = argv[i]
+        flags[key] = value
+        i += 1
+    merged = _read_config_file(flags.pop("config")) if "config" in flags else {}
+    merged.update(flags)
 
     if "command" not in merged:
         raise DomainError("--command is required")

@@ -319,6 +319,7 @@ def add_sqrt_source(model: DiagonalModel, trunc: FockTruncation, nu: float,
                     volume: float, coefficient: float = 2.0) -> OperatorMatrix:
     """Diagonal model plus -coefficient*nu*sqrt(V)*sqrt(n0 + 1), still diagonal."""
     require(nu >= 0.0, "nu must be nonnegative")
+    require(coefficient > 0.0, "coefficient must be positive")
     require(volume > 0.0, "volume must be positive")
     return OperatorMatrix(model=model, truncation=trunc, volume=volume,
                           root=coefficient * nu * math.sqrt(volume))
@@ -391,8 +392,9 @@ def _gibbs_state(op: OperatorMatrix, beta: float) -> GibbsState:
     else:
         populations = np.einsum("kjl,kl->kj", vecs * vecs, w)
         hops = np.einsum("kjl,kjl,kl->kj", vecs[:, :-1], vecs[:, 1:], w)
+    # A Python float: log Z/(beta*V) overflows to inf without a numpy warning.
     return GibbsState(weights=w, populations=populations, hops=hops, z=z,
-                      log_z=top + math.log(z))
+                      log_z=float(top) + math.log(z))
 
 
 def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
@@ -411,9 +413,12 @@ def _average(op: OperatorMatrix, beta: float, diagonal: np.ndarray,
 
 
 def gibbs_trace(op: OperatorMatrix, beta: float, volume: float) -> float:
-    """Pressure (1/(beta*V)) * log Tr e^(-beta*H)."""
+    """Pressure (1/(beta*V)) * log Tr e^(-beta*H); NonConvergenceError if it is not finite."""
     require(volume > 0.0, "volume must be positive")
-    return op.gibbs_state(beta).log_z / (beta * volume)
+    pressure = op.gibbs_state(beta).log_z / (beta * volume)
+    if not math.isfinite(pressure):
+        raise NonConvergenceError(f"the pressure log Z/(beta*V) = {pressure} is not finite")
+    return pressure
 
 
 def gibbs_expectation(observable, op: OperatorMatrix, beta: float) -> float:

@@ -12,7 +12,7 @@ principle.  This module evaluates the exponent family, its maximizer and
 supremum, and the series itself with a certified geometric tail bound.
 
 Series window: the term exponent e(n) = beta*V*g(n/V) is concave in n and
-peaks at n* = round(V*x_star).  In s = sqrt(n + 1) the terms are exactly a
+peaks at n* next to V*x_star.  In s = sqrt(n + 1) the terms are exactly a
 Gaussian, e^(-a (s - s0)^2) up to a constant factor (a = -beta*mu), so
 the points where they fall by log(2/rel_tol) below the peak are known in
 closed form.  The window [max(0, n* - W), n* + W] reaches the right one,
@@ -36,6 +36,7 @@ floating-point exponent range long before the physics gets large.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,6 +66,7 @@ __all__ = [
 # closed form allocates no window, so the ceiling does not bound it.
 SERIES_BYTES_PER_TERM = 32
 DEFAULT_MAX_SERIES_TERMS = MAX_ALLOC_BYTES // SERIES_BYTES_PER_TERM
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,6 @@ class LaplaceResult:
     @property
     def gap(self) -> float:
         return abs(self.numeric_log_sum - self.sup_value)
-
-
-def _series_exponents(beta: float, f: ExponentFunction, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1, dtype=float)
-    return beta * (f.mu * n + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
 
 
 def _exponent_offset(beta: float, f: ExponentFunction, n_star: int, n, sqrt):
@@ -246,6 +243,8 @@ def _trapezoid(beta: float, f: ExponentFunction, n_star: int, half: int):
     # log(sup F / F(n* + 1)) = a*(sqrt(n* + 1) - s0)^2, without cancellation.
     delta = (n_star + 1.0 - s0 * s0) / (math.sqrt(n_star + 1.0) + s0)
     c = a * delta * delta
+    if c > _LOG_MAX:  # e^c, the peak's height over t_{n*}, overflows
+        return None
     # j_k = e^c * int_{u0}^inf u^k e^(-a u^2) du.  Only j2 has a negative
     # part, at most half of its positive one.
     gauss = math.exp(c - a * u0 * u0)
@@ -277,7 +276,8 @@ def _trapezoid(beta: float, f: ExponentFunction, n_star: int, half: int):
     rho = _EPS * (64.0 + 8.0 * (a + c + a * u0 * u0))
     rounding = rho * (integral + t) + 8.0 * _EPS * s0 * s0 * t
     rounding_moment = rho * (integral_moment + w * t) + 8.0 * _EPS * s0 * s0 * w * t
-    return total, moment, remainder + rounding, remainder_moment + rounding_moment
+    sums = (total, moment, remainder + rounding, remainder_moment + rounding_moment)
+    return sums if all(map(math.isfinite, sums)) else None
 
 
 def _closed_form_sums(beta: float, f: ExponentFunction, n_star: int, half: int,
@@ -376,7 +376,11 @@ def zero_mode_log_partition(beta: float, mu: float, nu: float, volume: float,
     if not peak < 2.0 ** 52:
         raise NonConvergenceError(
             f"zero-mode series peaks at n = {peak:.3g}, beyond exact occupations")
-    n_star = int(round(peak))
+    # Every sum below is relative to t_{n*}, the largest term: by concavity
+    # floor(V*x*) or the next, which at large beta differ by e^(beta*O(1)).
+    n_star = math.floor(peak)
+    if _exponent_offset(beta, f, n_star, n_star + 1.0, math.sqrt) > 0.0:
+        n_star += 1
 
     def certified(w):
         # The dropped sides against a floor on the window sum that needs no
@@ -444,7 +448,8 @@ def zero_mode_partial_logsum(beta: float, mu: float, nu: float, volume: float,
     _require_stable(mu)
     require(n_max >= 0, "n_max must be >= 0")
     f = ExponentFunction(mu=mu, nu=nu, volume=volume, coefficient=coefficient)
-    expo = _series_exponents(beta, f, n_max)
+    n = np.arange(n_max + 1, dtype=float)
+    expo = beta * (f.mu * n + f.coefficient * f.nu * np.sqrt(f.volume * (n + 1.0)))
     peak = float(expo.max())
     return (peak + math.log(stable_sum(np.exp(expo - peak)))) / (beta * volume)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -63,16 +64,61 @@ class TestParseConfig:
         with pytest.raises(DomainError):
             parse_config(["--command", "pressure", "--mu", "-0.5,-1.0"])
 
-    def test_parser_is_built_once(self, monkeypatch):
-        import argparse
+    def test_import_loads_no_argparse(self):
+        src = str(Path(bose_limits.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bose_limits.cli; print('argparse' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("parse_config built a parser")
+    @pytest.mark.parametrize("args", [
+        ["--mu", "-0.5"], ["--mu=-0.5"], ["--mu", "-1,-0.5"], ["--mu=-1,-0.5"],
+        ["--mu", "-1e-8"], ["--mu=-1e-8"],
+    ])
+    def test_negative_values_attached_or_next(self, args):
+        cfg = parse_config(["--command", "sweep", *args])
+        assert cfg.mu == tuple(float(v) for v in args[-1].split("=")[-1].split(","))
 
-        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
-        assert parse_config(["--command", "pressure", "--mu=-0.5"]).mu == (-0.5,)
-        with pytest.raises(DomainError, match="unrecognized arguments: --bogus"):
-            parse_config(["--command", "pressure", "--mu=-0.5", "--bogus"])
+    def test_value_that_looks_like_a_flag_is_taken(self):
+        cfg = parse_config(["--command", "pressure", "--mu", "-0.5", "--out", "--format"])
+        assert cfg.out == "--format"
+        assert cfg.format == "csv"
+
+    def test_last_occurrence_wins(self):
+        cfg = parse_config(["--command", "sweep", "--mu=-1", "--beta=1e-8", "--mu", "-2",
+                            "--command", "pressure", "--beta", "3"])
+        assert (cfg.command, cfg.mu, cfg.beta) == ("pressure", (-2.0,), (3.0,))
+
+    @pytest.mark.parametrize("args,rest", [
+        (["--be", "2"], "--be 2"),                       # no abbreviations
+        (["--rel_tol", "1e-8"], "--rel_tol 1e-8"),       # dashes, not underscores
+        (["-mu", "-1"], "-mu -1"),
+        (["pressure"], "pressure"),
+        (["--bogus", "1", "--beta", "2"], "--bogus 1 --beta 2"),
+        (["--"], "--"),
+    ])
+    def test_unknown_tokens_are_unrecognized(self, args, rest):
+        with pytest.raises(DomainError) as info:
+            parse_config(["--command", "pressure", "--mu=-0.5", *args])
+        assert str(info.value) == f"unrecognized arguments: {rest}"
+
+    @pytest.mark.parametrize("flag", ["--mu", "--config", "--rel-tol"])
+    def test_flag_without_value(self, flag):
+        with pytest.raises(DomainError) as info:
+            parse_config(["--command", "pressure", "--mu=-0.5", flag])
+        assert str(info.value) == f"argument {flag}: expected one argument"
+
+    @pytest.mark.parametrize("args", [["-h"], ["--help"], ["--command", "pressure", "--help"]])
+    def test_help_prints_the_module_docstring(self, args, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (cli.__doc__, "")
 
 
 class TestEmit:
@@ -475,8 +521,6 @@ class TestFlagErrors:
 
         fields = {field.name for field in dataclasses.fields(RunConfig)}
         assert set(cli._CONVERTERS) == fields
-        assert set(cli._FLAGS) == {"--config"} | {
-            "--" + name.replace("_", "-") for name in fields}
 
     @pytest.mark.parametrize("args", [
         ["--command", "bogus", "--mu=-0.5"],
@@ -681,6 +725,125 @@ class TestSweepInOneProcess:
         assert record["error"] == "ResourceGuardError"
         assert "theta series" in record["message"] and "1 more mu" in record["message"]
         assert peak < 2 ** 20
+
+
+FULLDIAG = ["--side", "2", "--pmax", "7", "--fock-cutoff"]
+
+# Draws over the documented domain (mu < 0) for every command: beta 1e-3 to
+# 1e12, -mu 1e-9 to 1e4, nu = 0 and 1e-8 to 1e4, d = 1 to 4.  The last rows
+# reproduce overflows that used to end in tracebacks or non-finite rows.
+DOMAIN_SAMPLE = [
+    ["pressure", "--beta=0.01", "--mu=-0.00024", "--nu=2.1e-07", "--dim", "1", "--side", "33"],
+    ["pressure", "--beta=2e6", "--mu=-0.39", "--nu=1.8", "--dim", "2", "--side", "33"],
+    ["pressure", "--beta=6.4e9", "--mu=-1800", "--nu=0", "--side", "8"],
+    ["pressure", "--beta=4.5", "--mu=-2.6e-05", "--nu=0.059", "--dim", "4", "--side", "2"],
+    ["pressure", "--beta=1.2e11", "--mu=-6.6e-09", "--nu=6.7e-08", "--dim", "4", "--side", "2"],
+    ["pressure", "--beta=4.7", "--mu=-6.3", "--nu=5.8e-06", "--side", "2"],
+    ["pressure", "--beta=0.3", "--mu=-1e4", "--nu=1e4", "--dim", "2", "--side", "3"],
+    ["equivalence", "--beta=47000", "--mu=-4.4e-09", "--nu=3.4e-08", "--dim", "2",
+     "--ladder", "8,10,100"],
+    ["equivalence", "--beta=1.2", "--mu=-10", "--nu=6.1e-08", "--ladder", "10,32,100"],
+    ["equivalence", "--beta=3.1e5", "--mu=-4500", "--nu=2500", "--dim", "2",
+     "--ladder", "32,100,1000"],
+    ["equivalence", "--beta=2.7e9", "--mu=-0.26", "--nu=0", "--dim", "4", "--ladder", "8,10,100"],
+    ["equivalence", "--beta=18", "--mu=-0.98", "--nu=0.15", "--dim", "4", "--ladder", "4,8,32"],
+    ["equivalence", "--beta=1.1e7", "--mu=-6.9e-05", "--nu=370", "--dim", "1",
+     "--ladder", "4,32,100"],
+    ["laplace", "--beta=6600", "--mu=-3.9e-09", "--nu=0.036", "--ladder", "8,10,32"],
+    ["laplace", "--beta=6.5e9", "--mu=-91", "--nu=0.0051", "--dim", "1", "--ladder", "10,16,1000"],
+    ["laplace", "--beta=0.41", "--mu=-2.6e-06", "--nu=0", "--dim", "2", "--ladder", "4,16,32"],
+    ["laplace", "--beta=1.9e7", "--mu=-0.06", "--nu=0.45", "--dim", "4", "--ladder", "4,16,1000"],
+    ["laplace", "--beta=1.2e6", "--mu=-1.1e-05", "--nu=0.00019", "--dim", "4", "--ladder", "4,8,100"],
+    ["laplace", "--beta=8.5", "--mu=-4.3e-06", "--nu=1.6e-07", "--dim", "2", "--ladder", "10,32,100"],
+    ["fulldiag", "--beta=4e5", "--mu=-0.00016", "--nu=0", *FULLDIAG, "9,6"],
+    ["fulldiag", "--beta=3600", "--mu=-0.09", "--nu=2.1", *FULLDIAG, "17,4"],
+    ["fulldiag", "--beta=2e11", "--mu=-10", "--nu=6.7e-06", *FULLDIAG, "3,6"],
+    ["fulldiag", "--beta=6.9", "--mu=-890", "--nu=3400", *FULLDIAG, "18,6"],
+    ["fulldiag", "--beta=380", "--mu=-1.3e-09", "--nu=1.3e-08", *FULLDIAG, "14,6"],
+    ["fulldiag", "--beta=0.0012", "--mu=-0.0003", "--nu=0.02", *FULLDIAG, "20,8"],
+    ["sweep", "--beta=0.12,3.9e8", "--mu=-0.00032,-3.1e-06", "--nu=0.00033,0.00061",
+     "--dim", "1", "--side", "33"],
+    ["sweep", "--beta=11,0.0022", "--mu=-880,-740", "--nu=1.9,1.4e-08", "--dim", "2", "--side", "2"],
+    ["sweep", "--beta=5.3e7,0.023", "--mu=-0.0026,-0.57", "--nu=0.003,7.2e-08", "--side", "5"],
+    ["sweep", "--beta=0.1,8800", "--mu=-0.44,-130", "--nu=16,3.6e-07", "--dim", "4", "--side", "16"],
+    ["sweep", "--beta=5.8e7,0.0015", "--mu=-0.14,-4.8e-06", "--nu=19,1200", "--dim", "4",
+     "--side", "16"],
+    ["pressure", "--beta", "1e6", "--mu=-0.5", "--nu", "0.1", "--side", "8"],
+    ["equivalence", "--beta", "1e10", "--mu=-0.5", "--nu", "0.1", "--ladder", "8,16,32"],
+    ["laplace", "--beta", "1e200", "--mu=-0.5", "--nu", "0.1", "--ladder", "10,100"],
+    ["pressure", "--beta=2e10", "--mu=-1475.1879986828694", "--nu=10.898417168233982",
+     "--side", "40"],
+    ["fulldiag", "--beta=1e-320", "--mu=-0.5", "--nu", "0.1", *FULLDIAG, "6,2"],
+    ["fulldiag", "--coefficient", "0", "--mu=-0.5", "--nu", "0.1", *FULLDIAG, "6,2"],
+]
+
+
+def run_quietly(args, capsys):
+    """(exit code, stdout, stderr) of main(args), with warnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(args)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestDomainSample:
+    @pytest.mark.parametrize("args", DOMAIN_SAMPLE, ids=lambda args: " ".join(args))
+    def test_exits_with_finite_rows_or_one_record(self, args, capsys):
+        code, out, err = run_quietly(["--command", *args], capsys)
+        assert code in (0, 1, 2, 3)
+        if code >= 2:
+            assert out == ""
+            (line,) = err.splitlines()
+            assert json.loads(line)["error"]
+            return
+        assert err == ""
+        header, *lines = (line.split(",") for line in out.splitlines())
+        assert lines
+        for line in lines:
+            row = dict(zip(header, line))
+            assert row["passed"] in ("true", "false")
+            assert code == 1 or row["passed"] == "true"
+            for key, value in row.items():
+                if value and key not in ("command", "row", "method", "passed", "cutoffs"):
+                    assert math.isfinite(float(value)), (key, value)
+
+    @pytest.mark.parametrize("args", [
+        ["pressure", "--beta", "1e6", "--mu=-0.5", "--nu", "0.1", "--side", "8"],
+        ["equivalence", "--beta", "1e10", "--mu=-0.5", "--nu", "0.1", "--ladder", "8,16,32"],
+        ["laplace", "--beta", "1e200", "--mu=-0.5", "--nu", "0.1", "--ladder", "10,100"],
+    ])
+    def test_closed_form_overflow_is_served_by_the_window(self, args, capsys):
+        # The closed form's e^(a*delta^2) overflows here; it declines and
+        # the window certifies the rows.
+        code, out, err = run_quietly(["--command", *args], capsys)
+        assert (code, err) == (0, "")
+        header, *lines = (line.split(",") for line in out.splitlines())
+        assert all(dict(zip(header, line))["passed"] == "true" for line in lines)
+        if args[0] == "laplace":
+            assert {dict(zip(header, line))["method"] for line in lines} == {"window"}
+
+    def test_fulldiag_pressure_overflow_exits_3(self, capsys):
+        # log Z/(beta*V) overflows at beta = 1e-320: nothing is left to certify.
+        code, out, err = run_quietly(["--command", "fulldiag", "--beta=1e-320", "--mu=-0.5",
+                                      "--nu", "0.1", *FULLDIAG, "6,2"], capsys)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "NonConvergenceError"
+        assert "not finite" in record["message"]
+
+    @pytest.mark.parametrize("command,args", [
+        ("fulldiag", FULLDIAG + ["6,2"]), ("pressure", ["--side", "4"]),
+        ("laplace", ["--ladder", "10"]), ("sweep", ["--side", "4"]),
+    ])
+    @pytest.mark.parametrize("coefficient", ["0", "-1"])
+    def test_nonpositive_coefficient_exits_2(self, command, args, coefficient, capsys):
+        code, out, err = run_quietly(["--command", command, "--mu=-0.5", "--nu", "0.1",
+                                      "--coefficient", coefficient, *args], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "coefficient must be positive"}
 
 
 class TestModuleEntryPoint:

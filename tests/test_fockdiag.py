@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bose_limits.errors import DomainError, ResourceGuardError
+from bose_limits.errors import DomainError, NonConvergenceError, ResourceGuardError
 from bose_limits.fockdiag import (DiagonalModel, FockTruncation, _primed_products,
                                   add_linear_source, add_sqrt_source,
                                   boundary_shell_weight, diagonal_energies,
@@ -136,6 +136,14 @@ class TestOperatorConstruction:
         np.testing.assert_array_equal(np.diag(op.to_dense()),
                                       diagonal_energies(model, trunc, 1.0))
 
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0])
+    def test_sqrt_source_needs_a_positive_coefficient(self, coefficient):
+        # As in ExponentFunction: at c <= 0, H_lin - H_sqrt is no longer
+        # positive semidefinite and the sandwich has nothing to hold.
+        with pytest.raises(DomainError, match="coefficient must be positive"):
+            add_sqrt_source(DiagonalModel(a=0.0, mu=-0.5), single_mode_truncation(5),
+                            0.1, 1.0, coefficient)
+
     def test_sqrt_zero_mode_matches_series(self):
         beta, mu, nu, vol = 1.0, -0.5, 0.1, 1.0
         trunc = single_mode_truncation(200)
@@ -167,6 +175,14 @@ class TestGibbsTrace:
         oracle = math.log(math.exp(-beta * (mean - split))
                           + math.exp(-beta * (mean + split))) / (beta * vol)
         assert gibbs_trace(op, beta, vol) == pytest.approx(oracle, rel=1e-14)
+
+    def test_pressure_beyond_float_range_is_refused(self):
+        # log Z is finite, but log Z/(beta*V) overflows at beta = 1e-320.
+        op = add_linear_source(DiagonalModel(a=1.0, mu=-0.5), two_mode_truncation((6, 2)),
+                               0.1, 8.0)
+        assert math.isfinite(gibbs_trace(op, 1e-300, 8.0))
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            gibbs_trace(op, 1e-320, 8.0)
 
     def test_linear_source_against_closed_form(self):
         beta, mu, nu, vol = 1.0, -0.5, 0.1, 1.0

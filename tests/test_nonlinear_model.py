@@ -232,6 +232,17 @@ class TestZeroModeWindow:
         assert res.terms_used < 500_000
         assert res.gap <= math.log(res.terms_used) / 1e8 + res.tail_bound
 
+    def test_centres_on_the_largest_term(self):
+        # round(V*x*) = 2, while t_3 = e^(6e10) t_2 is the largest term.
+        beta, mu, nu, volume = 2.0026860498e10, -1475.1879986828694, 10.898417168233982, 64000.0
+        assert round(volume * exponent_maximizer(ExponentFunction(mu=mu, nu=nu,
+                                                                  volume=volume))) == 2
+        res = zero_mode_log_partition(beta, mu, nu, volume)
+        value, mean = _mpmath_series(beta, mu, nu, volume)
+        assert abs(res.numeric_log_sum - value) <= res.tail_bound
+        assert abs(res.mean_occupation - mean) <= res.occupation_bound
+        assert res.mean_occupation == 3.0
+
     def test_peak_beyond_float_occupations_refused(self):
         # (nu/mu)^2 overflows: the peak occupation is not representable.
         with pytest.raises(NonConvergenceError):
@@ -508,6 +519,23 @@ class TestClosedForm:
             mean = sums[1] / sums[0]
         assert abs(res.numeric_log_sum - value) <= res.tail_bound
         assert abs(res.mean_occupation - mean) <= res.occupation_bound
+
+    @pytest.mark.parametrize("beta, volume", [(1e6, 512.0), (1e10, 4096.0), (1e200, 1e6)])
+    def test_declines_where_the_peak_height_overflows(self, beta, volume):
+        # The Gaussian top stands e^(a*delta^2) over t_{n*}, past the float
+        # range: the closed form declines and the window serves the series.
+        res = zero_mode_log_partition(beta, -0.5, 0.1, volume)
+        assert res.method == "window"
+        value, mean = _mpmath_series(beta, -0.5, 0.1, volume)
+        assert abs(res.numeric_log_sum - value) <= res.tail_bound
+        assert abs(res.mean_occupation - mean) <= res.occupation_bound
+
+    def test_declines_sums_beyond_the_float_range(self):
+        # a = 1e-6 and s0 = 1e5, with t_{n*} at sqrt(n* + 1) = s0 - 26600:
+        # e^(a*delta^2) = e^707 fits a float, but the integral, about
+        # sqrt(pi/a) times that, does not.
+        f = ExponentFunction(mu=-1e-6, nu=1e-3, volume=1e4)
+        assert _trapezoid(1.0, f, 73400 ** 2 - 1, 0) is None
 
     @pytest.mark.parametrize("beta, mu, nu", [(1.0, -0.5, 0.1), (0.8, -0.3, 0.06),
                                               (0.5, -2.0, 0.5)])

@@ -48,8 +48,15 @@ MUTANTS = (
     ("closed-form left side dropped", MODEL,
      "error = left + total_error", "error = total_error", MODEL_TESTS),
     ("closed-form rounding dropped", MODEL,
-     "return total, moment, remainder + rounding, remainder_moment + rounding_moment",
-     "return total, moment, remainder, remainder_moment", MODEL_TESTS),
+     "sums = (total, moment, remainder + rounding, remainder_moment + rounding_moment)",
+     "sums = (total, moment, remainder, remainder_moment)", MODEL_TESTS),
+    ("closed-form overflow decline dropped", MODEL,
+     "    if c > _LOG_MAX:", "    if False:", MODEL_TESTS),
+    ("closed-form finite-sum decline dropped", MODEL,
+     "return sums if all(map(math.isfinite, sums)) else None", "return sums", MODEL_TESTS),
+    ("series peak left at round(V*x*)", MODEL,
+     "n_star = math.floor(peak)\n    if _exponent_offset(beta, f, n_star, n_star + 1.0, "
+     "math.sqrt) > 0.0:\n        n_star += 1\n", "n_star = int(round(peak))\n", MODEL_TESTS),
     ("window left side dropped", MODEL,
      "tail = left + right", "tail = right", MODEL_TESTS),
     ("window right side dropped", MODEL,
@@ -62,6 +69,10 @@ MUTANTS = (
      "terms = np.concatenate([(edge[:, None] * st.populations).ravel(),\n"
      "                            inner * st.populations[:, -1]])",
      "terms = (edge[:, None] * st.populations).ravel()", FOCK_TESTS),
+    ("fulldiag pressure finite check dropped", FOCK,
+     "    if not math.isfinite(pressure):", "    if False:", FOCK_TESTS),
+    ("square-root source coefficient check dropped", FOCK,
+     'require(coefficient > 0.0, "coefficient must be positive")', "pass", FOCK_TESTS),
     ("keyed guard K undercounted by one", FOCK,
      "keys = sum(primed) + 1", "keys = sum(primed)", FOCK_TESTS),
     ("configuration table guard / 3", FOCK,
