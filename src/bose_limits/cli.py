@@ -6,7 +6,7 @@ pressure     both model pressures with breakdowns and bounds at one point
 equivalence  pressure-gap ladder, rate fit, condensate comparison
 laplace      zero-mode series against its Laplace-principle supremum
 fulldiag     exact-diagonalization sandwich for a mean-field diagonal model
-sweep        pressure rows over a (beta, mu, nu) grid, sharing each beta's p != 0 sums
+sweep        pressure rows over a (beta, mu, nu) grid, from one p != 0 pass
 
 Exit codes: 0 all checks passed, 1 checks ran but failed, 2 invalid input,
 3 non-convergence or resource guard.  Output is CSV (default) or JSON
@@ -227,25 +227,24 @@ def emit_json(rows: Sequence[dict], stream, columns: Sequence[str]) -> None:
 def _run_pressure(cfg: RunConfig) -> tuple:
     """Pressure rows over the (beta, mu, nu) grid (one point for `pressure`), in-process.
 
-    One `pressure_pairs` pass per beta; `duration_s` is each pair's seconds.
+    One `pressure_pairs` pass over every beta; `duration_s` is each pair's seconds.
     """
+    grids = [(beta, build_lattice(cfg.dim, cfg.side, cfg.pmax)) for beta in cfg.beta]
     rows = []
-    for beta in cfg.beta:
-        lattice = build_lattice(cfg.dim, cfg.side, cfg.pmax)
-        for point, pair, seconds in pressure_pairs(beta, (lattice,), cfg.mu, cfg.nu,
-                                                   cfg.rel_tol, cfg.coefficient):
-            p_lin, p_sqrt = pair.linear, pair.sqrt
-            rows.append({
-                "command": cfg.command, "beta": beta, "mu": point.mu, "nu": point.nu,
-                "dim": cfg.dim, "side": cfg.side, "volume": point.volume, "pmax": cfg.pmax,
-                "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
-                "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
-                "p_linear_bound": p_lin.truncation_bound,
-                "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
-                "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
-                "delta_p": pair.delta, "identity_rel_err": pair.identity_rel_err,
-                "passed": pair.passed(cfg.rel_tol), "duration_s": seconds,
-            })
+    for point, pair, seconds in pressure_pairs(grids, cfg.mu, cfg.nu, cfg.rel_tol,
+                                               cfg.coefficient):
+        p_lin, p_sqrt = pair.linear, pair.sqrt
+        rows.append({
+            "command": cfg.command, "beta": point.beta, "mu": point.mu, "nu": point.nu,
+            "dim": cfg.dim, "side": cfg.side, "volume": point.volume, "pmax": cfg.pmax,
+            "p_linear_zero_mode": p_lin.zero_mode, "p_linear_primed": p_lin.primed,
+            "p_linear_constant": p_lin.constant, "p_linear_total": p_lin.total,
+            "p_linear_bound": p_lin.truncation_bound,
+            "p_sqrt_zero_mode": p_sqrt.zero_mode, "p_sqrt_primed": p_sqrt.primed,
+            "p_sqrt_total": p_sqrt.total, "p_sqrt_bound": p_sqrt.truncation_bound,
+            "delta_p": pair.delta, "identity_rel_err": pair.identity_rel_err,
+            "passed": pair.passed(cfg.rel_tol), "duration_s": seconds,
+        })
     # Rows are emitted sorted by (beta, mu, nu), never in grid order.
     rows.sort(key=lambda r: (r["beta"], r["mu"], r["nu"]))
     code = 0 if all(r["passed"] for r in rows) else 1

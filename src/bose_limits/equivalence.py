@@ -152,22 +152,21 @@ class PressurePair(NamedTuple):
                         for p in (self.linear, self.sqrt)))
 
 
-def pressure_pairs(beta: float, lattices: Sequence, mus: Sequence[float],
-                   nus: Sequence[float], rel_tol: float = 1e-10,
-                   coefficient: float = 2.0) -> list:
-    """[(point, pair, seconds)] for each lattice (sharing d), then each mu, then each nu.
+def pressure_pairs(grids: Sequence, mus: Sequence[float], nus: Sequence[float],
+                   rel_tol: float = 1e-10, coefficient: float = 2.0) -> list:
+    """[(point, pair, seconds)] for each (beta, lattice) of `grids`, then each mu, then each nu.
 
-    One `_theta_series` call gives each (lattice, mu) the p != 0 sum both
-    models share at every nu; each pair's zero-mode series serves the
+    One `_theta_series` call gives each (beta, lattice, mu) the p != 0 sum
+    both models share at every nu; each pair's zero-mode series serves the
     square-root model and the closed form.  `seconds` is the pair's own time
     plus an even share of the pass.  A total of 0 (both are positive for
     mu < 0) has underflowed, so no bound is rel_tol of it: NonConvergenceError.
     """
     start = time.perf_counter()
-    sums = _theta_series(beta, lattices, mus, 1, rel_tol)
-    share = (time.perf_counter() - start) / (len(lattices) * len(mus) * len(nus))
+    sums = _theta_series(grids, mus, 1, rel_tol)
+    share = (time.perf_counter() - start) / (len(grids) * len(mus) * len(nus))
     out = []
-    for (lattice, by_mu), mu, nu in itertools.product(zip(lattices, sums), mus, nus):
+    for ((beta, lattice), by_mu), mu, nu in itertools.product(zip(grids, sums), mus, nus):
         start = time.perf_counter() - share
         point = ThermoPoint(beta=beta, mu=mu, nu=nu, lattice=lattice)
         primed = PressureBreakdown(zero_mode=0.0, primed=by_mu[mu][0], constant=0.0,
@@ -189,7 +188,7 @@ def pressure_pairs(beta: float, lattices: Sequence, mus: Sequence[float],
 def pressure_pair(point: ThermoPoint, rel_tol: float = 1e-10,
                   coefficient: float = 2.0) -> PressurePair:
     """Both pressures at one point: `pressure_pairs` on the point alone."""
-    ((_, pair, _),) = pressure_pairs(point.beta, (point.lattice,), (point.mu,), (point.nu,),
+    ((_, pair, _),) = pressure_pairs(((point.beta, point.lattice),), (point.mu,), (point.nu,),
                                      rel_tol=rel_tol, coefficient=coefficient)
     return pair
 
@@ -349,8 +348,8 @@ def verify_equivalence(beta: float, mu: float, nu: float, d: int,
     decreasing in magnitude (nu > 0).
     """
     require(len(sides) >= 1, "at least one side required")
-    lattices = [build_lattice(d, side, p_max) for side in sides]
-    rungs = pressure_pairs(beta, lattices, (mu,), (nu,), rel_tol=rel_tol)
+    rungs = pressure_pairs([(beta, build_lattice(d, side, p_max)) for side in sides],
+                           (mu,), (nu,), rel_tol=rel_tol)
     values = tuple(pair.delta for _, pair, _ in rungs)
     rung_passed = tuple(pair.passed(rel_tol) for _, pair, _ in rungs)
 

@@ -367,24 +367,24 @@ def _theta_passes(lengths):
         yield pieces
 
 
-def _theta_series(beta: float, lattices, mus, power: int, rel_tol: float = None) -> list:
-    """[{mu: (S_power / (beta^power * V), certified bound)} for each lattice].
+def _theta_series(grids, mus, power: int, rel_tol: float = None) -> list:
+    """[{mu: (S_power / (beta^power * V), certified bound)} for each (beta, lattice) of `grids`].
 
     The lattices share d, and theta(t)^d - 1 depends on t = j*h alone: one
-    array pass (`_theta_passes`) serves pieces of consecutive lattices'
-    series and every mu.  A series is summed and freed after its last
-    piece, so each lattice gets the values, bounds and error it gets alone,
-    and one series and one pass are held at once.  Raises, for the first
-    lattice that fails, ResourceGuardError before forming its terms if
-    they and a pass exceed MAX_ALLOC_BYTES or theta(t_1)^d is beyond the
-    float range, and NonConvergenceError if `rel_tol` is given and a bound
-    exceeds rel_tol times its value.
+    array pass (`_theta_passes`) serves pieces of consecutive grids' series,
+    whatever their beta and side, and every mu.  A series is summed and
+    freed after its last piece, so each grid gets the values, bounds and
+    error it gets alone, and one grid's series and one pass are held at
+    once.  Raises, for the first grid that fails, ResourceGuardError before
+    forming its terms if they and a pass exceed MAX_ALLOC_BYTES or
+    theta(t_1)^d is beyond the float range, and NonConvergenceError if
+    `rel_tol` is given and a bound exceeds rel_tol times its value.
     """
-    mus, d = list(dict.fromkeys(mus)), lattices[0].d
+    mus, d = list(dict.fromkeys(mus)), grids[0][1].d
     for mu in mus:
         _require_stable(mu)
-    grids, failure = [], None
-    for lattice in lattices:
+    plans, failure = [], None
+    for beta, lattice in grids:
         l = lattice.l
         step = 2.0 * math.pi / l
         h = 0.5 * beta * step * step
@@ -403,15 +403,16 @@ def _theta_series(beta: float, lattices, mus, power: int, rel_tol: float = None)
                 f"{beta * max(mus):.3g}{more} and side {l:.3g}, above the ceiling of "
                 f"{MAX_ALLOC_BYTES} bytes")
             break
-        grids.append((lattice.volume, h, log_theta_max, log_q, [1 + math.ceil(t) for t in terms]))
+        plans.append((beta, lattice.volume, h, log_theta_max, log_q,
+                      [1 + math.ceil(t) for t in terms]))
     out = []
-    for pieces in _theta_passes([max(grid[4]) for grid in grids]):
+    for pieces in _theta_passes([max(plan[5]) for plan in plans]):
         g, rel_g = _theta_power_m1(np.concatenate(
-            [np.arange(start + 1, start + n + 1, dtype=float) * grids[k][1]
+            [np.arange(start + 1, start + n + 1, dtype=float) * plans[k][2]
              for k, start, n in pieces]), d)
         at = 0
         for k, start, n in pieces:
-            volume, _, log_theta_max, log_q, lengths = grids[k]
+            beta, volume, _, log_theta_max, log_q, lengths = plans[k]
             j = np.arange(start + 1, start + n + 1, dtype=float)
             if start == 0:
                 series = [np.empty(length) for length in lengths]
@@ -456,7 +457,7 @@ def pressure_ideal_primed(point: ThermoPoint, rel_tol: float = None) -> Pressure
     not enter.  The zero-mode and constant parts of the returned breakdown
     are zero.  Raises as `_theta_series` does.
     """
-    (sums,) = _theta_series(point.beta, (point.lattice,), (point.mu,), 1, rel_tol)
+    (sums,) = _theta_series(((point.beta, point.lattice),), (point.mu,), 1, rel_tol)
     return PressureBreakdown(zero_mode=0.0, primed=sums[point.mu][0], constant=0.0,
                              truncation_bound=sums[point.mu][1])
 
@@ -475,7 +476,7 @@ def critical_density_finite(point: ThermoPoint) -> float:
 
     Raises as `_theta_series` does.
     """
-    return _theta_series(point.beta, (point.lattice,), (point.mu,), 0)[0][point.mu][0]
+    return _theta_series(((point.beta, point.lattice),), (point.mu,), 0)[0][point.mu][0]
 
 
 def critical_density_limit(beta: float, mu: float, d: int = 3,

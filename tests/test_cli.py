@@ -645,7 +645,7 @@ class TestDeterminism:
 
 
 class TestSweepInOneProcess:
-    """`sweep` forms each beta's p != 0 sums in one pass, in its own process."""
+    """`sweep` forms the p != 0 sums of every beta in one pass, in its own process."""
 
     @staticmethod
     def rows_by_point(capsys, argv):
@@ -682,7 +682,7 @@ class TestSweepInOneProcess:
         shuffled = self.rows_by_point(capsys, base + ["--mu=-0.5,-1e-3,-0.05,-1e-3"])
         assert shuffled == ordered
 
-    def test_rows_of_a_beta_share_its_theta_time(self, monkeypatch):
+    def test_rows_share_the_commands_theta_time(self, monkeypatch):
         import time
 
         original = equivalence._theta_series
@@ -695,8 +695,45 @@ class TestSweepInOneProcess:
         code, rows = run(parse_config(["--command", "sweep", "--beta", "0.5,1",
                                        "--mu=-1,-0.5", "--nu", "0.1,0.2", "--side", "8"]))
         assert code == 0 and len(rows) == 8
-        # Each beta's pass slept 40 ms and has four rows.
-        assert all(row["duration_s"] >= 0.01 for row in rows)
+        # The command's one pass slept 40 ms and has eight rows.
+        assert all(row["duration_s"] >= 0.04 / 8 for row in rows)
+
+    @pytest.mark.parametrize("grid", [
+        # The README's sweep, and the benchmark's 4x4x2 grid before its jitter,
+        # which only shortens the series.
+        ["--beta", "0.5,1", "--mu=-1,-0.5", "--nu", "0.1,0.2", "--side", "8"],
+        ["--beta", "0.5,0.8,1.2,1.8", "--mu=-0.25,-0.4,-0.6,-0.9", "--nu", "0.04,0.12",
+         "--side", "32"],
+    ])
+    def test_grid_takes_one_theta_evaluation(self, grid, monkeypatch):
+        from bose_limits import lattice_ideal
+
+        original, sizes = lattice_ideal._theta_power_m1, []
+
+        def counting(t, d):
+            sizes.append(t.size)
+            return original(t, d)
+
+        monkeypatch.setattr(lattice_ideal, "_theta_power_m1", counting)
+        code, rows = run(parse_config(["--command", "sweep", *grid, "--workers", "2"]))
+        assert code == 0 and len(sizes) == 1 and sizes[0] <= lattice_ideal._J_CHUNK
+
+    def test_later_beta_theta_refusal_precedes_zero_mode_refusal(self, capsys):
+        # At side 1e87 the theta factors of beta 0.1 leave the float range,
+        # while beta 1's fit and its zero-mode series peaks beyond exact
+        # occupations.  Every beta's theta series comes before any zero-mode
+        # series, so beta 0.1's refusal is the one reported; both exit 3.
+        base = ["--command", "sweep", "--mu=-0.5", "--nu", "0.1", "--side", "1e87"]
+        errors = {}
+        for beta in ("1", "0.1", "1,0.1"):
+            assert main([*base, "--beta", beta]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors[beta] = json.loads(captured.err)
+        assert errors["1"]["error"] == "NonConvergenceError"
+        assert "zero-mode series" in errors["1"]["message"]
+        assert errors["0.1"]["error"] == "ResourceGuardError"
+        assert errors["1,0.1"] == errors["0.1"]
 
     def test_grid_over_the_byte_ceiling_exits_3_before_allocating(self, tmp_path, capsys):
         # At side 1e4 either mu alone needs ~4.4e7 terms, 0.35 GB, under

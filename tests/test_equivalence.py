@@ -144,8 +144,8 @@ class TestPressurePairs:
                     for point, pair in pairs]
 
         together = outcome(lambda: readings(
-            (point, pair) for point, pair, _ in pressure_pairs(beta, lattices, mus, nus,
-                                                               rel_tol, coefficient)))
+            (point, pair) for point, pair, _ in pressure_pairs(
+                [(beta, lattice) for lattice in lattices], mus, nus, rel_tol, coefficient)))
         alone = [outcome(lambda: readings([(point, pressure_pair(point, rel_tol, coefficient))]))
                  for point in points]
         errors = [repr(a) for a in alone if isinstance(a, BoseLimitsError)]
@@ -253,7 +253,7 @@ class TestOneSumPerPoint:
         assert (len(theta), len(primed), len(series)) == (1, 0, 1)
         assert code == 0 and row["passed"] is True
 
-    def test_sweep_sums_theta_once_per_beta(self, monkeypatch):
+    def test_sweep_sums_theta_once_per_command(self, monkeypatch):
         from bose_limits.cli import parse_config, run
 
         cfg = parse_config(["--command", "sweep", "--beta", "0.5,1", "--mu=-1,-0.5,-0.25",
@@ -262,7 +262,7 @@ class TestOneSumPerPoint:
         theta = self.count_calls(monkeypatch, "bose_limits.lattice_ideal", "_theta_series")
         code, rows = run(cfg)
         assert code == 0 and len(rows) == 12
-        assert (len(theta), len(primed), len(series)) == (2, 0, 12)
+        assert (len(theta), len(primed), len(series)) == (1, 0, 12)
 
 
 class TestDensityFromPressure:
@@ -439,9 +439,9 @@ class TestAnalyticCondensates:
         powers = []
         theta_series = lattice_ideal._theta_series
 
-        def record(beta, lattices, mus, power, rel_tol=None):
-            powers.append((power, len(lattices)))
-            return theta_series(beta, lattices, mus, power, rel_tol)
+        def record(grids, mus, power, rel_tol=None):
+            powers.append((power, len(grids)))
+            return theta_series(grids, mus, power, rel_tol)
 
         monkeypatch.setattr(lattice_ideal, "_theta_series", record)
         monkeypatch.setattr(equivalence, "_theta_series", record)

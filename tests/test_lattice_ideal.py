@@ -251,12 +251,12 @@ class TestThetaSeries:
         point = ThermoPoint(beta=beta, mu=mu, lattice=build_lattice(d, l, 1.0))
         exact = [_exact_theta_series(beta, mu, d, l, power) for power in (0, 1)]
         for power in (0, 1):
-            value, bound = _theta_series(beta, (point.lattice,), (mu,), power)[0][mu]
+            value, bound = _theta_series([(beta, point.lattice)], (mu,), power)[0][mu]
             assert abs(value - exact[power]) <= bound <= 1e-14 * value
         # Stopped early, the j-tail dominates the certificate.
         monkeypatch.setattr(lattice_ideal, "_J_TAIL", 1e-6)
         for power in (0, 1):
-            value, bound = _theta_series(beta, (point.lattice,), (mu,), power)[0][mu]
+            value, bound = _theta_series([(beta, point.lattice)], (mu,), power)[0][mu]
             assert 1e-13 * value < abs(value - exact[power]) <= bound
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -276,7 +276,7 @@ class TestThetaSeries:
             for power in (0, 1):
                 exact = mp.fsum(mp.exp(-0.5 * j) / j ** power * g[j - 1] for j in (1, 2, 3))
                 exact /= mp.mpf(l) ** d
-                value, bound = _theta_series(1.0, (lattice,), (-0.5,), power)[0][-0.5]
+                value, bound = _theta_series([(1.0, lattice)], (-0.5,), power)[0][-0.5]
                 assert 1e-12 * value < abs(value - exact) <= bound
 
     @given(beta=st.floats(0.5, 2.0), mu=st.floats(-2.0, -1e-3),
@@ -288,7 +288,7 @@ class TestThetaSeries:
         shell, cutoff = shell_primed_pressure(point)
         assert abs(theta.primed - shell) <= (cutoff + theta.truncation_bound
                                              + ORACLE_ROUNDING * shell)
-        density, density_bound = _theta_series(beta, (point.lattice,), (mu,), 0)[0][mu]
+        density, density_bound = _theta_series([(beta, point.lattice)], (mu,), 0)[0][mu]
         assert density == critical_density_finite(point)
         shell, cutoff = shell_critical_density(point)
         assert abs(density - shell) <= cutoff + density_bound + ORACLE_ROUNDING * shell
@@ -299,7 +299,7 @@ class TestThetaSeries:
         # The zero mode's share, log(1 - e^(beta*mu))/(beta*V), is ~1e-12.
         assert res.primed == pytest.approx(pressure_ideal_limit(1.0, -0.5, 3), rel=1e-9)
         # The density's own series certifies 1e-14 too.
-        density = lattice_ideal._theta_series(1.0, (point.lattice,), (-0.5,), 0,
+        density = lattice_ideal._theta_series([(1.0, point.lattice)], (-0.5,), 0,
                                               rel_tol=1e-14)[0][-0.5][0]
         assert density == critical_density_finite(point) == pytest.approx(
             critical_density_limit(1.0, -0.5, 3, tol=1e-14), rel=1e-9)
@@ -363,7 +363,7 @@ def traced_peak(call):
 
 
 class TestThetaPassOverLattices:
-    """One `_theta_series` call over several lattices against one call per lattice."""
+    """One `_theta_series` call over several (beta, lattice) grids against one call per grid."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_theta_power_does_not_depend_on_position(self, d):
@@ -374,27 +374,35 @@ class TestThetaPassOverLattices:
         assert shuffled_value.tobytes() == value[order].tobytes()
         assert shuffled_rel.tobytes() == rel[order].tobytes()
 
-    @given(d=st.sampled_from([1, 2, 3]), beta=st.floats(0.5, 2.0),
-           mus=st.lists(st.one_of(st.floats(-2.0, -1e-3), st.just(-1e-6)),
-                        min_size=1, max_size=3),
+    @given(d=st.sampled_from([1, 2, 3]),
+           betas=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3),
            sides=st.lists(st.one_of(st.floats(1.5, 40.0),
                                     st.sampled_from([100.0, 400.0, "range"])),
-                          min_size=1, max_size=4),
+                          min_size=1, max_size=3),
+           mus=st.lists(st.one_of(st.floats(-2.0, -1e-3), st.just(-1e-6)),
+                        min_size=1, max_size=3),
            power=st.sampled_from([0, 1]), rel_tol=st.sampled_from([None, 1e-15, 1e-12]))
-    # Several lattices in one pass, t straddling pi, and a 1.5e4-term series over 4 passes.
-    @example(d=3, beta=1.0, mus=[-1e-3, -0.5], sides=[8.0, 16.0, 100.0, 32.0], power=1,
-             rel_tol=None)
-    # A refusal by rel_tol before a lattice the byte guard refuses.
-    @example(d=2, beta=1.0, mus=[-1e-6], sides=[8.0, 400.0], power=0, rel_tol=1e-15)
+    # Several grids in one pass, t straddling pi, and series of 2.3e4 and
+    # 4.7e4 terms at side 100, over 6 and 12 blocks, at two beta.
+    @example(d=3, betas=[1.0, 0.5], sides=[8.0, 16.0, 100.0], mus=[-1e-3, -0.5, -1e-6],
+             power=1, rel_tol=None)
+    # The byte guard refuses side 200 at the second beta (1.9e5 terms) only.
+    @example(d=3, betas=[2.0, 0.5], sides=[8.0, 200.0], mus=[-1e-6], power=1, rel_tol=None)
+    # A theta-range refusal ahead of a byte-guard refusal, in grid order.
+    @example(d=1, betas=[0.7, 1.3], sides=[8.0, "range", 400.0], mus=[-1e-6, -0.5],
+             power=0, rel_tol=None)
+    # A refusal by rel_tol at the first beta before a grid the byte guard refuses.
+    @example(d=2, betas=[1.0, 1.5], sides=[8.0, 400.0], mus=[-1e-6], power=0, rel_tol=1e-15)
     @settings(max_examples=60, deadline=None)
-    def test_matches_one_call_per_lattice(self, d, beta, mus, sides, power, rel_tol):
+    def test_matches_one_call_per_grid(self, d, betas, sides, mus, power, rel_tol):
         # Under a 2 MiB ceiling the byte guard refuses side 400 at mu = -1e-6
-        # (~2e5 terms and more) and passes every other series here.
+        # (~2e5 terms and more) and passes every series up to side 100.
         lattices = [build_lattice(d, RANGE_SIDE[d] if s == "range" else s, 10.0) for s in sides]
+        grids = [(beta, lattice) for beta in betas for lattice in lattices]
         with mock.patch.object(lattice_ideal, "MAX_ALLOC_BYTES", 2 ** 21):
-            together = outcome(lambda: _theta_series(beta, lattices, mus, power, rel_tol))
-            alone = outcome(lambda: [_theta_series(beta, [lattice], mus, power, rel_tol)[0]
-                                     for lattice in lattices])
+            together = outcome(lambda: _theta_series(grids, mus, power, rel_tol))
+            alone = outcome(lambda: [_theta_series([grid], mus, power, rel_tol)[0]
+                                     for grid in grids])
         assert repr(together) == repr(alone)
 
     def test_short_ladder_takes_one_theta_evaluation(self, monkeypatch):
@@ -406,7 +414,7 @@ class TestThetaPassOverLattices:
 
         monkeypatch.setattr(lattice_ideal, "_theta_power_m1", counting)
         lattices = [build_lattice(3, side, 10.0) for side in (8.0, 16.0, 32.0, 64.0)]
-        _theta_series(1.0, lattices, (-0.5, -0.6), 1)
+        _theta_series([(1.0, lattice) for lattice in lattices], (-0.5, -0.6), 1)
         # The longest series of each lattice, 49 to 81 terms.
         assert len(sizes) == 1 and 4 * 49 <= sizes[0] <= 4 * 81
 
@@ -416,14 +424,15 @@ class TestThetaPassOverLattices:
         monkeypatch.setattr(lattice_ideal, "MAX_ALLOC_BYTES", 2 ** 21)
         lattices = [build_lattice(3, side, 10.0) for side in (8.0, 400.0)]
         with pytest.raises(ResourceGuardError, match="side 400"):
-            _theta_series(1.0, lattices, (-1e-4,), 1)
+            _theta_series([(1.0, lattice) for lattice in lattices], (-1e-4,), 1)
 
     def test_ladder_peaks_at_its_largest_rung(self):
         # Each series is freed once summed, so a ladder of 7.8e4, 2.1e5 and
         # 3.7e5 terms holds no more than its largest rung alone and one pass.
         lattices = [build_lattice(3, side, 10.0) for side in (200.0, 400.0, 800.0)]
-        ladder = traced_peak(lambda: _theta_series(1.0, lattices, (-1e-4,), 1))
-        largest = traced_peak(lambda: _theta_series(1.0, lattices[-1:], (-1e-4,), 1))
+        grids = [(1.0, lattice) for lattice in lattices]
+        ladder = traced_peak(lambda: _theta_series(grids, (-1e-4,), 1))
+        largest = traced_peak(lambda: _theta_series([(1.0, lattices[-1])], (-1e-4,), 1))
         assert 8 * 3.6e5 < ladder <= largest + lattice_ideal._J_PASS_BYTES
 
 

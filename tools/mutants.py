@@ -89,9 +89,12 @@ MUTANTS = (
     ("theta byte guard dropped", LATTICE,
      "if not _J_BYTES * math.fsum(t + 2.0 for t in terms) + _J_PASS_BYTES",
      "if not _J_PASS_BYTES", LATTICE_TESTS),
-    ("theta byte guard counts only the first lattice", LATTICE,
+    ("theta byte guard counts only the first grid", LATTICE,
      "if not _J_BYTES * math.fsum(t + 2.0 for t in terms)",
-     "if not grids and not _J_BYTES * math.fsum(t + 2.0 for t in terms)", LATTICE_TESTS),
+     "if not plans and not _J_BYTES * math.fsum(t + 2.0 for t in terms)", LATTICE_TESTS),
+    ("every grid uses the first grid's beta", LATTICE,
+     "    for beta, lattice in grids:\n",
+     "    for _, lattice in grids:\n        beta = grids[0][0]\n", LATTICE_TESTS),
     ("theta pass piece shifted by one j", LATTICE,
      "at += n", "at += n - 1", LATTICE_TESTS),
     ("energy guard counts the shell tables only", LATTICE,
